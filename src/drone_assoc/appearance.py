@@ -78,9 +78,10 @@ def maybe_insert_key(
     if not bank.entries:
         bank.entries.append(BankEntry(f, frame))
         return bank
-    sims = np.array([float(np.dot(e.feature, f)) for e in bank.entries])
-    closest = int(np.argmax(sims))
-    if 1.0 - sims[closest] > novelty_threshold:
+    sims = [float(np.dot(e.feature, f)) for e in bank.entries]
+    best = max(sims)
+    closest = sims.index(best)
+    if 1.0 - best > novelty_threshold:
         if len(bank.entries) >= bank.capacity:
             ages = [e.last_used for e in bank.entries]
             bank.entries.pop(ages.index(min(ages)))
@@ -119,27 +120,31 @@ def appearance_cost_matrix(tracks: list[Track], feats: np.ndarray) -> np.ndarray
     neutral all-zero row. Kept in lockstep with appearance_costs by tests.
     """
     block = np.zeros((len(tracks), feats.shape[0]), dtype=np.float64)
-    galleries = [_gallery(t) for t in tracks]
-    stacked = [g for g in galleries if g is not None]
-    if not stacked:
+    rows: list[np.ndarray] = []
+    owners: list[int] = []
+    starts: list[int] = []
+    for j, t in enumerate(tracks):
+        gallery = _gallery_rows(t)
+        if gallery:
+            owners.append(j)
+            starts.append(len(rows))
+            rows.extend(gallery)
+    if not rows:
         return block
-    sims = np.vstack(stacked) @ feats.T
-    start = 0
-    for j, gallery in enumerate(galleries):
-        if gallery is None:
-            continue
-        stop = start + gallery.shape[0]
-        block[j] = np.clip(1.0 - sims[start:stop].max(axis=0), 0.0, 1.0)
-        start = stop
+    sims = np.array(rows, dtype=np.float64) @ feats.T
+    best = np.maximum.reduceat(sims, starts, axis=0)
+    block[owners] = np.clip(1.0 - best, 0.0, 1.0)
     return block
 
 
-def _gallery(track: Track) -> Optional[np.ndarray]:
-    feats = []
-    if track.local_feature is not None:
-        feats.append(track.local_feature)
+def _gallery_rows(track: Track) -> list[np.ndarray]:
+    """The track's local feature, if any, then its key-bank features."""
+    rows = [] if track.local_feature is None else [track.local_feature]
     if track.key_bank is not None:
-        feats.extend(track.key_bank.features())
-    if not feats:
-        return None
-    return np.stack(feats)
+        rows.extend(track.key_bank.features())
+    return rows
+
+
+def _gallery(track: Track) -> Optional[np.ndarray]:
+    rows = _gallery_rows(track)
+    return np.stack(rows) if rows else None

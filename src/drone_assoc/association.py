@@ -29,6 +29,7 @@ from .core import (
     Track,
     TrackState,
     TrackerConfig,
+    boxes_array,
     iou_matrix,
 )
 
@@ -74,13 +75,16 @@ def linear_assignment(cost: np.ndarray) -> AssignmentResult:
         return AssignmentResult([], list(range(n)), list(range(m)))
     solvable = np.where(np.isfinite(cost), cost, _LARGE)
     rows, cols = linear_sum_assignment(solvable)
-    matches = [(int(r), int(c)) for r, c in zip(rows, cols) if np.isfinite(cost[r, c])]
-    matched_r = {r for r, _ in matches}
-    matched_c = {c for _, c in matches}
+    ok = np.isfinite(cost[rows, cols])
+    matched_r, matched_c = rows[ok].tolist(), cols[ok].tolist()
+    free_r = np.ones(n, dtype=bool)
+    free_r[matched_r] = False
+    free_c = np.ones(m, dtype=bool)
+    free_c[matched_c] = False
     return AssignmentResult(
-        matches,
-        [r for r in range(n) if r not in matched_r],
-        [c for c in range(m) if c not in matched_c],
+        list(zip(matched_r, matched_c)),
+        np.flatnonzero(free_r).tolist(),
+        np.flatnonzero(free_c).tolist(),
     )
 
 
@@ -107,7 +111,7 @@ def _fused_cost(
     if len(tracks) == 0 or len(detections) == 0:
         shape = (len(tracks), len(detections))
         return np.zeros(shape, dtype=np.float64), np.zeros(shape, dtype=np.float64)
-    det_boxes = np.stack([d.bbox.as_array() for d in detections])
+    det_boxes = boxes_array(d.bbox for d in detections)
     ious = iou_matrix(predicted_boxes, det_boxes)
     cost = 1.0 - ious
     if config.w_a > 0:
@@ -127,7 +131,7 @@ def iou_cost_matrix(
     """Stage-2 cost: 1 - IoU with the same gates, no feature terms."""
     if len(tracks) == 0 or len(detections) == 0:
         return np.zeros((len(tracks), len(detections)), dtype=np.float64)
-    det_boxes = np.stack([d.bbox.as_array() for d in detections])
+    det_boxes = boxes_array(d.bbox for d in detections)
     ious = iou_matrix(predicted_boxes, det_boxes)
     cost = 1.0 - ious
     _gate(cost, ious, tracks, detections, config.iou_gate)
@@ -148,7 +152,7 @@ def _appearance_block(tracks, detections) -> np.ndarray:
         return block
     dim = dims.pop()
     has_emb = np.array([d.embedding is not None for d in detections])
-    feats = np.stack(
+    feats = np.array(
         [d.embedding if d.embedding is not None else np.zeros(dim) for d in detections]
     )
     block = ap.appearance_cost_matrix(list(tracks), feats)
@@ -157,19 +161,8 @@ def _appearance_block(tracks, detections) -> np.ndarray:
 
 
 def _rotation_block(tracks, det_descriptors) -> np.ndarray:
-    n, m = len(tracks), len(det_descriptors)
-    t_desc = np.zeros((n, 3))
-    t_ok = np.zeros(n, dtype=bool)
-    for j, t in enumerate(tracks):
-        if t.rotation is not None:
-            t_desc[j] = t.rotation
-            t_ok[j] = True
-    d_desc = np.zeros((m, 3))
-    d_ok = np.zeros(m, dtype=bool)
-    for i, d in enumerate(det_descriptors):
-        if d is not None:
-            d_desc[i] = d
-            d_ok[i] = True
+    t_desc, t_ok = _descriptor_rows([t.rotation for t in tracks])
+    d_desc, d_ok = _descriptor_rows(det_descriptors)
     norms_t = np.linalg.norm(t_desc, axis=1)
     norms_d = np.linalg.norm(d_desc, axis=1)
     denom = norms_t[:, None] * norms_d[None, :]
@@ -179,6 +172,17 @@ def _rotation_block(tracks, det_descriptors) -> np.ndarray:
     block[~t_ok, :] = 0.0
     block[:, ~d_ok] = 0.0
     return block
+
+
+def _descriptor_rows(
+    descriptors: Sequence[Optional[np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) descriptor rows, zero where missing, and the mask of present ones."""
+    ok = np.array([d is not None for d in descriptors], dtype=bool)
+    rows = np.zeros((len(descriptors), 3))
+    if ok.any():
+        rows[ok] = [d for d in descriptors if d is not None]
+    return rows, ok
 
 
 def lifecycle_step(track: Track, matched: bool, config: TrackerConfig) -> Track:
@@ -239,7 +243,7 @@ class Tracker:
 
         m_eff = m if cfg.use_dmp else None
         pool = list(self.tracks)
-        predicted = self._predict_pool(pool, m_eff)
+        means, covs, predicted = self._predict_pool(pool, m_eff)
 
         cost, ious = _fused_cost(
             pool, predicted, high, [desc_of[id(d)] for d in high], cfg
@@ -255,11 +259,18 @@ class Tracker:
         cost2 = iou_cost_matrix(leftovers, leftover_boxes, low, cfg)
         stage2 = linear_assignment(cost2)
 
-        matched = [(pool[j], high[i]) for j, i in stage1.matches]
-        matched += [(leftovers[j], low[i]) for j, i in stage2.matches]
-        self._batch_motion_update(matched)
-        for track, det in matched:
-            self._absorb(track, det, desc_of[id(det)], frame)
+        matched_idx = [j for j, _ in stage1.matches]
+        matched_idx += [leftover_idx[j] for j, _ in stage2.matches]
+        matched_dets = [high[i] for _, i in stage1.matches]
+        matched_dets += [low[i] for _, i in stage2.matches]
+        if matched_idx:
+            means[matched_idx], covs[matched_idx] = mo.multi_update(
+                means[matched_idx], covs[matched_idx], [d.bbox for d in matched_dets]
+            )
+        for t, mean, cov in zip(pool, means, covs):
+            t.motion = mo.MotionState(mean, cov)
+        for j, det in zip(matched_idx, matched_dets):
+            self._absorb(pool[j], det, desc_of[id(det)], frame)
 
         for t in pool:
             if t.last_frame != frame:
@@ -269,11 +280,12 @@ class Tracker:
             self._spawn(high[i], desc_of[id(high[i])], frame)
 
         self.tracks = [t for t in self.tracks if t.state is not TrackState.REMOVED]
+        emitted = [t for t in self.tracks
+                   if t.state is TrackState.CONFIRMED and t.last_frame == frame]
+        boxes = mo.states_to_boxes([t.motion.mean for t in emitted])
         records = [
-            TrackRecord(frame, t.track_id, mo.state_to_box(t.motion.mean),
-                        t.last_score, t.class_id)
-            for t in self.tracks
-            if t.state is TrackState.CONFIRMED and t.last_frame == frame
+            TrackRecord(frame, t.track_id, box, t.last_score, t.class_id)
+            for t, box in zip(emitted, boxes)
         ]
         log.debug("frame %d: %d dets, %d live tracks, %d emitted",
                   frame, len(dets), len(self.tracks), len(records))
@@ -287,36 +299,24 @@ class Tracker:
         ).reshape(-1, 2)
         return mo.frame_descriptors(centers, self.config.radius_R)
 
-    @staticmethod
-    def _batch_motion_update(matched: list[tuple[Track, Detection]]) -> None:
-        if not matched:
-            return
-        means = np.stack([t.motion.mean for t, _ in matched])
-        covs = np.stack([t.motion.covariance for t, _ in matched])
-        means, covs = mo.multi_update(means, covs, [d.bbox for _, d in matched])
-        for k, (t, _) in enumerate(matched):
-            t.motion = mo.MotionState(means[k], covs[k])
-
     def _predict_pool(
         self, pool: Sequence[Track], m: Optional[mo.AffineTransform]
-    ) -> np.ndarray:
-        """Warp+predict every track in place; returns predicted boxes (N, 4)."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Warp+predict every track; returns the predicted means (N, 8),
+        covariances (N, 8, 8) and boxes (N, 4). The tracks' own states are
+        written back once the matched rows are corrected."""
         if not pool:
-            return np.zeros((0, 4))
-        means = np.stack([t.motion.mean for t in pool])
-        covs = np.stack([t.motion.covariance for t in pool])
+            return np.zeros((0, 8)), np.zeros((0, 8, 8)), np.zeros((0, 4))
+        means = np.array([t.motion.mean for t in pool])
+        covs = np.array([t.motion.covariance for t in pool])
         means, covs = mo.multi_predict(means, covs, m)
-        for k, t in enumerate(pool):
-            t.motion = mo.MotionState(means[k], covs[k])
-        h = np.maximum(means[:, 3], 1e-3)
-        w = np.maximum(means[:, 2] * h, 1e-3)
-        return np.column_stack([means[:, 0] - w / 2, means[:, 1] - h / 2, w, h])
+        return means, covs, mo.states_to_xywh(means)
 
     def _absorb(
         self, track: Track, det: Detection, desc: Optional[np.ndarray], frame: int
     ) -> None:
         """Feature, descriptor, and lifecycle effects of a match; the motion
-        correction itself happens in _batch_motion_update beforehand."""
+        correction itself happens in associate_frame beforehand."""
         cfg = self.config
         was_lost = track.state is TrackState.LOST
         if det.embedding is not None and det.score >= cfg.theta_high:

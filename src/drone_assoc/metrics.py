@@ -44,14 +44,21 @@ class EvalReport:
 
 
 def _by_frame(lines: Iterable[MotLine]) -> dict[int, tuple[list[int], np.ndarray]]:
-    ids: dict[int, list[int]] = {}
-    boxes: dict[int, list] = {}
-    for ln in lines:
-        ids.setdefault(ln.frame, []).append(ln.obj_id)
-        boxes.setdefault(ln.frame, []).append(ln.bbox.as_array())
+    """Ids and (K, 4) boxes per frame, frames ascending, lines in input order
+    within a frame. Frame and id ride in the float64 block: parse_mot_lines
+    reads both through float, so the round trip is exact."""
+    rows = np.array(
+        [(ln.frame, ln.obj_id, ln.bbox.x, ln.bbox.y, ln.bbox.w, ln.bbox.h)
+         for ln in lines],
+        dtype=np.float64,
+    ).reshape(-1, 6)
+    frames = rows[:, 0].astype(np.int64)
+    ids = rows[:, 1].astype(np.int64)
+    order = np.argsort(frames, kind="stable")
+    keys, starts = np.unique(frames[order], return_index=True)
     return {
-        f: (ids[f], np.stack(boxes[f]))
-        for f in ids
+        int(f): (ids[idx].tolist(), rows[idx, 2:])
+        for f, idx in zip(keys, np.split(order, starts[1:]))
     }
 
 

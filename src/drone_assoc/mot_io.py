@@ -79,7 +79,7 @@ def parse_mot_lines(path: str) -> tuple[list[MotLine], IngestStats]:
         try:
             frame = int(float(parts[0]))
             obj_id = int(float(parts[1]))
-            x, y, w, h = (float(v) for v in parts[2:6])
+            x, y, w, h = map(float, parts[2:6])
             score = float(parts[6])
             class_id = int(float(parts[7]))
             vis = float(parts[8]) if len(parts) > 8 and parts[8] != "" else 1.0
@@ -188,11 +188,11 @@ def _parse_embeddings_binary(path: str, expected_dim: Optional[int]):
         )
     records = np.frombuffer(payload, dtype=rec)
     out: dict[tuple[int, int], np.ndarray] = {}
-    for r in records:
-        key = (int(r["frame"]), int(r["ordinal"]))
+    for key, vec in zip(zip(records["frame"].tolist(), records["ordinal"].tolist()),
+                        records["vec"]):
         if key in out:
             raise FormatError(f"{path}: duplicate embedding for {key}")
-        out[key] = normalize(np.asarray(r["vec"], dtype=np.float64))
+        out[key] = normalize(np.asarray(vec, dtype=np.float64))
     return out
 
 
@@ -344,7 +344,7 @@ class RunConfig:
     embeddings: Optional[str] = None
     affines: Optional[str] = None
     output: Optional[str] = None
-    embedding_dim: int = 128
+    embedding_dim: Optional[int] = None  # None: the sidecar's own width
     seed: int = 0
     theta_high: float = 0.6
     theta_low: float = 0.1

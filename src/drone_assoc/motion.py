@@ -2,6 +2,11 @@
 camera-motion compensation via 2x3 affine warps, and a triangle-based
 rotation descriptor over neighboring object centers.
 
+Camera motion without a sidecar comes from estimate_affine, a RANSAC search
+that fits and scores all of its minimal 3-point models in one batch. Its
+random draws stay those of a one-model-at-a-time loop, call for call, so a
+caller's generator leaves every call in the same state either way.
+
 The filter state is [cx, cy, a, h, vcx, vcy, va, vh] where a = w / h.
 Noise scales with box height: weight 1/20 on position terms, 1/160 on
 velocity terms. Camera compensation always runs before prediction.
@@ -15,13 +20,24 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import BoundingBox, Track
+from .core import BoundingBox, Track, boxes_array
 
 STD_WEIGHT_POSITION = 1.0 / 20.0
 STD_WEIGHT_VELOCITY = 1.0 / 160.0
 
 # smallest box extent reconstructed from a filter state
 _MIN_EXTENT = 1e-3
+
+# per-component height weights of the batched noise terms; the aspect-ratio
+# components are constants and get overwritten
+_Q_WEIGHTS = np.array([STD_WEIGHT_POSITION] * 4 + [STD_WEIGHT_VELOCITY] * 4)
+_R_WEIGHTS = _Q_WEIGHTS[:4]
+
+# estimate_affine: how many eps per unit of condition number a minimal
+# fit's coefficients may move between solvers, and the condition number past
+# which a triple is fitted the loop's way without further checks
+_ROUNDING_SLACK = 100.0 * np.finfo(np.float64).eps
+_MAX_CONDITION = 1e8
 
 _F = np.eye(8, dtype=np.float64)
 _F[:4, 4:] = np.eye(4)
@@ -92,16 +108,32 @@ class AffineTransform:
         return AffineTransform(np.column_stack([inv, t]))
 
 
+def _measurements(xywh: np.ndarray) -> np.ndarray:
+    """(N, 4) measurements [cx, cy, a, h] of (N, 4) xywh box rows."""
+    w, h = xywh[:, 2], xywh[:, 3]
+    return np.column_stack([xywh[:, 0] + w / 2.0, xywh[:, 1] + h / 2.0, w / h, h])
+
+
 def _measurement(box: BoundingBox) -> np.ndarray:
-    cx, cy = box.center()
-    return np.array([cx, cy, box.w / box.h, box.h], dtype=np.float64)
+    return _measurements(box.as_array()[None])[0]
+
+
+def states_to_xywh(means: np.ndarray) -> np.ndarray:
+    """(N, 4) xywh boxes of (N, 8) filter means, clamped to positive extent."""
+    h = np.maximum(means[:, 3], _MIN_EXTENT)
+    w = np.maximum(means[:, 2] * h, _MIN_EXTENT)
+    return np.column_stack([means[:, 0] - w / 2.0, means[:, 1] - h / 2.0, w, h])
 
 
 def state_to_box(mean: np.ndarray) -> BoundingBox:
     """Reconstruct an xywh box from a filter mean, clamped to positive extent."""
-    h = max(float(mean[3]), _MIN_EXTENT)
-    w = max(float(mean[2]) * h, _MIN_EXTENT)
-    return BoundingBox(float(mean[0]) - w / 2.0, float(mean[1]) - h / 2.0, w, h)
+    return states_to_boxes(mean)[0]
+
+
+def states_to_boxes(means: np.ndarray) -> list[BoundingBox]:
+    """state_to_box over stacked (N, 8) means."""
+    xywh = states_to_xywh(np.asarray(means, dtype=np.float64).reshape(-1, 8))
+    return [BoundingBox(*row) for row in xywh.tolist()]
 
 
 def kalman_init(box: BoundingBox) -> MotionState:
@@ -193,16 +225,9 @@ def multi_update(
     covs = np.array(covs, dtype=np.float64)
     if means.shape[0] == 0:
         return means, covs
-    z = np.stack([_measurement(b) for b in boxes])
-    h = means[:, 3]
-    std = np.column_stack(
-        [
-            STD_WEIGHT_POSITION * h,
-            STD_WEIGHT_POSITION * h,
-            np.full_like(h, 1e-1),
-            STD_WEIGHT_POSITION * h,
-        ]
-    )
+    z = _measurements(boxes_array(boxes))
+    std = np.multiply.outer(means[:, 3], _R_WEIGHTS)
+    std[:, 2] = 1e-1
     pht = covs[:, :, :4]
     innov_cov = pht[:, :4, :].copy()
     idx = np.arange(4)
@@ -272,18 +297,9 @@ def multi_predict(
         heights = means[:, 3]
     means = means @ _F.T
     covs = _F @ covs @ _F.T
-    std = np.column_stack(
-        [
-            STD_WEIGHT_POSITION * heights,
-            STD_WEIGHT_POSITION * heights,
-            np.full_like(heights, 1e-2),
-            STD_WEIGHT_POSITION * heights,
-            STD_WEIGHT_VELOCITY * heights,
-            STD_WEIGHT_VELOCITY * heights,
-            np.full_like(heights, 1e-5),
-            STD_WEIGHT_VELOCITY * heights,
-        ]
-    )
+    std = np.multiply.outer(heights, _Q_WEIGHTS)
+    std[:, 2] = 1e-2
+    std[:, 6] = 1e-5
     idx = np.arange(8)
     covs[:, idx, idx] += std * std
     return means, covs
@@ -314,8 +330,21 @@ def estimate_affine(
 ) -> AffineTransform:
     """Robust least-squares affine from matched point pairs.
 
-    Resamples minimal 3-point models up to `max_iterations` times, keeps the
-    largest consensus set under `inlier_threshold` (px), and refits on it.
+    Draws `max_iterations` minimal 3-point models, keeps the first one with
+    the largest consensus set under `inlier_threshold` (px), and refits on
+    that set. Every model is fitted and scored in one batch, but the picks
+    come from the same per-model `rng.choice` calls, in the same order, as a
+    one-at-a-time loop would make. That loop stops at the first model that
+    takes every pair as an inlier; when that happens, the generator is
+    rewound and only the picks up to that model are drawn again, so `rng`
+    leaves in the state the loop would have left it. Each minimal model is
+    solved directly rather than by least squares, which rounds differently;
+    the few models whose skip decision or inlier set that rounding could
+    change (a residual within its error bound of `inlier_threshold`, a
+    near-collinear triple, a determinant near the cut) are fitted and
+    scored again one at a time as the loop did, so the result is the
+    loop's bit for bit.
+
     Raises AffineEstimationError with fewer than 3 pairs or when every
     candidate support is collinear; callers treat that as identity.
     """
@@ -328,25 +357,84 @@ def estimate_affine(
         raise AffineEstimationError("need at least 3 point pairs")
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    best_inliers: Optional[np.ndarray] = None
-    for _ in range(max_iterations):
-        pick = rng.choice(n, size=3, replace=False)
-        model = _fit_affine_lstsq(prev[pick], cur[pick])
-        if model is None:
-            continue
-        resid = np.linalg.norm(model.apply_points(prev) - cur, axis=1)
-        inliers = resid <= inlier_threshold
-        if best_inliers is None or inliers.sum() > best_inliers.sum():
-            best_inliers = inliers
-        if inliers.sum() == n:
-            break
+    start = rng.bit_generator.state
+    picks = _draw_picks(rng, n, max_iterations)
+    homog = np.column_stack([prev, np.ones(n)])  # rows [x y 1]
+    coef, valid, err = _fit_minimal_models(homog[picks], cur[picks])
+    resid = np.linalg.norm(homog @ coef - cur, axis=2)  # (K, N), one matmul
+    inliers = (resid <= inlier_threshold) & valid[:, None]
+    # under the loop's fit a residual moves by at most
+    # sqrt(2) * err * (|x| + |y| + 1) <= slack; closer calls are redone its way
+    slack = 3.0 * err * (np.abs(prev).max() + 1.0)
+    unsure = ~np.isfinite(slack)
+    unsure |= (np.abs(resid - inlier_threshold) <= slack[:, None]).any(axis=1)
+    for k in np.flatnonzero(unsure).tolist():
+        model = _fit_affine_lstsq(prev[picks[k]], cur[picks[k]])
+        valid[k] = model is not None
+        inliers[k] = False
+        if model is not None:
+            resid_k = np.linalg.norm(model.apply_points(prev) - cur, axis=1)
+            inliers[k] = resid_k <= inlier_threshold
+    if not valid.any():
+        raise AffineEstimationError("no 3-pair support found for an affine fit")
+    # a skipped pick counts 0 inliers; only a count of 3 or more is kept
+    counts = inliers.sum(axis=1)
+    best = int(np.argmax(counts))
+    if counts[best] == n and best < len(picks) - 1:
+        # a sequential search would have stopped here: rewind and redraw
+        rng.bit_generator.state = start
+        _draw_picks(rng, n, best + 1)
+    best_inliers = inliers[best]
 
-    if best_inliers is None or best_inliers.sum() < 3:
+    if best_inliers.sum() < 3:
         raise AffineEstimationError("no 3-pair support found for an affine fit")
     refit = _fit_affine_lstsq(prev[best_inliers], cur[best_inliers])
     if refit is None:
         raise AffineEstimationError("consensus points are collinear")
     return refit
+
+
+def _draw_picks(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """(count, 3) index triples, one `rng.choice` call per row."""
+    picks = [rng.choice(n, size=3, replace=False) for _ in range(count)]
+    return np.array(picks, dtype=np.intp).reshape(-1, 3)
+
+
+def _fit_minimal_models(
+    basis: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact affines through K triples of pairs, which of them count, and
+    how far _fit_affine_lstsq's fit of each may differ by rounding.
+
+    `basis` (K, 3, 3) holds rows [x y 1] of the previous points, `targets`
+    (K, 3, 2) the current points; coef (K, 3, 2) solves basis @ coef =
+    targets, so coef[k].T is the 2x3 matrix. A model is skipped under the
+    rules _fit_affine_lstsq applies to 3 pairs: its 6x6 system has the
+    singular values of the 3x3 basis, each twice, so it is rank-deficient
+    when the smallest of those is <= the largest * 6 * eps; and the model
+    must be finite with |det| > 1e-9.
+
+    err (K,) bounds the difference of any coefficient from the loop's
+    least-squares one: both solvers are backward stable, so each is within
+    condition number * a small multiple of eps of the exact solution
+    (_ROUNDING_SLACK keeps a wide margin on that multiple). err is inf where
+    either skip decision could go the other way: a condition number past
+    _MAX_CONDITION (the rank cut sits near 1 / (6 * eps)), or |det| within
+    its own error of 1e-9. It is nan or inf where the fit is not finite.
+    """
+    sv = np.linalg.svd(basis, compute_uv=False)
+    valid = sv[:, -1] > sv[:, 0] * (6 * np.finfo(np.float64).eps)
+    coef = np.linalg.solve(np.where(valid[:, None, None], basis, np.eye(3)), targets)
+    det = coef[:, 0, 0] * coef[:, 1, 1] - coef[:, 1, 0] * coef[:, 0, 1]
+    valid &= np.isfinite(coef).all(axis=(1, 2)) & (np.abs(det) > 1e-9)
+    scale = np.abs(coef).max(axis=(1, 2))
+    with np.errstate(divide="ignore"):  # the largest is >= sqrt(3), never 0
+        cond = sv[:, 0] / sv[:, -1]
+    err = _ROUNDING_SLACK * cond * scale
+    near_cut = ~(cond <= _MAX_CONDITION)
+    near_cut |= np.abs(np.abs(det) - 1e-9) <= 4.0 * err * (scale + err)
+    err[near_cut] = np.inf
+    return coef, valid, err
 
 
 def _fit_affine_lstsq(prev: np.ndarray, cur: np.ndarray) -> Optional[AffineTransform]:
@@ -479,10 +567,9 @@ def frame_descriptors(
     sides = np.column_stack([s0, s1, s2])
     two_smallest = np.sort(angles, axis=1)
     opposite = sides[np.arange(n), np.argmax(angles, axis=1)] / radius
-    for i in np.nonzero(valid)[0]:
-        out[i] = np.array(
-            [two_smallest[i, 0], two_smallest[i, 1], opposite[i]], dtype=np.float64
-        )
+    desc = np.column_stack([two_smallest[:, 0], two_smallest[:, 1], opposite])
+    for i in np.flatnonzero(valid).tolist():
+        out[i] = desc[i]
     return out
 
 

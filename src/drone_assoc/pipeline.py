@@ -59,13 +59,11 @@ class OnlineAffineEstimator:
         d = np.linalg.norm(prev[:, None, :] - centers[None, :, :], axis=2)
         fwd = d.argmin(axis=1)
         bwd = d.argmin(axis=0)
-        mutual = [(i, fwd[i]) for i in range(prev.shape[0]) if bwd[fwd[i]] == i]
-        if len(mutual) < 3:
+        (pi,) = np.nonzero(bwd[fwd] == np.arange(len(fwd)))
+        if len(pi) < 3:
             return None
-        pi = [i for i, _ in mutual]
-        ci = [j for _, j in mutual]
         try:
-            return estimate_affine(prev[pi], centers[ci], rng=self.rng)
+            return estimate_affine(prev[pi], centers[fwd[pi]], rng=self.rng)
         except AffineEstimationError:
             return None
 

@@ -11,6 +11,7 @@ from conftest import make_track, unit_vector
 from drone_assoc.appearance import (
     BankEntry,
     KeyFeatureBank,
+    _gallery,
     adaptive_alpha,
     appearance_cost,
     appearance_cost_matrix,
@@ -240,6 +241,29 @@ class TestAppearanceCostMatrix:
         for j, t in enumerate(tracks):
             assert np.allclose(block[j], appearance_costs(t, feats), atol=1e-12)
         assert np.array_equal(block[1], np.zeros(6))
+
+    def test_equals_one_stacked_product_sliced_per_track(self, rng):
+        # the gallery rows of all tracks form one matrix, so each track's
+        # best similarity comes out of the same product bit for bit
+        tracks = [
+            make_track(track_id=1, bank_features=tuple(
+                unit_vector(rng, 16) for _ in range(3))),
+            make_track(track_id=2),
+            make_track(track_id=3, local_feature=unit_vector(rng, 16)),
+            make_track(track_id=4, local_feature=unit_vector(rng, 16),
+                       bank_features=tuple(unit_vector(rng, 16) for _ in range(5))),
+        ]
+        feats = np.stack([unit_vector(rng, 16) for _ in range(7)])
+        galleries = [_gallery(t) for t in tracks]
+        sims = np.vstack([g for g in galleries if g is not None]) @ feats.T
+        expected = np.zeros((len(tracks), 7))
+        start = 0
+        for j, g in enumerate(galleries):
+            if g is not None:
+                best = sims[start:start + g.shape[0]].max(axis=0)
+                expected[j] = np.clip(1.0 - best, 0.0, 1.0)
+                start += g.shape[0]
+        assert np.array_equal(appearance_cost_matrix(tracks, feats), expected)
 
     def test_all_featureless_tracks_yield_zero_block(self, rng):
         tracks = [make_track(track_id=1), make_track(track_id=2)]

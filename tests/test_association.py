@@ -76,6 +76,14 @@ class TestLinearAssignment:
         assert res.unmatched_rows == [1]
         assert res.unmatched_cols == [0]
 
+    def test_result_holds_plain_ints_in_solver_order(self):
+        cost = np.array([[0.1, np.inf, 0.9], [0.9, 0.2, 0.1], [0.5, 0.5, np.inf]])
+        res = linear_assignment(cost)
+        assert res.matches == [(0, 0), (1, 2), (2, 1)]
+        assert res.unmatched_rows == [] and res.unmatched_cols == []
+        for r, c in res.matches:
+            assert type(r) is int and type(c) is int
+
     def test_all_infeasible(self):
         res = linear_assignment(np.full((3, 3), np.inf))
         assert res.matches == []

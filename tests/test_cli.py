@@ -13,7 +13,7 @@ def tiny_scenario(tmp_path_factory):
     cfg = ScenarioConfig(
         seed=5, n_objects=4, n_frames=10, world_extent=300.0,
         object_speed_range=(0.5, 1.0), detection_noise_sigma=0.5,
-        embedding_dim=128,  # the track command's default sidecar width
+        embedding_dim=128,
     )
     return cfg, generate_scenario(cfg, str(root))
 
@@ -59,6 +59,34 @@ class TestTrackCommand:
         stdout = capsys.readouterr().out
         assert stdout.startswith("frames=10 ")
         assert f"output={out}" in stdout
+
+    def test_quick_start_uses_the_sidecar_width(self, tmp_path, capsys):
+        """The README quick start: a 32-d sidecar and no config file."""
+        cfg_path = str(tmp_path / "scenario.txt")
+        save_scenario_config(ScenarioConfig(
+            seed=7, n_objects=4, n_frames=12, world_extent=300.0,
+            object_speed_range=(0.5, 1.0), embedding_dim=32,
+        ), cfg_path)
+        data = tmp_path / "data"
+        assert main(["simulate", "--config", cfg_path, "--out", str(data)]) == 0
+        out = str(tmp_path / "results.txt")
+        code = main([
+            "track", "--detections", str(data / "det.txt"),
+            "--embeddings", str(data / "embeddings.bin"),
+            "--affines", str(data / "affines.csv"), "--output", out,
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("frames=12 ")
+
+    def test_explicit_sidecar_width_is_checked(self, tiny_scenario, tmp_path):
+        _, paths = tiny_scenario
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("embedding_dim = 32\n")
+        code = main(["track", "--config", str(cfg_path),
+                     "--detections", paths.detections,
+                     "--embeddings", paths.embeddings,
+                     "--output", str(tmp_path / "r.txt")])
+        assert code == 1
 
     def test_toggles_accepted(self, tiny_scenario, tmp_path):
         _, paths = tiny_scenario

@@ -14,6 +14,7 @@ from drone_assoc.core import (
     FrameDetections,
     TrackerConfig,
     ZeroNormError,
+    boxes_array,
     center,
     iou,
     iou_matrix,
@@ -72,6 +73,18 @@ class TestBoundingBox:
     def test_non_finite_raises(self, bad):
         with pytest.raises(ValueError):
             BoundingBox(bad, 0.0, 1.0, 1.0)
+
+    def test_non_finite_error_names_the_field(self):
+        with pytest.raises(ValueError, match="field w must be finite"):
+            BoundingBox(0.0, 0.0, float("-inf"), float("nan"))
+
+    @given(st.lists(boxes, max_size=6))
+    @settings(max_examples=50)
+    def test_boxes_array_stacks_as_array_rows(self, bs):
+        out = boxes_array(bs)
+        assert out.shape == (len(bs), 4) and out.dtype == np.float64
+        for row, b in zip(out, bs):
+            assert np.array_equal(row, b.as_array())
 
 
 class TestIou:

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_estimate_affine
 from drone_assoc.core import BoundingBox
 from drone_assoc.motion import (
     AffineEstimationError,
     AffineTransform,
     DegenerateTransformError,
     MotionState,
+    _fit_affine_lstsq,
+    _fit_minimal_models,
     apply_affine,
     estimate_affine,
     frame_descriptors,
@@ -26,6 +29,7 @@ from drone_assoc.motion import (
     rotation_cost,
     rotation_descriptor,
     state_to_box,
+    states_to_boxes,
     warp_motion_state,
 )
 
@@ -105,6 +109,17 @@ class TestKalmanBasics:
     def test_state_to_box_clamps_degenerate(self):
         out = state_to_box(np.array([0, 0, 1.0, -5.0, 0, 0, 0, 0], dtype=float))
         assert out.w == 1e-3 and out.h == 1e-3
+
+    def test_states_to_boxes_clamps_each_row(self, rng):
+        means = np.stack([random_motion_state(rng).mean for _ in range(9)])
+        means[2, 3] = -5.0  # height clamps
+        means[4, 2] = 1e-9  # width clamps
+        boxes = states_to_boxes(means)
+        assert boxes[2].h == 1e-3 and boxes[4].w == 1e-3
+        for box, mean in zip(boxes, means):
+            assert box.center() == pytest.approx(tuple(mean[:2]))
+        assert boxes == [state_to_box(m) for m in means]
+        assert states_to_boxes(np.zeros((0, 8))) == []
 
 
 class TestBatchedKalman:
@@ -272,6 +287,138 @@ class TestEstimateAffine:
     def test_mismatched_shapes_raise(self):
         with pytest.raises(ValueError):
             estimate_affine(np.zeros((4, 2)), np.zeros((5, 2)))
+
+
+def _estimate_outcome(fn, prev, cur, seed, **kwargs):
+    """(matrix or None when it raises, generator state after the call)."""
+    gen = np.random.default_rng(seed)
+    try:
+        m = fn(prev, cur, rng=gen, **kwargs).m
+    except AffineEstimationError:
+        m = None
+    return m, gen.bit_generator.state
+
+
+def _assert_lockstep(prev, cur, seed, **kwargs):
+    want, want_state = _estimate_outcome(reference_estimate_affine, prev, cur, seed, **kwargs)
+    got, got_state = _estimate_outcome(estimate_affine, prev, cur, seed, **kwargs)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and np.array_equal(got, want)
+    assert got_state == want_state
+    return want
+
+
+class TestEstimateAffineLockstep:
+    """The batched search against the sequential reference loop: same
+    matrix bit for bit, same exception, same generator state afterwards."""
+
+    TRUTH = np.array([[1.01, 0.03, 6.0], [-0.02, 0.98, -3.5]])
+
+    def moved(self, prev):
+        return prev @ self.TRUTH[:, :2].T + self.TRUTH[:, 2]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_noisy_points_with_outliers(self, seed):
+        g = np.random.default_rng(seed)
+        n = int(g.integers(4, 30))
+        prev = g.uniform(0, 600, (n, 2))
+        cur = self.moved(prev) + g.normal(0.0, 1.5, prev.shape)
+        cur[g.random(n) < 0.2] += g.uniform(20, 120, 2)
+        m = _assert_lockstep(prev, cur, seed)
+        assert m is not None
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_collinear_and_coincident_picks(self, seed):
+        g = np.random.default_rng(100 + seed)
+        n = int(g.integers(4, 16))
+        # a coarse lattice makes repeated points and collinear triples common
+        prev = g.integers(0, 3, (n, 2)).astype(np.float64) * 50.0
+        cur = self.moved(prev) + g.normal(0.0, 1.0, prev.shape)
+        _assert_lockstep(prev, cur, seed)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_noise_free_points_stop_early(self, seed):
+        g = np.random.default_rng(200 + seed)
+        prev = g.uniform(0, 600, (int(g.integers(3, 25)), 2))
+        m = _assert_lockstep(prev, self.moved(prev), seed)
+        assert np.allclose(m, self.TRUTH, atol=1e-6)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_three_pairs(self, seed):
+        g = np.random.default_rng(300 + seed)
+        prev = g.uniform(0, 600, (3, 2))
+        _assert_lockstep(prev, self.moved(prev) + g.normal(0.0, 2.0, (3, 2)), seed)
+
+    def test_all_collinear_raises_in_both(self):
+        prev = np.column_stack([np.arange(6.0) * 10.0, np.arange(6.0) * 5.0])
+        assert _assert_lockstep(prev, prev + 1.0, 4) is None
+
+    def test_collapsed_current_points_raise_in_both(self):
+        prev = np.random.default_rng(13).uniform(0, 600, (8, 2))
+        # every model maps onto one point: finite but with det 0
+        assert _assert_lockstep(prev, np.tile([40.0, 70.0], (8, 1)), 2) is None
+
+    def test_skip_rules_match_the_lstsq_fit(self):
+        """Batched rank and det cuts agree with _fit_affine_lstsq returning
+        None, for triples from clearly degenerate to clearly regular."""
+        g = np.random.default_rng(14)
+        cut = 6 * np.finfo(np.float64).eps
+        basis, targets, want = [], [], []
+        for offset in np.logspace(-14, -4, 400):
+            x = g.uniform(0, 600, 3)
+            prev = np.column_stack([x, 0.37 * x + 3.1])
+            prev[g.integers(3), 1] += offset  # off the line by `offset` px
+            cur = self.moved(prev) if g.random() < 0.8 else np.tile(prev[:1], (3, 1))
+            sv = np.linalg.svd(np.column_stack([prev, np.ones(3)]), compute_uv=False)
+            if abs(sv[-1] / sv[0] / cut - 1.0) < 0.01:
+                continue  # rounding decides on the cut itself
+            basis.append(np.column_stack([prev, np.ones(3)]))
+            targets.append(cur)
+            want.append(_fit_affine_lstsq(prev, cur) is not None)
+        _, valid, _ = _fit_minimal_models(np.array(basis), np.array(targets))
+        assert 50 < sum(want) < len(want) - 50
+        assert valid.tolist() == want
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_residuals_on_the_threshold(self, seed, monkeypatch):
+        """Pairs moved exactly inlier_threshold off the true map put clean
+        models' residuals within rounding of the threshold, where a direct
+        solve and the loop's least squares decide differently."""
+        g = np.random.default_rng(400 + seed)
+        prev = g.uniform(0, 600, (12, 2))
+        cur = self.moved(prev)
+        cur[:4] += 3.0 * np.array([[1, 0], [0, 1], [0.6, 0.8], [-0.8, 0.6]])
+        cur[4:6] += g.normal(0.0, 0.5, (2, 2))
+        calls = []
+        fit = _fit_affine_lstsq
+        monkeypatch.setattr(
+            "drone_assoc.motion._fit_affine_lstsq", lambda p, c: calls.append(1) or fit(p, c)
+        )
+        _assert_lockstep(prev, cur, seed)
+        assert len(calls) > 1  # close calls were redone, beyond the final refit
+
+    @pytest.mark.parametrize("offset,seed", [(1e-11, 31), (3e-11, 176)])
+    def test_near_collinear_points(self, offset, seed):
+        """Triples within 1e-11 px of a common line: condition numbers near
+        1e14, where the two solvers' fits differ by more than a pixel."""
+        g = np.random.default_rng(seed)
+        x = g.uniform(0, 600, 6)
+        prev = np.column_stack([x, 0.37 * x + 3.1])
+        prev[g.integers(6), 1] += offset
+        cur = self.moved(prev) + g.normal(0.0, 1.0, prev.shape)
+        _assert_lockstep(prev, cur, seed)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iterations": 0}, {"max_iterations": 1}, {"max_iterations": 7},
+        {"inlier_threshold": 1.0},
+    ])
+    def test_search_parameters(self, kwargs):
+        g = np.random.default_rng(11)
+        prev = g.uniform(0, 600, (15, 2))
+        cur = self.moved(prev) + g.normal(0.0, 1.5, prev.shape)
+        _assert_lockstep(prev, cur, 5, **kwargs)
 
 
 class TestRotationDescriptor:

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from conftest import det
+from conftest import det, reference_estimate_affine
 from drone_assoc.core import FrameDetections
+from drone_assoc.motion import AffineEstimationError
 from drone_assoc.mot_io import RunConfig, parse_mot_lines
 from drone_assoc.pipeline import (
     ABLATION_CELLS,
@@ -53,6 +54,71 @@ class TestOnlineAffineEstimator:
         line = [(0.0, 0.0), (30.0, 0.0), (60.0, 0.0), (90.0, 0.0)]
         est.step(frame_of(1, line))
         assert est.step(frame_of(2, [(x + 1, y) for x, y in line])) is None
+
+
+def reference_affine_steps(frames, theta_high, seed):
+    """Per-frame affines from a sequential re-implementation of
+    OnlineAffineEstimator: loop-built mutual nearest neighbours and the
+    reference RANSAC loop, sharing one generator across frames."""
+    gen = np.random.default_rng(seed)
+    prev = None
+    out = []
+    for fd in frames:
+        centers = np.array([d.bbox.center() for d in fd.detections
+                            if d.score >= theta_high], dtype=np.float64).reshape(-1, 2)
+        before, prev = prev, centers
+        if before is None or before.shape[0] < 3 or centers.shape[0] < 3:
+            out.append(None)
+            continue
+        d = np.linalg.norm(before[:, None, :] - centers[None, :, :], axis=2)
+        fwd = d.argmin(axis=1)
+        bwd = d.argmin(axis=0)
+        mutual = [(i, fwd[i]) for i in range(before.shape[0]) if bwd[fwd[i]] == i]
+        if len(mutual) < 3:
+            out.append(None)
+            continue
+        try:
+            m = reference_estimate_affine(before[[i for i, _ in mutual]],
+                                          centers[[j for _, j in mutual]], rng=gen)
+            out.append(m.m)
+        except AffineEstimationError:
+            out.append(None)
+    return out, gen.bit_generator.state
+
+
+def jittered_sequence(n_frames, seed):
+    """Drifting, rotating point cloud with detection jitter, dropouts, a few
+    low-confidence rows and some noise-free frames."""
+    g = np.random.default_rng(seed)
+    world = g.uniform(0, 600, (18, 2))
+    frames = []
+    for t in range(1, n_frames + 1):
+        angle = 0.004 * t
+        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        pts = world @ rot.T + np.array([2.5 * t, -1.0 * t])
+        if (t // 5) % 3:  # frames 1-4, 15-19 and 30 are exact
+            pts = pts + g.normal(0.0, 1.2, pts.shape)
+        keep = g.random(len(pts)) > 0.1
+        scores = np.where(g.random(len(pts)) < 0.15, 0.3, 0.9)
+        frames.append(FrameDetections(t, tuple(
+            det(x - 5.0, y - 5.0, score=float(s))
+            for (x, y), s, k in zip(pts, scores, keep) if k)))
+    return frames
+
+
+class TestOnlineAffineLockstep:
+    def test_thirty_jittered_frames_match_reference(self):
+        frames = jittered_sequence(30, seed=21)
+        want, want_state = reference_affine_steps(frames, 0.6, seed=3)
+        est = OnlineAffineEstimator(0.6, seed=3)
+        got = [est.step(fd) for fd in frames]
+        assert sum(m is not None for m in want) >= 25
+        for t, (w, g) in enumerate(zip(want, got), start=1):
+            if w is None:
+                assert g is None, f"frame {t}"
+            else:
+                assert g is not None and np.array_equal(g.m, w), f"frame {t}"
+        assert est.rng.bit_generator.state == want_state
 
 
 class TestRunTracking:
