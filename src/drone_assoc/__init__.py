@@ -15,7 +15,6 @@ from .association import (
     FrameOrderError,
     Tracker,
     TrackRecord,
-    build_cost_matrix,
     lifecycle_step,
     linear_assignment,
 )
@@ -28,7 +27,6 @@ from .core import (
     TrackState,
     TrackerConfig,
     ZeroNormError,
-    center,
     iou,
     iou_matrix,
     normalize,
@@ -38,11 +36,9 @@ from .mot_io import (
     FormatError,
     MotLine,
     RunConfig,
-    load_run_config,
     parse_affines,
     parse_detections,
     parse_embeddings,
-    save_run_config,
     write_results,
 )
 from .motion import (
@@ -50,7 +46,6 @@ from .motion import (
     AffineTransform,
     DegenerateTransformError,
     MotionState,
-    apply_affine,
     estimate_affine,
     frame_descriptors,
     kalman_init,
@@ -58,7 +53,6 @@ from .motion import (
     kalman_update,
     multi_predict,
     multi_update,
-    predict_tracks,
     rotation_cost,
     rotation_descriptor,
     warp_motion_state,

@@ -93,31 +93,19 @@ def maybe_insert_key(
 
 def appearance_cost(track: Track, f: Optional[np.ndarray]) -> float:
     """1 - best cosine similarity of f against the track's local feature and
-    its key bank, clamped to [0, 1]. Neutral 0 when either side lacks a
-    feature."""
+    its key bank, clamped to [0, 1]: one cell of appearance_cost_matrix.
+    Neutral 0 when either side lacks a feature."""
     if f is None:
         return 0.0
-    gallery = _gallery(track)
-    if gallery is None:
-        return 0.0
-    best = float(np.max(gallery @ f))
-    return min(1.0, max(0.0, 1.0 - best))
-
-
-def appearance_costs(track: Track, feats: np.ndarray) -> np.ndarray:
-    """Vectorized appearance_cost of one track against an (M, D) block."""
-    gallery = _gallery(track)
-    if gallery is None:
-        return np.zeros(feats.shape[0], dtype=np.float64)
-    best = (gallery @ feats.T).max(axis=0)
-    return np.clip(1.0 - best, 0.0, 1.0)
+    return float(appearance_cost_matrix([track], np.asarray(f)[None])[0, 0])
 
 
 def appearance_cost_matrix(tracks: list[Track], feats: np.ndarray) -> np.ndarray:
-    """appearance_costs for many tracks through one stacked matmul.
+    """appearance_cost of many tracks against an (M, D) block of features,
+    through one stacked matmul over every track's gallery.
 
     Rows follow the track order; tracks without any stored feature get a
-    neutral all-zero row. Kept in lockstep with appearance_costs by tests.
+    neutral all-zero row.
     """
     block = np.zeros((len(tracks), feats.shape[0]), dtype=np.float64)
     rows: list[np.ndarray] = []
@@ -143,8 +131,3 @@ def _gallery_rows(track: Track) -> list[np.ndarray]:
     if track.key_bank is not None:
         rows.extend(track.key_bank.features())
     return rows
-
-
-def _gallery(track: Track) -> Optional[np.ndarray]:
-    rows = _gallery_rows(track)
-    return np.stack(rows) if rows else None

@@ -88,61 +88,47 @@ def linear_assignment(cost: np.ndarray) -> AssignmentResult:
     )
 
 
-def build_cost_matrix(
+def iou_cost_matrix(
     tracks: Sequence[Track],
     predicted_boxes: np.ndarray,
     detections: Sequence[Detection],
-    det_descriptors: Sequence[Optional[np.ndarray]],
     config: TrackerConfig,
-) -> np.ndarray:
-    """Fused stage-1 cost, shape (len(tracks), len(detections))."""
-    cost, _ = _fused_cost(tracks, predicted_boxes, detections, det_descriptors, config)
-    return cost
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stage-2 cost, shape (len(tracks), len(detections)): 1 - IoU, +inf
+    where IoU falls below the gate or classes differ. Returned with the IoU
+    matrix it was built from."""
+    shape = (len(tracks), len(detections))
+    if 0 in shape:
+        return np.zeros(shape, dtype=np.float64), np.zeros(shape, dtype=np.float64)
+    ious = iou_matrix(predicted_boxes, boxes_array(d.bbox for d in detections))
+    cost = 1.0 - ious
+    cost[ious < config.iou_gate] = INFEASIBLE
+    t_cls = np.array([t.class_id for t in tracks])
+    d_cls = np.array([d.class_id for d in detections])
+    cost[t_cls[:, None] != d_cls[None, :]] = INFEASIBLE
+    return cost, ious
 
 
-def _fused_cost(
+def fused_cost_matrix(
     tracks: Sequence[Track],
     predicted_boxes: np.ndarray,
     detections: Sequence[Detection],
     det_descriptors: Sequence[Optional[np.ndarray]],
     config: TrackerConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stage-1 cost plus the raw IoU matrix it was built from."""
-    if len(tracks) == 0 or len(detections) == 0:
-        shape = (len(tracks), len(detections))
-        return np.zeros(shape, dtype=np.float64), np.zeros(shape, dtype=np.float64)
-    det_boxes = boxes_array(d.bbox for d in detections)
-    ious = iou_matrix(predicted_boxes, det_boxes)
-    cost = 1.0 - ious
+    """Stage-1 cost: the gated stage-2 block plus the weighted appearance
+    and rotation terms (inf + finite stays inf, so gating first changes no
+    feasible cell). Returned with the IoU matrix it was built from."""
+    cost, ious = iou_cost_matrix(tracks, predicted_boxes, detections, config)
+    if cost.size == 0:
+        return cost, ious
     if config.w_a > 0:
         cost += config.w_a * _appearance_block(tracks, detections)
     if config.w_r > 0:
-        cost += config.w_r * _rotation_block(tracks, det_descriptors)
-    _gate(cost, ious, tracks, detections, config.iou_gate)
+        cost += config.w_r * mo.rotation_cost_matrix(
+            [t.rotation for t in tracks], det_descriptors
+        )
     return cost, ious
-
-
-def iou_cost_matrix(
-    tracks: Sequence[Track],
-    predicted_boxes: np.ndarray,
-    detections: Sequence[Detection],
-    config: TrackerConfig,
-) -> np.ndarray:
-    """Stage-2 cost: 1 - IoU with the same gates, no feature terms."""
-    if len(tracks) == 0 or len(detections) == 0:
-        return np.zeros((len(tracks), len(detections)), dtype=np.float64)
-    det_boxes = boxes_array(d.bbox for d in detections)
-    ious = iou_matrix(predicted_boxes, det_boxes)
-    cost = 1.0 - ious
-    _gate(cost, ious, tracks, detections, config.iou_gate)
-    return cost
-
-
-def _gate(cost, ious, tracks, detections, iou_gate):
-    cost[ious < iou_gate] = INFEASIBLE
-    t_cls = np.array([t.class_id for t in tracks])
-    d_cls = np.array([d.class_id for d in detections])
-    cost[t_cls[:, None] != d_cls[None, :]] = INFEASIBLE
 
 
 def _appearance_block(tracks, detections) -> np.ndarray:
@@ -158,31 +144,6 @@ def _appearance_block(tracks, detections) -> np.ndarray:
     block = ap.appearance_cost_matrix(list(tracks), feats)
     block[:, ~has_emb] = 0.0
     return block
-
-
-def _rotation_block(tracks, det_descriptors) -> np.ndarray:
-    t_desc, t_ok = _descriptor_rows([t.rotation for t in tracks])
-    d_desc, d_ok = _descriptor_rows(det_descriptors)
-    norms_t = np.linalg.norm(t_desc, axis=1)
-    norms_d = np.linalg.norm(d_desc, axis=1)
-    denom = norms_t[:, None] * norms_d[None, :]
-    denom[denom < 1e-12] = 1.0
-    block = 1.0 - (t_desc @ d_desc.T) / denom
-    np.clip(block, 0.0, 1.0, out=block)
-    block[~t_ok, :] = 0.0
-    block[:, ~d_ok] = 0.0
-    return block
-
-
-def _descriptor_rows(
-    descriptors: Sequence[Optional[np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 3) descriptor rows, zero where missing, and the mask of present ones."""
-    ok = np.array([d is not None for d in descriptors], dtype=bool)
-    rows = np.zeros((len(descriptors), 3))
-    if ok.any():
-        rows[ok] = [d for d in descriptors if d is not None]
-    return rows, ok
 
 
 def lifecycle_step(track: Track, matched: bool, config: TrackerConfig) -> Track:
@@ -245,7 +206,7 @@ class Tracker:
         pool = list(self.tracks)
         means, covs, predicted = self._predict_pool(pool, m_eff)
 
-        cost, ious = _fused_cost(
+        cost, ious = fused_cost_matrix(
             pool, predicted, high, [desc_of[id(d)] for d in high], cfg
         )
         stage1 = linear_assignment(cost)
@@ -256,7 +217,7 @@ class Tracker:
                         if pool[j].state is not TrackState.LOST]
         leftovers = [pool[j] for j in leftover_idx]
         leftover_boxes = predicted[leftover_idx] if leftover_idx else np.zeros((0, 4))
-        cost2 = iou_cost_matrix(leftovers, leftover_boxes, low, cfg)
+        cost2, _ = iou_cost_matrix(leftovers, leftover_boxes, low, cfg)
         stage2 = linear_assignment(cost2)
 
         matched_idx = [j for j, _ in stage1.matches]

@@ -22,7 +22,8 @@ DEFAULT_EMBEDDING_DIM = 128
 
 
 class ZeroNormError(ValueError):
-    """Raised when a zero-length vector is asked to be normalized."""
+    """Raised when a zero-length or non-finite vector is asked to be
+    normalized."""
 
 
 class ConfigError(ValueError):
@@ -35,7 +36,8 @@ def normalize(values: np.ndarray) -> np.ndarray:
     flat = v.ravel(order="K")
     n = math.sqrt(float(flat.dot(flat)))  # np.linalg.norm's own arithmetic
     if n < 1e-12 or not math.isfinite(n):
-        raise ZeroNormError("cannot normalize a zero-length embedding")
+        what = "zero-length" if n < 1e-12 else "non-finite"
+        raise ZeroNormError(f"cannot normalize a {what} embedding")
     return v / n
 
 
@@ -77,27 +79,6 @@ def boxes_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
     ).reshape(-1, 4)
 
 
-def center(b: BoundingBox) -> tuple[float, float]:
-    """Center point of a box."""
-    return b.center()
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes, in [0, 1]."""
-    ix = max(a.x, b.x)
-    iy = max(a.y, b.y)
-    ix2 = min(a.x + a.w, b.x + b.w)
-    iy2 = min(a.y + a.h, b.y + b.h)
-    iw = ix2 - ix
-    ih = iy2 - iy
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
-    # corner reconstruction can overshoot the union by an ulp
-    return min(1.0, max(0.0, float(inter / union)))
-
-
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two (N, 4) / (M, 4) arrays of xywh boxes.
 
@@ -118,6 +99,11 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     union = (a[:, 2:3] * a[:, 3:4]) + (b[None, :, 2] * b[None, :, 3]) - inter
     return np.minimum(np.maximum(inter / union, 0.0), 1.0)
+
+
+def iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Intersection over union of two boxes, in [0, 1]; the 1x1 iou_matrix."""
+    return float(iou_matrix(a.as_array(), b.as_array())[0, 0])
 
 
 @dataclass(frozen=True)
@@ -168,10 +154,6 @@ class Track:
     lost_age: int = 0
     last_frame: int = 0
     last_score: float = 0.0
-
-    @property
-    def alive(self) -> bool:
-        return self.state is not TrackState.REMOVED
 
 
 @dataclass(frozen=True)

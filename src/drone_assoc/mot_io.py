@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -24,7 +25,14 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import BoundingBox, Detection, FrameDetections, TrackerConfig, normalize
+from .core import (
+    BoundingBox,
+    Detection,
+    FrameDetections,
+    TrackerConfig,
+    ZeroNormError,
+    normalize,
+)
 from .motion import AffineTransform
 
 log = logging.getLogger("drone_assoc.io")
@@ -66,6 +74,7 @@ def parse_mot_lines(path: str) -> tuple[list[MotLine], IngestStats]:
             raw = fh.readlines()
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from e
+    fin = math.isfinite
     for lineno, line in enumerate(raw, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -83,9 +92,13 @@ def parse_mot_lines(path: str) -> tuple[list[MotLine], IngestStats]:
             score = float(parts[6])
             class_id = int(float(parts[7]))
             vis = float(parts[8]) if len(parts) > 8 and parts[8] != "" else 1.0
-        except ValueError:
+        except (ValueError, OverflowError):  # int(float("inf")) overflows
             stats.malformed += 1
             log.warning("%s:%d: non-numeric field", path, lineno)
+            continue
+        if not (fin(x) and fin(y) and fin(w) and fin(h) and fin(score)):
+            stats.malformed += 1
+            log.warning("%s:%d: non-finite box or score", path, lineno)
             continue
         if frame < 1:
             stats.malformed += 1
@@ -188,11 +201,16 @@ def _parse_embeddings_binary(path: str, expected_dim: Optional[int]):
         )
     records = np.frombuffer(payload, dtype=rec)
     out: dict[tuple[int, int], np.ndarray] = {}
-    for key, vec in zip(zip(records["frame"].tolist(), records["ordinal"].tolist()),
-                        records["vec"]):
-        if key in out:
-            raise FormatError(f"{path}: duplicate embedding for {key}")
-        out[key] = normalize(np.asarray(vec, dtype=np.float64))
+    try:
+        for key, vec in zip(zip(records["frame"].tolist(),
+                                records["ordinal"].tolist()), records["vec"]):
+            if key in out:
+                raise FormatError(f"{path}: duplicate embedding for {key}")
+            out[key] = normalize(np.asarray(vec, dtype=np.float64))
+    except ZeroNormError as e:
+        raise FormatError(
+            f"{path}: embedding for frame {key[0]} ordinal {key[1]}: {e}"
+        ) from e
     return out
 
 
@@ -222,7 +240,10 @@ def _parse_embeddings_csv(path: str, expected_dim: Optional[int]):
             key = (frame, ordinal)
             if key in out:
                 raise FormatError(f"{path}: duplicate embedding for {key}")
-            out[key] = normalize(vec)
+            try:
+                out[key] = normalize(vec)
+            except ZeroNormError as e:
+                raise FormatError(f"{path}:{lineno}: {e}") from e
     return out
 
 
@@ -401,17 +422,3 @@ def run_config_from_dict(values: dict, source: str = "config") -> RunConfig:
                 raise
             raise FormatError(f"{source}: bad value for {key!r}: {value!r}") from e
     return RunConfig(**kwargs)
-
-
-def load_run_config(path: str) -> RunConfig:
-    return run_config_from_dict(read_key_values(path), source=path)
-
-
-def save_run_config(cfg: RunConfig, path: str) -> None:
-    values = {}
-    for f in dataclasses.fields(RunConfig):
-        v = getattr(cfg, f.name)
-        if v is None:
-            continue
-        values[f.name] = v
-    write_key_values(path, values)

@@ -2,6 +2,11 @@
 camera-motion compensation via 2x3 affine warps, and a triangle-based
 rotation descriptor over neighboring object centers.
 
+Each operation has one batched implementation: multi_predict (warp, then
+predict), multi_update, frame_descriptors and rotation_cost_matrix. The
+single-item functions (kalman_predict, kalman_update, warp_motion_state,
+predict_state, rotation_descriptor, rotation_cost) are one-row calls of it.
+
 Camera motion without a sidecar comes from estimate_affine, a RANSAC search
 that fits and scores all of its minimal 3-point models in one batch. Its
 random draws stay those of a one-model-at-a-time loop, call for call, so a
@@ -20,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import BoundingBox, Track, boxes_array
+from .core import BoundingBox, boxes_array
 
 STD_WEIGHT_POSITION = 1.0 / 20.0
 STD_WEIGHT_VELOCITY = 1.0 / 160.0
@@ -162,65 +167,23 @@ def kalman_init(box: BoundingBox) -> MotionState:
     return MotionState(mean, np.diag(std * std))
 
 
-def _process_noise(h: float) -> np.ndarray:
-    std = np.array(
-        [
-            STD_WEIGHT_POSITION * h,
-            STD_WEIGHT_POSITION * h,
-            1e-2,
-            STD_WEIGHT_POSITION * h,
-            STD_WEIGHT_VELOCITY * h,
-            STD_WEIGHT_VELOCITY * h,
-            1e-5,
-            STD_WEIGHT_VELOCITY * h,
-        ],
-        dtype=np.float64,
-    )
-    return std * std
-
-
-def _measurement_noise(h: float) -> np.ndarray:
-    std = np.array(
-        [
-            STD_WEIGHT_POSITION * h,
-            STD_WEIGHT_POSITION * h,
-            1e-1,
-            STD_WEIGHT_POSITION * h,
-        ],
-        dtype=np.float64,
-    )
-    return std * std
-
-
 def kalman_predict(s: MotionState) -> MotionState:
     """One constant-velocity step: mean <- F mean, cov <- F cov F' + Q."""
-    mean = _F @ s.mean
-    cov = _F @ s.covariance @ _F.T
-    cov[np.diag_indices(8)] += _process_noise(float(s.mean[3]))
-    return MotionState(mean, cov)
+    return predict_state(s, None)
 
 
 def kalman_update(s: MotionState, box: BoundingBox) -> MotionState:
     """Fold a measured box into the state (standard Kalman correction)."""
-    z = _measurement(box)
-    r = _measurement_noise(float(s.mean[3]))
-    pht = s.covariance @ _H.T
-    innov_cov = _H @ pht + np.diag(r)
-    gain = np.linalg.solve(innov_cov, pht.T).T
-    mean = s.mean + gain @ (z - _H @ s.mean)
-    cov = s.covariance - gain @ innov_cov @ gain.T
-    cov = (cov + cov.T) * 0.5
-    return MotionState(mean, cov)
+    means, covs = multi_update(s.mean[None], s.covariance[None], [box])
+    return MotionState(means[0], covs[0])
 
 
 def multi_update(
     means: np.ndarray, covs: np.ndarray, boxes: Sequence[BoundingBox]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched kalman_update over stacked (N, 8) means and (N, 8, 8) covs.
-
-    One box per state, same order. Kept in lockstep with the per-state
-    function by tests.
-    """
+    """Kalman correction of stacked (N, 8) means and (N, 8, 8) covs by one
+    measured box per state, in the same order; kalman_update is its one-row
+    call."""
     means = np.array(means, dtype=np.float64)
     covs = np.array(covs, dtype=np.float64)
     if means.shape[0] == 0:
@@ -255,70 +218,46 @@ def _warp_matrix(m: AffineTransform) -> np.ndarray:
 
 def warp_motion_state(s: MotionState, m: AffineTransform) -> MotionState:
     """Re-express a filter state in the coordinates of the next frame."""
-    t8 = _warp_matrix(m)
-    mean = t8 @ s.mean
-    mean[0:2] += m.translation
-    cov = t8 @ s.covariance @ t8.T
-    return MotionState(mean, cov)
+    means, covs = _multi_warp(s.mean[None], s.covariance[None], m)
+    return MotionState(means[0], covs[0])
 
 
 def predict_state(s: MotionState, m: Optional[AffineTransform]) -> MotionState:
     """Camera-compensate (when a transform is given) then predict."""
-    if m is not None:
-        s = warp_motion_state(s, m)
-    return kalman_predict(s)
-
-
-def predict_tracks(
-    tracks: Sequence[Track], m: Optional[AffineTransform]
-) -> list[BoundingBox]:
-    """Predicted boxes for a set of tracks, without mutating them."""
-    return [state_to_box(predict_state(t.motion, m).mean) for t in tracks]
+    means, covs = multi_predict(s.mean[None], s.covariance[None], m)
+    return MotionState(means[0], covs[0])
 
 
 def multi_predict(
     means: np.ndarray, covs: np.ndarray, m: Optional[AffineTransform]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched predict_state over stacked (N, 8) means and (N, 8, 8) covs.
-
-    Matches the per-state functions to floating-point identity in exact
-    arithmetic; kept in lockstep by tests.
-    """
+    """Warp (when a transform is given) then predict stacked (N, 8) means and
+    (N, 8, 8) covs; predict_state is its one-row call. The process noise
+    scales with the warped height."""
     means = np.array(means, dtype=np.float64)
     covs = np.array(covs, dtype=np.float64)
     if means.shape[0] == 0:
         return means, covs
-    heights = means[:, 3].copy()
     if m is not None:
-        t8 = _warp_matrix(m)
-        means = means @ t8.T
-        means[:, 0:2] += m.translation
-        covs = t8 @ covs @ t8.T
-        heights = means[:, 3]
-    means = means @ _F.T
-    covs = _F @ covs @ _F.T
-    std = np.multiply.outer(heights, _Q_WEIGHTS)
+        means, covs = _multi_warp(means, covs, m)
+    std = np.multiply.outer(means[:, 3], _Q_WEIGHTS)
     std[:, 2] = 1e-2
     std[:, 6] = 1e-5
+    means = means @ _F.T
+    covs = _F @ covs @ _F.T
     idx = np.arange(8)
     covs[:, idx, idx] += std * std
     return means, covs
 
 
-def apply_affine(box: BoundingBox, m: AffineTransform) -> BoundingBox:
-    """Axis-aligned hull of the four transformed corners of a box."""
-    corners = np.array(
-        [
-            [box.x, box.y],
-            [box.x + box.w, box.y],
-            [box.x, box.y + box.h],
-            [box.x + box.w, box.y + box.h],
-        ]
-    )
-    warped = m.apply_points(corners)
-    x1, y1 = warped.min(axis=0)
-    x2, y2 = warped.max(axis=0)
-    return BoundingBox(float(x1), float(y1), float(x2 - x1), float(y2 - y1))
+def _multi_warp(
+    means: np.ndarray, covs: np.ndarray, m: AffineTransform
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked filter states re-expressed in the next frame's coordinates."""
+    t8 = _warp_matrix(m)
+    means = means @ t8.T
+    means[:, 0:2] += m.translation
+    return means, t8 @ covs @ t8.T
 
 
 def estimate_affine(
@@ -467,59 +406,14 @@ def rotation_descriptor(
     neighbors at distance in (0, radius], and returns
     [smallest angle, second-smallest angle, side opposite the largest angle
     divided by radius]. Returns None when fewer than two distinct neighbors
-    qualify or the triangle is degenerate (area < 1e-6 px^2).
+    qualify or the triangle is degenerate (area < 1e-6 px^2). This is row 0
+    of frame_descriptors over [subject, *neighbors].
     """
-    p0 = np.asarray(subject, dtype=np.float64)
-    pts = np.asarray(list(neighbors), dtype=np.float64).reshape(-1, 2)
-    if pts.shape[0] < 2:
-        return None
-    d = np.linalg.norm(pts - p0, axis=1)
-    keep = (d > 0.0) & (d <= radius)
-    if keep.sum() < 2:
-        return None
-    pts = pts[keep]
-    d = d[keep]
-    order = np.argsort(d, kind="stable")
-    p1 = pts[order[0]]
-    p2 = pts[order[-1]]
-
-    e1 = p1 - p0
-    e2 = p2 - p0
-    area = 0.5 * abs(float(e1[0] * e2[1] - e1[1] * e2[0]))
-    if area < 1e-6:
-        return None
-
-    # side lengths opposite each vertex: s0 faces the subject
-    s0 = _edge_length(p1, p2)
-    s1 = _edge_length(p0, p2)
-    s2 = _edge_length(p0, p1)
-    angles = np.array(
-        [
-            _triangle_angle(s0, s1, s2),
-            _triangle_angle(s1, s2, s0),
-            _triangle_angle(s2, s0, s1),
-        ]
-    )
-    sides = np.array([s0, s1, s2])
-    largest = int(np.argmax(angles))
-    two_smallest = np.sort(angles)[:2]
-    return np.array(
-        [two_smallest[0], two_smallest[1], sides[largest] / radius],
-        dtype=np.float64,
-    )
-
-
-def _triangle_angle(opposite: float, b: float, c: float) -> float:
-    """Angle opposite the first side, by the law of cosines."""
-    cos_a = (b * b + c * c - opposite * opposite) / (2.0 * b * c)
-    return math.acos(min(1.0, max(-1.0, cos_a)))
-
-
-def _edge_length(a: np.ndarray, b: np.ndarray) -> float:
-    # spelled out so the batched variant reproduces the same rounding
-    dx = float(a[0] - b[0])
-    dy = float(a[1] - b[1])
-    return math.sqrt(dx * dx + dy * dy)
+    pts = np.vstack([
+        np.reshape(np.asarray(subject, dtype=np.float64), (1, 2)),
+        np.asarray(list(neighbors), dtype=np.float64).reshape(-1, 2),
+    ])
+    return frame_descriptors(pts, radius)[0]
 
 
 def frame_descriptors(
@@ -527,9 +421,8 @@ def frame_descriptors(
 ) -> list[Optional[np.ndarray]]:
     """rotation_descriptor of every point in a frame against the others.
 
-    Shares one pairwise-distance matrix across subjects; kept in lockstep
-    with the per-subject function by tests. Entries are None under the same
-    conditions (fewer than two qualifying neighbors, degenerate triangle).
+    Shares one pairwise-distance matrix across subjects. An entry is None
+    when fewer than two neighbors qualify or the triangle is degenerate.
     """
     pts = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
     n = pts.shape[0]
@@ -574,8 +467,9 @@ def frame_descriptors(
 
 
 def _triangle_angles(opposite: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """_triangle_angle over aligned arrays; zero denominators are masked to
-    keep degenerate (already-invalid) rows from raising."""
+    """Angle opposite the first side, by the law of cosines, over aligned
+    arrays; zero denominators are masked to keep degenerate (already
+    invalid) rows from raising."""
     denom = 2.0 * b * c
     denom = np.where(denom > 0.0, denom, 1.0)
     cos_a = (b * b + c * c - opposite * opposite) / denom
@@ -589,14 +483,35 @@ def _edge_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def rotation_cost(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> float:
-    """1 - cosine similarity between two descriptors, clamped to [0, 1].
+    """1 - cosine similarity between two descriptors, clamped to [0, 1]; the
+    1x1 rotation_cost_matrix."""
+    return float(rotation_cost_matrix([a], [b])[0, 0])
 
-    A missing descriptor on either side contributes a neutral 0 cost.
+
+def rotation_cost_matrix(
+    a: Sequence[Optional[np.ndarray]], b: Sequence[Optional[np.ndarray]]
+) -> np.ndarray:
+    """(len(a), len(b)) block of 1 - cosine similarity between descriptors,
+    clamped to [0, 1].
+
+    A missing descriptor on either side, or a pair whose norms multiply to
+    under 1e-12, contributes a neutral 0 cost.
     """
-    if a is None or b is None:
-        return 0.0
-    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-    if denom < 1e-12:
-        return 0.0
-    cost = 1.0 - float(np.dot(a, b)) / denom
-    return min(1.0, max(0.0, cost))
+    a_rows = _descriptor_rows(a)
+    b_rows = _descriptor_rows(b)
+    denom = np.linalg.norm(a_rows, axis=1)[:, None] * np.linalg.norm(b_rows, axis=1)
+    neutral = denom < 1e-12  # a missing descriptor is a zero row
+    denom[neutral] = 1.0
+    block = 1.0 - (a_rows @ b_rows.T) / denom
+    np.clip(block, 0.0, 1.0, out=block)
+    block[neutral] = 0.0
+    return block
+
+
+def _descriptor_rows(descriptors: Sequence[Optional[np.ndarray]]) -> np.ndarray:
+    """(N, 3) descriptor rows, zero where missing."""
+    ok = np.array([d is not None for d in descriptors], dtype=bool)
+    rows = np.zeros((len(descriptors), 3))
+    if ok.any():
+        rows[ok] = [d for d in descriptors if d is not None]
+    return rows

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import box_measurement, textbook_init, textbook_predict, textbook_update
 from drone_assoc.appearance import adaptive_alpha
 from drone_assoc.association import linear_assignment
 from drone_assoc.cli import main
@@ -95,43 +96,6 @@ def test_criterion_01_assignment_matches_exhaustive_search():
           f"0 mismatches, {wall:.2f}s")
 
 
-_F8 = np.eye(8)
-_F8[:4, 4:] = np.eye(4)
-_H48 = np.eye(4, 8)
-
-
-def _box_measurement(box: BoundingBox) -> np.ndarray:
-    return np.array(
-        [box.x + box.w / 2.0, box.y + box.h / 2.0, box.w / box.h, box.h]
-    )
-
-
-def _textbook_init(z: np.ndarray):
-    mean = np.zeros(8)
-    mean[:4] = z
-    h = z[3]
-    std = np.array([h / 10, h / 10, 1e-2, h / 10, h / 16, h / 16, 1e-5, h / 16])
-    return mean, np.diag(std**2)
-
-
-def _textbook_predict(mean, cov):
-    h = mean[3]
-    std = np.array(
-        [h / 20, h / 20, 1e-2, h / 20, h / 160, h / 160, 1e-5, h / 160]
-    )
-    return _F8 @ mean, _F8 @ cov @ _F8.T + np.diag(std**2)
-
-
-def _textbook_update(mean, cov, z):
-    h = mean[3]
-    std = np.array([h / 20, h / 20, 1e-1, h / 20])
-    innov_cov = _H48 @ cov @ _H48.T + np.diag(std**2)
-    gain = cov @ _H48.T @ np.linalg.inv(innov_cov)
-    new_mean = mean + gain @ (z - _H48 @ mean)
-    new_cov = (np.eye(8) - gain @ _H48) @ cov
-    return new_mean, new_cov
-
-
 def _random_box(rng: np.random.Generator) -> BoundingBox:
     h = rng.uniform(5.0, 50.0)
     w = h * rng.uniform(0.5, 2.0)
@@ -145,10 +109,10 @@ def test_criterion_02_kalman_matches_textbook_recursion():
         rng = np.random.default_rng(seed)
         first = _random_box(rng)
         state = kalman_init(first)
-        mean, cov = _textbook_init(_box_measurement(first))
+        mean, cov = textbook_init(box_measurement(first))
         for _ in range(100):
             state = kalman_predict(state)
-            mean, cov = _textbook_predict(mean, cov)
+            mean, cov = textbook_predict(mean, cov)
             worst = max(
                 worst,
                 float(np.max(np.abs(state.mean - mean))),
@@ -156,7 +120,7 @@ def test_criterion_02_kalman_matches_textbook_recursion():
             )
             box = _random_box(rng)
             state = kalman_update(state, box)
-            mean, cov = _textbook_update(mean, cov, _box_measurement(box))
+            mean, cov = textbook_update(mean, cov, box_measurement(box))
             worst = max(
                 worst,
                 float(np.max(np.abs(state.mean - mean))),

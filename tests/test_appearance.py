@@ -11,16 +11,28 @@ from conftest import make_track, unit_vector
 from drone_assoc.appearance import (
     BankEntry,
     KeyFeatureBank,
-    _gallery,
+    _gallery_rows,
     adaptive_alpha,
     appearance_cost,
     appearance_cost_matrix,
-    appearance_costs,
     blend_feature,
     maybe_insert_key,
     update_local_feature,
 )
 from drone_assoc.core import BoundingBox
+
+
+def reference_costs(track, feats: np.ndarray) -> np.ndarray:
+    """Appearance costs of one track against each feature row, one dot
+    product at a time over the local feature and the key bank."""
+    gallery = [] if track.local_feature is None else [track.local_feature]
+    gallery += [e.feature for e in track.key_bank.entries]
+    if not gallery:
+        return np.zeros(len(feats))
+    return np.array([
+        min(1.0, max(0.0, 1.0 - max(float(np.dot(g, f)) for g in gallery)))
+        for f in feats
+    ])
 
 
 class TestAdaptiveAlpha:
@@ -213,14 +225,14 @@ class TestAppearanceCost:
             bank_features=tuple(unit_vector(rng, 8) for _ in range(3)),
         )
         feats = np.stack([unit_vector(rng, 8) for _ in range(5)])
-        vec = appearance_costs(t, feats)
+        expected = reference_costs(t, feats)
         for i in range(5):
-            assert vec[i] == pytest.approx(appearance_cost(t, feats[i]), abs=1e-12)
+            assert appearance_cost(t, feats[i]) == pytest.approx(expected[i], abs=1e-12)
 
     def test_costs_featureless_track_all_zero(self, rng):
         t = make_track()
         feats = np.stack([unit_vector(rng, 8) for _ in range(4)])
-        assert np.array_equal(appearance_costs(t, feats), np.zeros(4))
+        assert np.array_equal(appearance_cost_matrix([t], feats), np.zeros((1, 4)))
 
 
 class TestAppearanceCostMatrix:
@@ -239,7 +251,7 @@ class TestAppearanceCostMatrix:
         block = appearance_cost_matrix(tracks, feats)
         assert block.shape == (4, 6)
         for j, t in enumerate(tracks):
-            assert np.allclose(block[j], appearance_costs(t, feats), atol=1e-12)
+            assert np.allclose(block[j], reference_costs(t, feats), atol=1e-12)
         assert np.array_equal(block[1], np.zeros(6))
 
     def test_equals_one_stacked_product_sliced_per_track(self, rng):
@@ -254,15 +266,15 @@ class TestAppearanceCostMatrix:
                        bank_features=tuple(unit_vector(rng, 16) for _ in range(5))),
         ]
         feats = np.stack([unit_vector(rng, 16) for _ in range(7)])
-        galleries = [_gallery(t) for t in tracks]
-        sims = np.vstack([g for g in galleries if g is not None]) @ feats.T
+        galleries = [_gallery_rows(t) for t in tracks]
+        sims = np.vstack([g for g in galleries if g]) @ feats.T
         expected = np.zeros((len(tracks), 7))
         start = 0
         for j, g in enumerate(galleries):
-            if g is not None:
-                best = sims[start:start + g.shape[0]].max(axis=0)
+            if g:
+                best = sims[start:start + len(g)].max(axis=0)
                 expected[j] = np.clip(1.0 - best, 0.0, 1.0)
-                start += g.shape[0]
+                start += len(g)
         assert np.array_equal(appearance_cost_matrix(tracks, feats), expected)
 
     def test_all_featureless_tracks_yield_zero_block(self, rng):

@@ -11,7 +11,7 @@ from drone_assoc.association import (
     FrameOrderError,
     TrackRecord,
     Tracker,
-    build_cost_matrix,
+    fused_cost_matrix,
     iou_cost_matrix,
     lifecycle_step,
     linear_assignment,
@@ -119,6 +119,10 @@ class TestLinearAssignment:
                 == list(range(m))
 
 
+def stage_one_cost(*args) -> np.ndarray:
+    return fused_cost_matrix(*args)[0]
+
+
 class TestBuildCostMatrix:
     def make_inputs(self, emb_track, emb_det, desc_track, desc_det):
         track = make_track(bbox=BoundingBox(0.0, 0.0, 10.0, 10.0),
@@ -131,7 +135,7 @@ class TestBuildCostMatrix:
         e = np.array([1.0, 0.0, 0.0, 0.0])
         f = np.array([0.8, 0.6, 0.0, 0.0])
         desc = np.array([0.5, 0.8, 0.3])
-        cost = build_cost_matrix(
+        cost = stage_one_cost(
             *self.make_inputs(e, f, desc, desc.copy()), TrackerConfig()
         )
         # half-overlap box: IoU 0.5; appearance 1 - 0.8; identical descriptors
@@ -141,14 +145,24 @@ class TestBuildCostMatrix:
         e = np.array([1.0, 0.0, 0.0, 0.0])
         a = np.array([1.0, 0.0, 0.0])
         b = np.array([0.0, 1.0, 0.0])
-        cost = build_cost_matrix(
+        cost = stage_one_cost(
             *self.make_inputs(e, e.copy(), a, b), TrackerConfig()
         )
         assert cost[0, 0] == pytest.approx(0.5 + 0.0 + 0.1 * 1.0, abs=1e-12)
 
+    def test_zero_norm_descriptor_is_neutral(self):
+        e = np.array([1.0, 0.0, 0.0, 0.0])
+        desc = np.array([0.5, 0.8, 0.3])
+        for track_desc, det_desc in ((np.zeros(3), desc), (desc, np.zeros(3))):
+            cost = stage_one_cost(
+                *self.make_inputs(e, e.copy(), track_desc, det_desc),
+                TrackerConfig(),
+            )
+            assert cost[0, 0] == pytest.approx(0.5, abs=1e-12)
+
     def test_missing_descriptor_is_neutral(self):
         e = np.array([1.0, 0.0, 0.0, 0.0])
-        cost = build_cost_matrix(
+        cost = stage_one_cost(
             *self.make_inputs(e, e.copy(), np.array([1.0, 0.0, 0.0]), None),
             TrackerConfig(),
         )
@@ -157,7 +171,7 @@ class TestBuildCostMatrix:
     def test_low_iou_is_infeasible(self):
         track = make_track(bbox=BoundingBox(0.0, 0.0, 10.0, 10.0))
         d = det(500.0, 500.0)
-        cost = build_cost_matrix(
+        cost = stage_one_cost(
             [track], np.array([[0.0, 0.0, 10.0, 10.0]]), [d], [None],
             TrackerConfig(),
         )
@@ -166,7 +180,7 @@ class TestBuildCostMatrix:
     def test_class_mismatch_is_infeasible(self):
         track = make_track(bbox=BoundingBox(0.0, 0.0, 10.0, 10.0), class_id=1)
         d = det(0.0, 0.0, class_id=2)
-        cost = build_cost_matrix(
+        cost = stage_one_cost(
             [track], np.array([[0.0, 0.0, 10.0, 10.0]]), [d], [None],
             TrackerConfig(),
         )
@@ -178,7 +192,7 @@ class TestBuildCostMatrix:
         with_emb = Detection(BoundingBox(0.0, 0.0, 10.0, 5.0), 0.9, 1,
                              np.array([0.0, 1.0]))
         without = Detection(BoundingBox(0.0, 0.0, 10.0, 5.0), 0.9, 1, None)
-        cost = build_cost_matrix(
+        cost = stage_one_cost(
             [track], np.array([[0.0, 0.0, 10.0, 10.0]]),
             [with_emb, without], [None, None], TrackerConfig(),
         )
@@ -187,10 +201,10 @@ class TestBuildCostMatrix:
 
     def test_empty_inputs(self):
         cfg = TrackerConfig()
-        assert build_cost_matrix([], np.zeros((0, 4)), [det(0, 0)], [None],
+        assert stage_one_cost([], np.zeros((0, 4)), [det(0, 0)], [None],
                                  cfg).shape == (0, 1)
         t = make_track()
-        assert build_cost_matrix([t], np.zeros((1, 4)), [], [], cfg).shape == (1, 0)
+        assert stage_one_cost([t], np.zeros((1, 4)), [], [], cfg).shape == (1, 0)
 
     def test_stage_two_ignores_features(self):
         track = make_track(bbox=BoundingBox(0.0, 0.0, 10.0, 10.0),
@@ -198,8 +212,8 @@ class TestBuildCostMatrix:
                            rotation=np.array([1.0, 0.0, 0.0]))
         d = Detection(BoundingBox(0.0, 0.0, 10.0, 5.0), 0.3, 1,
                       np.array([0.0, 1.0]))
-        cost = iou_cost_matrix([track], np.array([[0.0, 0.0, 10.0, 10.0]]),
-                               [d], TrackerConfig())
+        cost, _ = iou_cost_matrix([track], np.array([[0.0, 0.0, 10.0, 10.0]]),
+                                  [d], TrackerConfig())
         assert cost[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 

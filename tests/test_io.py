@@ -1,5 +1,6 @@
 """MOT files, embedding sidecars, affine sidecars, and config files."""
 
+import logging
 import struct
 
 import numpy as np
@@ -10,14 +11,12 @@ from drone_assoc.mot_io import (
     FormatError,
     MotLine,
     RunConfig,
-    load_run_config,
     parse_affines,
     parse_detections,
     parse_embeddings,
     parse_mot_lines,
     read_key_values,
     run_config_from_dict,
-    save_run_config,
     write_affines,
     write_embeddings,
     write_mot_file,
@@ -97,6 +96,49 @@ class TestMotFiles:
     def test_unreadable_file_raises(self, tmp_path):
         with pytest.raises(FormatError):
             parse_mot_lines(str(tmp_path / "missing.txt"))
+
+
+NON_FINITE_ROWS = [
+    "1,9,nan,0,10,10,0.9,1,1.0",
+    "1,9,0,inf,10,10,0.9,1,1.0",
+    "1,9,0,0,-inf,10,0.9,1,1.0",
+    "1,9,0,0,10,nan,0.9,1,1.0",
+    "1,9,0,0,10,10,nan,1,1.0",
+    "1,9,0,0,10,10,inf,1,1.0",
+    "1,9,0,0,10,10,0.9,inf,1.0",
+]
+
+
+class TestNonFiniteRows:
+    """A non-finite field is a malformed row, in detections (parse_detections)
+    and in ground truth (parse_mot_lines) alike."""
+
+    @staticmethod
+    def write(tmp_path, bad_rows, good=18):
+        path = tmp_path / "rows.txt"
+        rows = [f"{f},1,0,0,10,10,0.9,1,1.0" for f in range(1, good + 1)]
+        rows[10:10] = bad_rows  # the first bad row is line 11
+        path.write_text("\n".join(rows) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("bad", NON_FINITE_ROWS)
+    def test_one_bad_row_in_21_is_skipped_and_counted(self, tmp_path, caplog, bad):
+        path = self.write(tmp_path, [bad], good=20)
+        with caplog.at_level(logging.WARNING, logger="drone_assoc.io"):
+            lines, stats = parse_mot_lines(path)
+        assert len(lines) == 20
+        assert stats.lines == 21 and stats.malformed == 1
+        assert f"{path}:11:" in caplog.text
+        frames = parse_detections(path)
+        assert sum(len(fd.detections) for fd in frames) == 20
+
+    @pytest.mark.parametrize("bad", NON_FINITE_ROWS)
+    def test_more_than_a_tenth_bad_is_fatal(self, tmp_path, bad):
+        path = self.write(tmp_path, [bad] * 3)
+        with pytest.raises(FormatError, match="3 of 21 rows malformed"):
+            parse_mot_lines(path)
+        with pytest.raises(FormatError, match="3 of 21 rows malformed"):
+            parse_detections(path)
 
 
 class TestParseDetections:
@@ -191,6 +233,23 @@ class TestEmbeddingSidecar:
         write_embeddings(path, [(1, 0, np.ones(2)), (1, 0, np.ones(2))], 2)
         with pytest.raises(FormatError):
             parse_embeddings(path)
+
+    @pytest.mark.parametrize("vec,what", [
+        ([np.nan, 1.0], "non-finite"), ([0.0, 0.0], "zero-length")])
+    def test_bad_binary_vector_names_file_and_record(self, tmp_path, vec, what):
+        path = str(tmp_path / "emb.bin")
+        write_embeddings(path, [(1, 0, np.ones(2)), (2, 3, np.array(vec))], 2)
+        with pytest.raises(FormatError,
+                           match=rf"emb\.bin: embedding for frame 2 ordinal 3: .*{what}"):
+            parse_embeddings(path)
+
+    @pytest.mark.parametrize("vec,what", [
+        ("nan,1.0", "non-finite"), ("0.0,0.0", "zero-length")])
+    def test_bad_csv_vector_names_file_and_line(self, tmp_path, vec, what):
+        path = tmp_path / "emb.csv"
+        path.write_text(f"# frame,ordinal,v0,v1\n1,0,1.0,0.0\n2,3,{vec}\n")
+        with pytest.raises(FormatError, match=rf"emb\.csv:3: .*{what}"):
+            parse_embeddings(str(path))
 
     def test_csv_fallback(self, tmp_path):
         path = tmp_path / "emb.csv"
@@ -311,13 +370,6 @@ class TestRunConfig:
     def test_bad_number_rejected(self):
         with pytest.raises(FormatError):
             run_config_from_dict({"w_a": "heavy"})
-
-    def test_file_round_trip(self, tmp_path):
-        path = str(tmp_path / "run.cfg")
-        cfg = RunConfig(detections="d.txt", embeddings="e.bin", output="o.txt",
-                        embedding_dim=32, seed=3, theta_high=0.7, use_dmp=False)
-        save_run_config(cfg, path)
-        assert load_run_config(path) == cfg
 
     def test_key_value_file_errors(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_estimate_affine
+from conftest import (
+    box_measurement,
+    reference_estimate_affine,
+    reference_rotation_descriptor,
+    textbook_predict,
+    textbook_update,
+    textbook_warp,
+)
 from drone_assoc.core import BoundingBox
 from drone_assoc.motion import (
     AffineEstimationError,
@@ -16,7 +23,6 @@ from drone_assoc.motion import (
     MotionState,
     _fit_affine_lstsq,
     _fit_minimal_models,
-    apply_affine,
     estimate_affine,
     frame_descriptors,
     kalman_init,
@@ -25,7 +31,6 @@ from drone_assoc.motion import (
     multi_predict,
     multi_update,
     predict_state,
-    predict_tracks,
     rotation_cost,
     rotation_descriptor,
     state_to_box,
@@ -130,9 +135,12 @@ class TestBatchedKalman:
                 np.stack([s.mean for s in states]),
                 np.stack([s.covariance for s in states]), m)
             for k, s in enumerate(states):
-                single = predict_state(s, m)
-                assert np.allclose(means[k], single.mean, atol=1e-9)
-                assert np.allclose(covs[k], single.covariance, atol=1e-9)
+                mean, cov = s.mean, s.covariance
+                if m is not None:
+                    mean, cov = textbook_warp(mean, cov, m)
+                mean, cov = textbook_predict(mean, cov)
+                assert np.allclose(means[k], mean, rtol=0, atol=1e-9)
+                assert np.allclose(covs[k], cov, rtol=0, atol=1e-9)
 
     def test_multi_update_matches_singles(self, rng):
         states = [random_motion_state(rng) for _ in range(7)]
@@ -142,9 +150,9 @@ class TestBatchedKalman:
             np.stack([s.mean for s in states]),
             np.stack([s.covariance for s in states]), boxes)
         for k, (s, b) in enumerate(zip(states, boxes)):
-            single = kalman_update(s, b)
-            assert np.allclose(means[k], single.mean, atol=1e-12)
-            assert np.allclose(covs[k], single.covariance, atol=1e-12)
+            mean, cov = textbook_update(s.mean, s.covariance, box_measurement(b))
+            assert np.allclose(means[k], mean, rtol=0, atol=1e-9)
+            assert np.allclose(covs[k], cov, rtol=0, atol=1e-9)
 
     def test_empty_batches(self):
         means, covs = multi_predict(np.zeros((0, 8)), np.zeros((0, 8, 8)), None)
@@ -237,27 +245,6 @@ class TestWarp:
         got = predict_state(s, m)
         assert np.allclose(got.mean, expected.mean, atol=1e-12)
         assert np.allclose(got.covariance, expected.covariance, atol=1e-12)
-
-
-class TestApplyAffine:
-    def test_quarter_turn_hull(self):
-        out = apply_affine(BoundingBox(10.0, 0.0, 4.0, 2.0),
-                           rotation_affine(math.pi / 2))
-        assert out.x == pytest.approx(-2.0, abs=1e-12)
-        assert out.y == pytest.approx(10.0, abs=1e-12)
-        assert out.w == pytest.approx(2.0, abs=1e-12)
-        assert out.h == pytest.approx(4.0, abs=1e-12)
-
-    def test_rotation_by_45_grows_hull(self):
-        out = apply_affine(BoundingBox(-5.0, -5.0, 10.0, 10.0),
-                           rotation_affine(math.pi / 4))
-        assert out.w == pytest.approx(10.0 * math.sqrt(2.0))
-        assert out.h == pytest.approx(10.0 * math.sqrt(2.0))
-
-    def test_translation_preserves_extent(self):
-        m = AffineTransform(np.array([[1.0, 0.0, 3.0], [0.0, 1.0, 4.0]]))
-        out = apply_affine(BoundingBox(0.0, 0.0, 6.0, 8.0), m)
-        assert (out.x, out.y, out.w, out.h) == (3.0, 4.0, 6.0, 8.0)
 
 
 class TestEstimateAffine:
@@ -481,7 +468,7 @@ class TestFrameDescriptors:
         assert len(batch) == pts.shape[0]
         for i in range(pts.shape[0]):
             others = [tuple(p) for j, p in enumerate(pts) if j != i]
-            single = rotation_descriptor(tuple(pts[i]), others, 75.0)
+            single = reference_rotation_descriptor(tuple(pts[i]), others, 75.0)
             if single is None:
                 assert batch[i] is None
             else:
@@ -493,7 +480,7 @@ class TestFrameDescriptors:
         batch = frame_descriptors(pts, 100.0)
         for i in range(4):
             others = [tuple(p) for j, p in enumerate(pts) if j != i]
-            single = rotation_descriptor(tuple(pts[i]), others, 100.0)
+            single = reference_rotation_descriptor(tuple(pts[i]), others, 100.0)
             if single is None:
                 assert batch[i] is None
             else:
@@ -529,26 +516,7 @@ class TestRotationCost:
         b = np.array([-1.0, 0.0, 0.0])
         assert rotation_cost(a, b) == 1.0
 
-
-class TestPredictTracks:
-    def test_returns_boxes_without_mutating(self, rng):
-        from conftest import make_track
-
-        tracks = [make_track(bbox=BoundingBox(0.0, 0.0, 10.0, 10.0), track_id=1),
-                  make_track(bbox=BoundingBox(50.0, 50.0, 20.0, 8.0), track_id=2)]
-        before = [t.motion.mean.copy() for t in tracks]
-        boxes = predict_tracks(tracks, None)
-        assert len(boxes) == 2
-        # zero velocity keeps the box where it started
-        assert boxes[0] == BoundingBox(0.0, 0.0, 10.0, 10.0)
-        for t, m in zip(tracks, before):
-            assert np.array_equal(t.motion.mean, m)
-
-    def test_transform_shifts_predictions(self):
-        from conftest import make_track
-
-        t = make_track(bbox=BoundingBox(0.0, 0.0, 10.0, 10.0))
-        m = AffineTransform(np.array([[1.0, 0.0, 25.0], [0.0, 1.0, 0.0]]))
-        box = predict_tracks([t], m)[0]
-        assert box.x == pytest.approx(25.0)
-        assert box.y == pytest.approx(0.0)
+    def test_zero_norm_descriptor_is_neutral(self):
+        d = np.array([0.5, 0.8, 0.3])
+        assert rotation_cost(np.zeros(3), d) == 0.0
+        assert rotation_cost(d, np.zeros(3)) == 0.0
