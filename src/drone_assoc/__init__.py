@@ -21,7 +21,6 @@ from .association import (
 from .core import (
     BoundingBox,
     ConfigError,
-    Detection,
     FrameDetections,
     Track,
     TrackState,
@@ -35,6 +34,7 @@ from .metrics import EvalReport, EvaluationError, clear_mot, evaluate, id_measur
 from .mot_io import (
     FormatError,
     MotLine,
+    MotTable,
     RunConfig,
     parse_affines,
     parse_detections,

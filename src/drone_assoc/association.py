@@ -9,6 +9,10 @@ with pairs forbidden when IoU falls below the gate or classes differ.
 Stage 2 sweeps the remaining low-confidence detections against the
 still-unmatched tentative/confirmed tracks on IoU alone. Unmatched
 high-confidence detections found new tracks.
+
+A frame arrives as the arrays of a FrameDetections; the stages are masks
+over them, and the cost functions and the Kalman correction take the
+gathered (M, 4) box, class and embedding blocks directly.
 """
 
 from __future__ import annotations
@@ -24,12 +28,11 @@ from . import appearance as ap
 from . import motion as mo
 from .core import (
     BoundingBox,
-    Detection,
     FrameDetections,
     Track,
     TrackState,
     TrackerConfig,
-    boxes_array,
+    box_centers,
     iou_matrix,
 )
 
@@ -91,59 +94,48 @@ def linear_assignment(cost: np.ndarray) -> AssignmentResult:
 def iou_cost_matrix(
     tracks: Sequence[Track],
     predicted_boxes: np.ndarray,
-    detections: Sequence[Detection],
+    det_boxes: np.ndarray,
+    det_classes: np.ndarray,
     config: TrackerConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stage-2 cost, shape (len(tracks), len(detections)): 1 - IoU, +inf
-    where IoU falls below the gate or classes differ. Returned with the IoU
-    matrix it was built from."""
-    shape = (len(tracks), len(detections))
+    """Stage-2 cost, shape (len(tracks), len(det_boxes)): 1 - IoU of the
+    (N, 4) predicted and (M, 4) detected xywh boxes, +inf where IoU falls
+    below the gate or classes differ. Returned with the IoU matrix it was
+    built from."""
+    shape = (len(tracks), det_boxes.shape[0])
     if 0 in shape:
         return np.zeros(shape, dtype=np.float64), np.zeros(shape, dtype=np.float64)
-    ious = iou_matrix(predicted_boxes, boxes_array(d.bbox for d in detections))
+    ious = iou_matrix(predicted_boxes, det_boxes)
     cost = 1.0 - ious
     cost[ious < config.iou_gate] = INFEASIBLE
     t_cls = np.array([t.class_id for t in tracks])
-    d_cls = np.array([d.class_id for d in detections])
-    cost[t_cls[:, None] != d_cls[None, :]] = INFEASIBLE
+    cost[t_cls[:, None] != det_classes[None, :]] = INFEASIBLE
     return cost, ious
 
 
 def fused_cost_matrix(
     tracks: Sequence[Track],
     predicted_boxes: np.ndarray,
-    detections: Sequence[Detection],
+    det_boxes: np.ndarray,
+    det_classes: np.ndarray,
+    det_embeddings: Optional[np.ndarray],
     det_descriptors: Sequence[Optional[np.ndarray]],
     config: TrackerConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stage-1 cost: the gated stage-2 block plus the weighted appearance
     and rotation terms (inf + finite stays inf, so gating first changes no
-    feasible cell). Returned with the IoU matrix it was built from."""
-    cost, ious = iou_cost_matrix(tracks, predicted_boxes, detections, config)
+    feasible cell). Detections without embeddings (None) add no appearance
+    term. Returned with the IoU matrix it was built from."""
+    cost, ious = iou_cost_matrix(tracks, predicted_boxes, det_boxes, det_classes, config)
     if cost.size == 0:
         return cost, ious
-    if config.w_a > 0:
-        cost += config.w_a * _appearance_block(tracks, detections)
+    if config.w_a > 0 and det_embeddings is not None:
+        cost += config.w_a * ap.appearance_cost_matrix(list(tracks), det_embeddings)
     if config.w_r > 0:
         cost += config.w_r * mo.rotation_cost_matrix(
             [t.rotation for t in tracks], det_descriptors
         )
     return cost, ious
-
-
-def _appearance_block(tracks, detections) -> np.ndarray:
-    dims = {d.embedding.shape[0] for d in detections if d.embedding is not None}
-    block = np.zeros((len(tracks), len(detections)), dtype=np.float64)
-    if not dims:
-        return block
-    dim = dims.pop()
-    has_emb = np.array([d.embedding is not None for d in detections])
-    feats = np.array(
-        [d.embedding if d.embedding is not None else np.zeros(dim) for d in detections]
-    )
-    block = ap.appearance_cost_matrix(list(tracks), feats)
-    block[:, ~has_emb] = 0.0
-    return block
 
 
 def lifecycle_step(track: Track, matched: bool, config: TrackerConfig) -> Track:
@@ -196,18 +188,31 @@ class Tracker:
             self._first_frame = frame
         self.last_frame = frame
 
-        dets = [d for d in frame_detections.detections if d.score >= cfg.theta_low]
-        high = [d for d in dets if d.score >= cfg.theta_high]
-        low = [d for d in dets if d.score < cfg.theta_high]
-        descriptors = self._descriptors(dets) if cfg.w_r > 0 else [None] * len(dets)
-        desc_of = {id(d): desc for d, desc in zip(dets, descriptors)}
+        # the frame's rows at or above theta_low; positions below index
+        # them, and hi and lo split the positions between the two stages
+        fd = frame_detections
+        kept = np.flatnonzero(fd.scores >= cfg.theta_low)
+        boxes, classes, scores = fd.boxes[kept], fd.classes[kept], fd.scores[kept]
+        high = scores >= cfg.theta_high
+        hi, lo = np.flatnonzero(high), np.flatnonzero(~high)
+        hi_pos, lo_pos = hi.tolist(), lo.tolist()
+        scores = scores.tolist()
+        emb = fd.embeddings
+        # views into the frame's block, not a gathered copy: tracks keep
+        # them, and would keep a per-frame copy alive with them
+        features = ([None] * len(scores) if emb is None
+                    else [emb[r] for r in kept.tolist()])
+        descriptors = (mo.frame_descriptors(box_centers(boxes), cfg.radius_R)
+                       if cfg.w_r > 0 else [None] * len(scores))
 
         m_eff = m if cfg.use_dmp else None
         pool = list(self.tracks)
         means, covs, predicted = self._predict_pool(pool, m_eff)
 
         cost, ious = fused_cost_matrix(
-            pool, predicted, high, [desc_of[id(d)] for d in high], cfg
+            pool, predicted, boxes[hi], classes[hi],
+            None if emb is None else emb[kept[hi]],
+            [descriptors[p] for p in hi_pos], cfg,
         )
         stage1 = linear_assignment(cost)
         for j, i in stage1.matches:
@@ -217,48 +222,45 @@ class Tracker:
                         if pool[j].state is not TrackState.LOST]
         leftovers = [pool[j] for j in leftover_idx]
         leftover_boxes = predicted[leftover_idx] if leftover_idx else np.zeros((0, 4))
-        cost2, _ = iou_cost_matrix(leftovers, leftover_boxes, low, cfg)
+        cost2, _ = iou_cost_matrix(leftovers, leftover_boxes, boxes[lo], classes[lo], cfg)
         stage2 = linear_assignment(cost2)
 
         matched_idx = [j for j, _ in stage1.matches]
         matched_idx += [leftover_idx[j] for j, _ in stage2.matches]
-        matched_dets = [high[i] for _, i in stage1.matches]
-        matched_dets += [low[i] for _, i in stage2.matches]
+        matched_pos = [hi_pos[i] for _, i in stage1.matches]
+        matched_pos += [lo_pos[i] for _, i in stage2.matches]
         if matched_idx:
             means[matched_idx], covs[matched_idx] = mo.multi_update(
-                means[matched_idx], covs[matched_idx], [d.bbox for d in matched_dets]
+                means[matched_idx], covs[matched_idx], boxes[matched_pos]
             )
         for t, mean, cov in zip(pool, means, covs):
             t.motion = mo.MotionState(mean, cov)
-        for j, det in zip(matched_idx, matched_dets):
-            self._absorb(pool[j], det, desc_of[id(det)], frame)
+        for j, p in zip(matched_idx, matched_pos):
+            self._absorb(pool[j], features[p], scores[p], descriptors[p], frame)
 
         for t in pool:
             if t.last_frame != frame:
                 lifecycle_step(t, False, cfg)
 
-        for i in stage1.unmatched_cols:
-            self._spawn(high[i], desc_of[id(high[i])], frame)
+        spawn = [hi_pos[i] for i in stage1.unmatched_cols]
+        if spawn:
+            spawn_means, spawn_covs = mo.multi_init(boxes[spawn])
+            for p, mean, cov in zip(spawn, spawn_means, spawn_covs):
+                self._spawn(int(classes[p]), mo.MotionState(mean, cov), features[p],
+                            scores[p], descriptors[p], frame)
 
         self.tracks = [t for t in self.tracks if t.state is not TrackState.REMOVED]
         emitted = [t for t in self.tracks
                    if t.state is TrackState.CONFIRMED and t.last_frame == frame]
-        boxes = mo.states_to_boxes([t.motion.mean for t in emitted])
         records = [
             TrackRecord(frame, t.track_id, box, t.last_score, t.class_id)
-            for t, box in zip(emitted, boxes)
+            for t, box in zip(emitted, mo.states_to_boxes([t.motion.mean for t in emitted]))
         ]
         log.debug("frame %d: %d dets, %d live tracks, %d emitted",
-                  frame, len(dets), len(self.tracks), len(records))
+                  frame, len(scores), len(self.tracks), len(records))
         return records
 
     # -- internals ---------------------------------------------------------
-
-    def _descriptors(self, dets: Sequence[Detection]) -> list[Optional[np.ndarray]]:
-        centers = np.array(
-            [d.bbox.center() for d in dets], dtype=np.float64
-        ).reshape(-1, 2)
-        return mo.frame_descriptors(centers, self.config.radius_R)
 
     def _predict_pool(
         self, pool: Sequence[Track], m: Optional[mo.AffineTransform]
@@ -274,56 +276,69 @@ class Tracker:
         return means, covs, mo.states_to_xywh(means)
 
     def _absorb(
-        self, track: Track, det: Detection, desc: Optional[np.ndarray], frame: int
+        self,
+        track: Track,
+        embedding: Optional[np.ndarray],
+        score: float,
+        desc: Optional[np.ndarray],
+        frame: int,
     ) -> None:
         """Feature, descriptor, and lifecycle effects of a match; the motion
         correction itself happens in associate_frame beforehand."""
         cfg = self.config
         was_lost = track.state is TrackState.LOST
-        if det.embedding is not None and det.score >= cfg.theta_high:
+        if embedding is not None and score >= cfg.theta_high:
             if cfg.use_afs:
                 ap.update_local_feature(
-                    track, det.embedding, det.score, cfg.theta_high, cfg.alpha_f
+                    track, embedding, score, cfg.theta_high, cfg.alpha_f
                 )
                 # the bank stays frozen through the frame that re-acquires a
                 # lost track; inserts resume once it is confirmed again
                 if not was_lost and track.key_bank is not None:
                     ap.maybe_insert_key(
-                        track.key_bank, det.embedding, frame, cfg.novelty_threshold
+                        track.key_bank, embedding, frame, cfg.novelty_threshold
                     )
             else:
                 if track.local_feature is None:
-                    track.local_feature = det.embedding
+                    track.local_feature = embedding
                 else:
                     track.local_feature = ap.blend_feature(
-                        track.local_feature, det.embedding, cfg.alpha_f
+                        track.local_feature, embedding, cfg.alpha_f
                     )
         if desc is not None:
             track.rotation = desc
         track.last_frame = frame
-        track.last_score = det.score
+        track.last_score = score
         lifecycle_step(track, True, cfg)
 
-    def _spawn(self, det: Detection, desc: Optional[np.ndarray], frame: int) -> None:
+    def _spawn(
+        self,
+        class_id: int,
+        motion: mo.MotionState,
+        embedding: Optional[np.ndarray],
+        score: float,
+        desc: Optional[np.ndarray],
+        frame: int,
+    ) -> None:
         state = (
             TrackState.CONFIRMED if frame == self._first_frame else TrackState.TENTATIVE
         )
         track = Track(
             track_id=self.next_id,
-            class_id=det.class_id,
+            class_id=class_id,
             state=state,
-            motion=mo.kalman_init(det.bbox),
-            local_feature=det.embedding,
+            motion=motion,
+            local_feature=embedding,
             key_bank=ap.KeyFeatureBank(self.config.key_bank_capacity),
             rotation=desc,
             consecutive_hits=1,
             lost_age=0,
             last_frame=frame,
-            last_score=det.score,
+            last_score=score,
         )
-        if self.config.use_afs and det.embedding is not None:
+        if self.config.use_afs and embedding is not None:
             ap.maybe_insert_key(
-                track.key_bank, det.embedding, frame, self.config.novelty_threshold
+                track.key_bank, embedding, frame, self.config.novelty_threshold
             )
         self.next_id += 1
         self.tracks.append(track)

@@ -97,20 +97,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand. The package logger's handlers and level are put
+    back on return, so in-process calls leave logging as they found it."""
+    pkg = logging.getLogger("drone_assoc")
+    saved = (pkg.handlers[:], pkg.level)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(parser, args)
-        if args.command == "track":
-            return _cmd_track(parser, args)
-        if args.command == "eval":
-            return _cmd_eval(parser, args)
-        return _cmd_ablate(parser, args)
-    except (FormatError, EvaluationError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        _setup_logging()
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        try:
+            if args.command == "simulate":
+                return _cmd_simulate(parser, args)
+            if args.command == "track":
+                return _cmd_track(parser, args)
+            if args.command == "eval":
+                return _cmd_eval(parser, args)
+            return _cmd_ablate(parser, args)
+        except (FormatError, EvaluationError, OSError, ValueError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+    finally:
+        handlers, level = saved
+        pkg.handlers[:] = handlers
+        pkg.setLevel(level)
 
 
 def _cmd_simulate(parser, args) -> int:

@@ -3,13 +3,19 @@
 Boxes are axis-aligned, top-left (x, y, w, h) in pixels. Frames are 1-based,
 detection ordinals within a frame are 0-based. Embeddings are float64 numpy
 vectors kept at unit L2 norm once ingested.
+
+A frame's detections are columns, not objects: FrameDetections holds an
+(M, 4) box block, (M,) scores and classes, and an (M, D) embedding block or
+None, in file order. The tracker splits and gathers them with masks.
+normalize_rows scales a whole embedding block in place; normalize is the
+single-vector form on the tracker's hot path, with the same arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
@@ -30,15 +36,39 @@ class ConfigError(ValueError):
     """Raised when a configuration value violates its contract."""
 
 
+def _norm_error(n: float) -> ZeroNormError:
+    what = "zero-length" if n < 1e-12 else "non-finite"
+    return ZeroNormError(f"cannot normalize a {what} embedding")
+
+
 def normalize(values: np.ndarray) -> np.ndarray:
     """Return `values` scaled to unit L2 norm as a float64 array."""
     v = np.asarray(values, dtype=np.float64)
     flat = v.ravel(order="K")
     n = math.sqrt(float(flat.dot(flat)))  # np.linalg.norm's own arithmetic
     if n < 1e-12 or not math.isfinite(n):
-        what = "zero-length" if n < 1e-12 else "non-finite"
-        raise ZeroNormError(f"cannot normalize a {what} embedding")
+        raise _norm_error(n)
     return v / n
+
+
+def normalize_rows(block: np.ndarray) -> np.ndarray:
+    """Scale every row of a C-contiguous float64 (N, D) block to unit L2
+    norm, in place, and return it; each row equals normalize(row) bit for bit.
+
+    The stacked (1, D) @ (D, 1) products run the same dot kernel as
+    normalize's `flat.dot(flat)`, row by row. A zero-length or non-finite
+    row raises ZeroNormError with `row` set to the first such index; the
+    block is left untouched then.
+    """
+    norms = np.sqrt((block[:, None, :] @ block[:, :, None]).reshape(-1))
+    bad = ~(norms >= 1e-12) | ~np.isfinite(norms)
+    if bad.any():
+        row = int(np.argmax(bad))
+        err = _norm_error(float(norms[row]))
+        err.row = row
+        raise err
+    block /= norms[:, None]
+    return block
 
 
 @dataclass(frozen=True)
@@ -79,6 +109,11 @@ def boxes_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
     ).reshape(-1, 4)
 
 
+def box_centers(xywh: np.ndarray) -> np.ndarray:
+    """(N, 2) centres of (N, 4) xywh rows, in BoundingBox.center's arithmetic."""
+    return np.column_stack([xywh[:, 0] + xywh[:, 2] / 2.0, xywh[:, 1] + xywh[:, 3] / 2.0])
+
+
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two (N, 4) / (M, 4) arrays of xywh boxes.
 
@@ -106,30 +141,45 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return float(iou_matrix(a.as_array(), b.as_array())[0, 0])
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One detector output: box, confidence, class, optional embedding."""
-
-    bbox: BoundingBox
-    score: float
-    class_id: int
-    embedding: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError("detection score must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameDetections:
-    """All detections of one frame, in file order."""
+    """All detections of one frame, in file order, as columns: boxes (M, 4)
+    xywh float64, scores (M,) in [0, 1], classes (M,) int64 and embeddings
+    (M, D) unit rows or None. `FrameDetections(t, ())` is an empty frame."""
 
     frame: int
-    detections: tuple[Detection, ...]
+    boxes: np.ndarray = ()
+    scores: np.ndarray = ()
+    classes: np.ndarray = ()
+    embeddings: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.frame < 1:
             raise ValueError("frame indices are 1-based")
+        boxes = np.asarray(self.boxes, dtype=np.float64).reshape(-1, 4)
+        scores = np.asarray(self.scores, dtype=np.float64).reshape(-1)
+        classes = np.asarray(self.classes, dtype=np.int64).reshape(-1)
+        m = boxes.shape[0]
+        if scores.shape[0] != m or classes.shape[0] != m:
+            raise ValueError("boxes, scores and classes need one row per detection")
+        if not np.isfinite(boxes).all():
+            raise ValueError("bounding boxes must be finite")
+        if not (boxes[:, 2:] > 0).all():
+            raise ValueError("bounding box extent must be positive")
+        if not ((scores >= 0.0) & (scores <= 1.0)).all():
+            raise ValueError("detection score must lie in [0, 1]")
+        setattr_ = object.__setattr__
+        setattr_(self, "boxes", boxes)
+        setattr_(self, "scores", scores)
+        setattr_(self, "classes", classes)
+        if self.embeddings is not None:
+            emb = np.asarray(self.embeddings, dtype=np.float64)
+            if emb.ndim != 2 or emb.shape[0] != m:
+                raise ValueError("embeddings need one row per detection")
+            setattr_(self, "embeddings", emb)
+
+    def __len__(self) -> int:
+        return self.boxes.shape[0]
 
 
 class TrackState(enum.Enum):
@@ -185,9 +235,10 @@ class TrackerConfig:
             raise ConfigError("need 0 <= theta_low < theta_high <= 1")
         if not 0.0 < self.alpha_f <= 1.0:
             raise ConfigError("alpha_f must lie in (0, 1]")
-        if self.w_a < 0 or self.w_r < 0:
+        # written as `not (x >= 0)` so that NaN fails too
+        if not (self.w_a >= 0 and self.w_r >= 0):
             raise ConfigError("cost weights must be non-negative")
-        if self.radius_R <= 0:
+        if not self.radius_R > 0:
             raise ConfigError("radius_R must be positive")
         if self.key_bank_capacity < 1:
             raise ConfigError("key_bank_capacity must be >= 1")
@@ -197,5 +248,5 @@ class TrackerConfig:
             raise ConfigError("confirm_hits must be >= 1")
         if self.max_lost_age < 0:
             raise ConfigError("max_lost_age must be >= 0")
-        if self.novelty_threshold < 0:
+        if not self.novelty_threshold >= 0:
             raise ConfigError("novelty_threshold must be >= 0")

@@ -9,19 +9,23 @@ than the last one it was ever matched to. Identity measures use one global
 bipartite assignment between ground-truth and result ids that maximizes
 the number of co-located frames.
 
+Both sides come in as MotTables, the arrays parse_mot_lines returns;
+_by_frame sorts their rows by frame once and slices each frame's ids and
+boxes out of the sorted block.
+
 All rates are emitted as fractions; the table printer formats percents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .association import linear_assignment
 from .core import iou_matrix
-from .mot_io import MotLine
+from .mot_io import MotTable
 
 
 class EvaluationError(ValueError):
@@ -43,28 +47,22 @@ class EvalReport:
     gt_total: int
 
 
-def _by_frame(lines: Iterable[MotLine]) -> dict[int, tuple[list[int], np.ndarray]]:
-    """Ids and (K, 4) boxes per frame, frames ascending, lines in input order
-    within a frame. Frame and id ride in the float64 block: parse_mot_lines
-    reads both through float, so the round trip is exact."""
-    rows = np.array(
-        [(ln.frame, ln.obj_id, ln.bbox.x, ln.bbox.y, ln.bbox.w, ln.bbox.h)
-         for ln in lines],
-        dtype=np.float64,
-    ).reshape(-1, 6)
-    frames = rows[:, 0].astype(np.int64)
-    ids = rows[:, 1].astype(np.int64)
-    order = np.argsort(frames, kind="stable")
-    keys, starts = np.unique(frames[order], return_index=True)
+def _by_frame(table: MotTable) -> dict[int, tuple[list[int], np.ndarray]]:
+    """Ids and (K, 4) boxes per frame, frames ascending, rows in input order
+    within a frame: slices of the table's rows after one stable sort."""
+    order = np.argsort(table.frames, kind="stable")
+    frames = table.frames[order]
+    ids = table.ids[order].tolist()
+    boxes = table.rows[order, 2:6]
+    keys, starts = np.unique(frames, return_index=True)
+    ends = np.append(starts[1:], frames.shape[0]).tolist()
     return {
-        int(f): (ids[idx].tolist(), rows[idx, 2:])
-        for f, idx in zip(keys, np.split(order, starts[1:]))
+        f: (ids[s:e], boxes[s:e])
+        for f, s, e in zip(keys.tolist(), starts.tolist(), ends)
     }
 
 
-def clear_mot(
-    gt: Sequence[MotLine], results: Sequence[MotLine], iou_threshold: float = 0.5
-) -> dict:
+def clear_mot(gt: MotTable, results: MotTable, iou_threshold: float = 0.5) -> dict:
     """CLEAR sweep; returns the raw counts the reports are built from."""
     gt_frames = _by_frame(gt)
     res_frames = _by_frame(results)
@@ -139,7 +137,7 @@ def clear_mot(
 
 
 def id_measures(
-    gt: Sequence[MotLine], results: Sequence[MotLine], iou_threshold: float = 0.5
+    gt: MotTable, results: MotTable, iou_threshold: float = 0.5
 ) -> tuple[int, int, int]:
     """(idtp, idfp, idfn) under the best global identity mapping."""
     gt_frames = _by_frame(gt)
@@ -179,9 +177,7 @@ def id_measures(
     return idtp, total_res - idtp, total_gt - idtp
 
 
-def evaluate(
-    gt: Sequence[MotLine], results: Sequence[MotLine], iou_threshold: float = 0.5
-) -> EvalReport:
+def evaluate(gt: MotTable, results: MotTable, iou_threshold: float = 0.5) -> EvalReport:
     """Full report over one sequence."""
     clear = clear_mot(gt, results, iou_threshold)
     idtp, idfp, idfn = id_measures(gt, results, iou_threshold)

@@ -2,9 +2,14 @@
 
 Detections and ground truth use MOT-style CSV rows
 ``frame,id,x,y,w,h,score,class,visibility`` (first 9 columns read, extras
-ignored, ``#`` lines and blanks skipped). Embeddings ride in a binary
-sidecar keyed by (frame, ordinal-within-frame); a CSV fallback with rows
-``frame,ordinal,v0..v{D-1}`` is accepted. Affine sidecars are CSV rows
+ignored, ``#`` lines and blanks skipped). parse_mot_lines reads a file into
+a MotTable: one (R, 9) float64 block in file order, with int64 frame, id and
+class columns. Embeddings ride in a binary sidecar keyed by
+(frame, ordinal-within-frame); a CSV fallback with rows
+``frame,ordinal,v0..v{D-1}`` is accepted. parse_embeddings loads either
+into the (count, 2) keys and one (count, D) block of unit rows.
+parse_detections joins the two and slices them into one array
+FrameDetections per frame. Affine sidecars are CSV rows
 ``frame,a,b,tx,c,d,ty``. Results are written as
 ``frame,id,x,y,w,h,score,class,-1,-1`` sorted by (frame, id).
 
@@ -17,21 +22,19 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import math
 import os
 import struct
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .core import (
     BoundingBox,
-    Detection,
     FrameDetections,
     TrackerConfig,
     ZeroNormError,
-    normalize,
+    normalize_rows,
 )
 from .motion import AffineTransform
 
@@ -41,6 +44,11 @@ EMBEDDING_MAGIC = b"DEMB"
 EMBEDDING_VERSION = 1
 MALFORMED_FATAL_RATIO = 0.10
 
+# MotTable columns that hold integers: frame, id and class
+_INT_COLUMNS = [0, 1, 7]
+# integer fields must lie in [-2**63, 2**63), the int64 range
+_INT64_BOUND = 2.0 ** 63
+
 
 class FormatError(ValueError):
     """Raised for unreadable or structurally broken input files."""
@@ -48,12 +56,45 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True)
 class MotLine:
+    """One MOT row as a record, for writers such as the simulator's."""
+
     frame: int
     obj_id: int
     bbox: BoundingBox
     score: float
     class_id: int
     visibility: float = 1.0
+
+
+@dataclass(frozen=True, eq=False)
+class MotTable:
+    """MOT rows as one (R, 9) float64 block, in file order: frame, id, x, y,
+    w, h, score, class, visibility. Frame, id and class must hold int64
+    values; they are also kept as int64 columns."""
+
+    rows: np.ndarray
+    frames: np.ndarray = field(init=False)
+    ids: np.ndarray = field(init=False)
+    classes: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows, dtype=np.float64).reshape(-1, 9)
+        ints = rows[:, _INT_COLUMNS]
+        if not ((ints == np.trunc(ints)) & (ints >= -_INT64_BOUND)
+                & (ints < _INT64_BOUND)).all():
+            raise ValueError("frame, id and class must be int64 values")
+        setattr_ = object.__setattr__
+        setattr_(self, "rows", rows)
+        setattr_(self, "frames", rows[:, 0].astype(np.int64))
+        setattr_(self, "ids", rows[:, 1].astype(np.int64))
+        setattr_(self, "classes", rows[:, 7].astype(np.int64))
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    @property
+    def scores(self) -> np.ndarray:
+        return self.rows[:, 6]
 
 
 @dataclass
@@ -65,61 +106,94 @@ class IngestStats:
     dropped_low_score: int = 0
 
 
-def parse_mot_lines(path: str) -> tuple[list[MotLine], IngestStats]:
-    """Read a MOT CSV file leniently; fatal when >10% of rows are malformed."""
+def parse_mot_lines(path: str) -> tuple[MotTable, IngestStats]:
+    """Read a MOT CSV file leniently; fatal when >10% of rows are malformed.
+
+    One pass over the lines splits and converts each row with `float`, and
+    diagnoses short and non-numeric rows. The remaining rules run as masks
+    over the converted block, each row charged to the first rule it breaks:
+    a non-finite or non-int64 frame, id or class, a non-finite box field or
+    score, frame < 1 (all malformed), then a non-positive extent (skipped).
+    Every charged row is logged as `path:line`, in line order. Scores
+    outside [0, 1] are clamped and counted.
+    """
     stats = IngestStats()
-    out: list[MotLine] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.readlines()
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from e
-    fin = math.isfinite
+    values: list[float] = []  # 9 per accepted line
+    linenos: list[int] = []
+    # (line, message, extra args) of each row the line pass rejects
+    notes: list[tuple[int, str, tuple]] = []
     for lineno, line in enumerate(raw, start=1):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        stats.lines += 1
         parts = line.split(",")
-        if len(parts) < 8:
-            stats.malformed += 1
-            log.warning("%s:%d: expected >=8 columns, got %d", path, lineno, len(parts))
-            continue
+        if len(parts) != 9:
+            if len(parts) < 8:
+                notes.append((lineno, "%s:%d: expected >=8 columns, got %d",
+                              (len(parts),)))
+                continue
+            parts = parts[:9] if len(parts) > 9 else parts + [""]
+        if parts[8] == "":
+            parts[8] = "1.0"  # visibility defaults to 1
         try:
-            frame = int(float(parts[0]))
-            obj_id = int(float(parts[1]))
-            x, y, w, h = map(float, parts[2:6])
-            score = float(parts[6])
-            class_id = int(float(parts[7]))
-            vis = float(parts[8]) if len(parts) > 8 and parts[8] != "" else 1.0
-        except (ValueError, OverflowError):  # int(float("inf")) overflows
-            stats.malformed += 1
-            log.warning("%s:%d: non-numeric field", path, lineno)
+            values += map(float, parts)
+        except ValueError:
+            del values[9 * len(linenos):]  # the fields read before the bad one
+            notes.append((lineno, "%s:%d: non-numeric field", ()))
             continue
-        if not (fin(x) and fin(y) and fin(w) and fin(h) and fin(score)):
-            stats.malformed += 1
-            log.warning("%s:%d: non-finite box or score", path, lineno)
-            continue
-        if frame < 1:
-            stats.malformed += 1
-            log.warning("%s:%d: frame indices are 1-based", path, lineno)
-            continue
-        if w <= 0 or h <= 0:
-            stats.skipped_empty_box += 1
-            log.warning("%s:%d: skipping box with non-positive extent", path, lineno)
-            continue
-        if score < 0.0 or score > 1.0:
-            stats.clamped_scores += 1
-            score = min(1.0, max(0.0, score))
-        out.append(MotLine(frame, obj_id, BoundingBox(x, y, w, h), score, class_id, vis))
+        linenos.append(lineno)
+    stats.lines = len(linenos) + len(notes)
+    stats.malformed = len(notes)
+
+    rows = np.array(values, dtype=np.float64).reshape(-1, 9)
+    # int(float(v)) truncates, and its zero has no sign
+    ints = np.trunc(rows[:, _INT_COLUMNS]) + 0.0
+    rules = (
+        # int(float(v)) cannot convert these at all
+        (~np.isfinite(ints).all(axis=1), "%s:%d: non-numeric field", True),
+        (~((ints >= -_INT64_BOUND) & (ints < _INT64_BOUND)).all(axis=1),
+         "%s:%d: frame, id or class outside the int64 range", True),
+        (~np.isfinite(rows[:, 2:7]).all(axis=1),
+         "%s:%d: non-finite box or score", True),
+        (ints[:, 0] < 1, "%s:%d: frame indices are 1-based", True),
+        ((rows[:, 4] <= 0) | (rows[:, 5] <= 0),
+         "%s:%d: skipping box with non-positive extent", False),
+    )
+    keep = np.ones(rows.shape[0], dtype=bool)
+    lines_of = np.array(linenos, dtype=np.int64)
+    for broken, message, malformed in rules:
+        hit = broken & keep
+        keep &= ~hit
+        hit_lines = lines_of[hit].tolist()
+        notes.extend((ln, message, ()) for ln in hit_lines)
+        if malformed:
+            stats.malformed += len(hit_lines)
+        else:
+            stats.skipped_empty_box += len(hit_lines)
+    notes.sort(key=lambda note: note[0])
+    for lineno, message, args in notes:
+        log.warning(message, path, lineno, *args)
+
     if stats.lines and stats.malformed / stats.lines > MALFORMED_FATAL_RATIO:
         raise FormatError(
             f"{path}: {stats.malformed} of {stats.lines} rows malformed "
             f"(limit {MALFORMED_FATAL_RATIO:.0%})"
         )
+    rows = rows[keep]
+    rows[:, _INT_COLUMNS] = ints[keep]
+    scores = rows[:, 6]
+    low, high = scores < 0.0, scores > 1.0
+    stats.clamped_scores = int(low.sum() + high.sum())
+    scores[low] = 0.0
+    scores[high] = 1.0
     if stats.clamped_scores:
         log.warning("%s: clamped %d out-of-range scores", path, stats.clamped_scores)
-    return out, stats
+    return MotTable(rows), stats
 
 
 def parse_detections(
@@ -128,48 +202,92 @@ def parse_detections(
     embedding_dim: Optional[int] = None,
     min_score: float = 0.0,
 ) -> list[FrameDetections]:
-    """Detections grouped by frame in ascending order.
+    """Detections grouped by frame in ascending order, one FrameDetections
+    of array slices per frame that holds a row.
 
-    When an embedding sidecar is given, vectors are attached by
-    (frame, ordinal) before the min_score filter runs, so sidecar ordinals
-    and file rows stay aligned. A detection without an embedding is fatal.
+    Rows take their ordinals from a stable sort by frame, so each frame keeps
+    its file order. When an embedding sidecar is given, vectors are attached
+    by (frame, ordinal) before the min_score filter runs, so sidecar
+    ordinals and file rows stay aligned. A detection without an embedding is
+    fatal.
     """
-    lines, stats = parse_mot_lines(path)
+    table, stats = parse_mot_lines(path)
     emb = None
     if embeddings_path is not None:
         emb = parse_embeddings(embeddings_path, embedding_dim)
 
-    by_frame: dict[int, list[MotLine]] = {}
-    for ln in lines:
-        by_frame.setdefault(ln.frame, []).append(ln)
+    order = np.argsort(table.frames, kind="stable")
+    frames = table.frames[order]
+    first = np.ones(frames.shape[0], dtype=bool)
+    first[1:] = frames[1:] != frames[:-1]
+    starts = np.flatnonzero(first)
+    ordinals = np.arange(frames.shape[0]) - starts[np.cumsum(first) - 1]
+    emb_rows = None
+    if emb is not None:
+        emb_rows = _embedding_rows(embeddings_path, emb.keys, frames, ordinals)
 
-    frames: list[FrameDetections] = []
-    for frame in sorted(by_frame):
-        dets = []
-        for ordinal, ln in enumerate(by_frame[frame]):
-            vec = None
-            if emb is not None:
-                vec = emb.get((frame, ordinal))
-                if vec is None:
-                    raise FormatError(
-                        f"{embeddings_path}: no embedding for frame {frame} "
-                        f"ordinal {ordinal}"
-                    )
-            if ln.score < min_score:
-                stats.dropped_low_score += 1
-                continue
-            dets.append(Detection(ln.bbox, ln.score, ln.class_id, vec))
-        frames.append(FrameDetections(frame, tuple(dets)))
+    dropped = table.scores[order] < min_score
+    stats.dropped_low_score = int(dropped.sum())
+    kept = ~dropped
+    rows = table.rows[order[kept]]  # the one gather of the detections
+    vectors = None if emb is None else emb.vectors[emb_rows[kept]]
+    del emb
+    keys = frames[starts]
+    lo = np.searchsorted(frames[kept], keys)
+    hi = np.append(lo[1:], rows.shape[0])
+    boxes, scores, classes = rows[:, 2:6], rows[:, 6], rows[:, 7].astype(np.int64)
+    out = [
+        FrameDetections(frame, boxes[a:b], scores[a:b], classes[a:b],
+                        None if vectors is None else vectors[a:b])
+        for frame, a, b in zip(keys.tolist(), lo.tolist(), hi.tolist())
+    ]
     if stats.dropped_low_score:
         log.info("%s: dropped %d detections below score %g",
                  path, stats.dropped_low_score, min_score)
-    return frames
+    return out
 
 
-def parse_embeddings(
-    path: str, expected_dim: Optional[int] = None
-) -> dict[tuple[int, int], np.ndarray]:
-    """Load an embedding sidecar (binary or CSV), unit-normalizing vectors."""
+def _embedding_rows(
+    path: str, keys: np.ndarray, frames: np.ndarray, ordinals: np.ndarray
+) -> np.ndarray:
+    """Sidecar row of each (frame, ordinal) pair, found by searchsorted over
+    the sidecar keys packed as frame << 32 | ordinal. Keys outside the u32
+    range of the binary format never match. A missing pair is fatal; the
+    error names the first one in (frame, ordinal) order."""
+    shift = np.uint64(32)
+    fits = ((keys >= 0) & (keys < 2 ** 32)).all(axis=1)
+    packed = (keys[fits, 0].astype(np.uint64) << shift) | keys[fits, 1].astype(np.uint64)
+    by_key = np.argsort(packed, kind="stable")
+    packed, row_of = packed[by_key], np.flatnonzero(fits)[by_key]
+    want_fits = frames < 2 ** 32
+    want = (np.where(want_fits, frames, 0).astype(np.uint64) << shift) \
+        | ordinals.astype(np.uint64)
+    pos = np.searchsorted(packed, want)
+    found = want_fits & (pos < packed.shape[0])
+    found[found] = packed[pos[found]] == want[found]
+    if not found.all():
+        i = int(np.argmin(found))
+        raise FormatError(
+            f"{path}: no embedding for frame {int(frames[i])} "
+            f"ordinal {int(ordinals[i])}"
+        )
+    return row_of[pos]
+
+
+class Embeddings(NamedTuple):
+    """A loaded sidecar, in file order: (count, 2) int64 (frame, ordinal)
+    keys and a (count, D) float64 block of unit rows."""
+
+    keys: np.ndarray
+    vectors: np.ndarray
+
+
+def parse_embeddings(path: str, expected_dim: Optional[int] = None) -> Embeddings:
+    """Load an embedding sidecar (binary or CSV), unit-normalizing vectors.
+
+    Duplicate keys and zero-length or non-finite vectors are fatal; the
+    error names the first bad record in file order.
+    """
     try:
         with open(path, "rb") as fh:
             head = fh.read(4)
@@ -180,7 +298,7 @@ def parse_embeddings(
     return loader(path, expected_dim)
 
 
-def _parse_embeddings_binary(path: str, expected_dim: Optional[int]):
+def _parse_embeddings_binary(path: str, expected_dim: Optional[int]) -> Embeddings:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16:
@@ -193,30 +311,31 @@ def _parse_embeddings_binary(path: str, expected_dim: Optional[int]):
     if expected_dim is not None and dim != expected_dim:
         raise FormatError(f"{path}: embedding dim {dim}, expected {expected_dim}")
     rec = np.dtype([("frame", "<u4"), ("ordinal", "<u4"), ("vec", "<f4", (dim,))])
-    payload = blob[16:]
+    payload = memoryview(blob)[16:]
     if len(payload) != count * rec.itemsize:
         raise FormatError(
             f"{path}: expected {count} records ({count * rec.itemsize} bytes), "
             f"found {len(payload)} bytes"
         )
     records = np.frombuffer(payload, dtype=rec)
-    out: dict[tuple[int, int], np.ndarray] = {}
-    try:
-        for key, vec in zip(zip(records["frame"].tolist(),
-                                records["ordinal"].tolist()), records["vec"]):
-            if key in out:
-                raise FormatError(f"{path}: duplicate embedding for {key}")
-            out[key] = normalize(np.asarray(vec, dtype=np.float64))
-    except ZeroNormError as e:
-        raise FormatError(
-            f"{path}: embedding for frame {key[0]} ordinal {key[1]}: {e}"
-        ) from e
-    return out
+    keys = np.column_stack([records["frame"], records["ordinal"]]).astype(np.int64)
+    vectors = records["vec"].astype(np.float64)
+    del records, payload, blob
+    return _checked_embeddings(
+        path, keys, vectors,
+        lambda i: f"{path}: embedding for frame {keys[i, 0]} ordinal {keys[i, 1]}",
+    )
 
 
-def _parse_embeddings_csv(path: str, expected_dim: Optional[int]):
-    out: dict[tuple[int, int], np.ndarray] = {}
+def _parse_embeddings_csv(path: str, expected_dim: Optional[int]) -> Embeddings:
+    """One pass over the lines; the first structurally broken line ends it,
+    and its error is raised unless an earlier record is a duplicate or has a
+    bad norm."""
+    keys: list[tuple[int, int]] = []
+    values: list[list[float]] = []
+    linenos: list[int] = []
     dim: Optional[int] = expected_dim
+    broken: Optional[FormatError] = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -224,27 +343,64 @@ def _parse_embeddings_csv(path: str, expected_dim: Optional[int]):
                 continue
             parts = line.split(",")
             if len(parts) < 3:
-                raise FormatError(f"{path}:{lineno}: embedding row too short")
+                broken = FormatError(f"{path}:{lineno}: embedding row too short")
+                break
             if dim is None:
                 dim = len(parts) - 2
             if len(parts) - 2 != dim:
-                raise FormatError(
+                broken = FormatError(
                     f"{path}:{lineno}: embedding dim {len(parts) - 2}, expected {dim}"
                 )
+                break
             try:
-                frame = int(parts[0])
-                ordinal = int(parts[1])
-                vec = np.array([float(v) for v in parts[2:]], dtype=np.float64)
+                key = (int(parts[0]), int(parts[1]))
+                vec = [float(v) for v in parts[2:]]
             except ValueError as e:
-                raise FormatError(f"{path}:{lineno}: non-numeric field") from e
-            key = (frame, ordinal)
-            if key in out:
-                raise FormatError(f"{path}: duplicate embedding for {key}")
-            try:
-                out[key] = normalize(vec)
-            except ZeroNormError as e:
-                raise FormatError(f"{path}:{lineno}: {e}") from e
-    return out
+                broken = FormatError(f"{path}:{lineno}: non-numeric field")
+                broken.__cause__ = e
+                break
+            if not all(-_INT64_BOUND <= k < _INT64_BOUND for k in key):
+                broken = FormatError(
+                    f"{path}:{lineno}: frame or ordinal outside the int64 range")
+                break
+            keys.append(key)
+            values.append(vec)
+            linenos.append(lineno)
+    emb = _checked_embeddings(
+        path,
+        np.array(keys, dtype=np.int64).reshape(-1, 2),
+        np.array(values, dtype=np.float64).reshape(len(values), dim or 0),
+        lambda i: f"{path}:{linenos[i]}",
+    )
+    if broken is not None:
+        raise broken
+    return emb
+
+
+def _checked_embeddings(
+    path: str, keys: np.ndarray, vectors: np.ndarray, where: Callable[[int], str]
+) -> Embeddings:
+    """Normalize the rows in place; raise for the first duplicate key or
+    bad vector in file order, whichever comes first (a record that is both
+    counts as a duplicate). `where(i)` names record i in errors."""
+    dup = _first_duplicate(keys)
+    try:
+        normalize_rows(vectors)
+    except ZeroNormError as e:
+        if dup is None or e.row < dup:
+            raise FormatError(f"{where(e.row)}: {e}") from e
+    if dup is not None:
+        key = tuple(keys[dup].tolist())
+        raise FormatError(f"{path}: duplicate embedding for {key}")
+    return Embeddings(keys, vectors)
+
+
+def _first_duplicate(keys: np.ndarray) -> Optional[int]:
+    """Index of the first record whose key an earlier record already has."""
+    order = np.lexsort((keys[:, 1], keys[:, 0]))  # stable: ties keep file order
+    ranked = keys[order]
+    again = (ranked[1:] == ranked[:-1]).all(axis=1)
+    return int(order[1:][again].min()) if again.any() else None
 
 
 def write_embeddings(

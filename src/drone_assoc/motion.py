@@ -2,10 +2,12 @@
 camera-motion compensation via 2x3 affine warps, and a triangle-based
 rotation descriptor over neighboring object centers.
 
-Each operation has one batched implementation: multi_predict (warp, then
-predict), multi_update, frame_descriptors and rotation_cost_matrix. The
-single-item functions (kalman_predict, kalman_update, warp_motion_state,
-predict_state, rotation_descriptor, rotation_cost) are one-row calls of it.
+Each operation has one batched implementation: multi_init, multi_predict
+(warp, then predict), multi_update, frame_descriptors and
+rotation_cost_matrix. Boxes enter them as (N, 4) xywh arrays. The
+single-item functions (kalman_init, kalman_predict, kalman_update,
+warp_motion_state, predict_state, rotation_descriptor, rotation_cost) are
+one-row calls of it.
 
 Camera motion without a sidecar comes from estimate_affine, a RANSAC search
 that fits and scores all of its minimal 3-point models in one batch. Its
@@ -119,10 +121,6 @@ def _measurements(xywh: np.ndarray) -> np.ndarray:
     return np.column_stack([xywh[:, 0] + w / 2.0, xywh[:, 1] + h / 2.0, w / h, h])
 
 
-def _measurement(box: BoundingBox) -> np.ndarray:
-    return _measurements(box.as_array()[None])[0]
-
-
 def states_to_xywh(means: np.ndarray) -> np.ndarray:
     """(N, 4) xywh boxes of (N, 8) filter means, clamped to positive extent."""
     h = np.maximum(means[:, 3], _MIN_EXTENT)
@@ -142,29 +140,34 @@ def states_to_boxes(means: np.ndarray) -> list[BoundingBox]:
 
 
 def kalman_init(box: BoundingBox) -> MotionState:
-    """Start a filter at a measured box with zero velocity.
+    """Start a filter at a measured box with zero velocity; the one-row
+    call of multi_init."""
+    means, covs = multi_init(box.as_array()[None])
+    return MotionState(means[0], covs[0])
+
+
+# initial standard deviations per unit of box height; the aspect-ratio
+# components are constants and get overwritten
+_INIT_WEIGHTS = np.array([2 * STD_WEIGHT_POSITION] * 4 + [10 * STD_WEIGHT_VELOCITY] * 4)
+
+
+def multi_init(xywh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Filters started at (N, 4) xywh boxes with zero velocity: means (N, 8)
+    and diagonal covariances (N, 8, 8).
 
     The initial uncertainty scales with box height: doubled position weight
     on the observed components, 10x velocity weight on the unobserved ones.
     """
-    z = _measurement(box)
-    mean = np.zeros(8, dtype=np.float64)
-    mean[:4] = z
-    h = z[3]
-    std = np.array(
-        [
-            2 * STD_WEIGHT_POSITION * h,
-            2 * STD_WEIGHT_POSITION * h,
-            1e-2,
-            2 * STD_WEIGHT_POSITION * h,
-            10 * STD_WEIGHT_VELOCITY * h,
-            10 * STD_WEIGHT_VELOCITY * h,
-            1e-5,
-            10 * STD_WEIGHT_VELOCITY * h,
-        ],
-        dtype=np.float64,
-    )
-    return MotionState(mean, np.diag(std * std))
+    z = _measurements(np.asarray(xywh, dtype=np.float64).reshape(-1, 4))
+    means = np.zeros((z.shape[0], 8), dtype=np.float64)
+    means[:, :4] = z
+    std = np.multiply.outer(z[:, 3], _INIT_WEIGHTS)
+    std[:, 2] = 1e-2
+    std[:, 6] = 1e-5
+    covs = np.zeros((z.shape[0], 8, 8), dtype=np.float64)
+    idx = np.arange(8)
+    covs[:, idx, idx] = std * std
+    return means, covs
 
 
 def kalman_predict(s: MotionState) -> MotionState:
@@ -174,21 +177,21 @@ def kalman_predict(s: MotionState) -> MotionState:
 
 def kalman_update(s: MotionState, box: BoundingBox) -> MotionState:
     """Fold a measured box into the state (standard Kalman correction)."""
-    means, covs = multi_update(s.mean[None], s.covariance[None], [box])
+    means, covs = multi_update(s.mean[None], s.covariance[None], boxes_array([box]))
     return MotionState(means[0], covs[0])
 
 
 def multi_update(
-    means: np.ndarray, covs: np.ndarray, boxes: Sequence[BoundingBox]
+    means: np.ndarray, covs: np.ndarray, xywh: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kalman correction of stacked (N, 8) means and (N, 8, 8) covs by one
-    measured box per state, in the same order; kalman_update is its one-row
-    call."""
+    measured (N, 4) xywh box per state, in the same order; kalman_update is
+    its one-row call."""
     means = np.array(means, dtype=np.float64)
     covs = np.array(covs, dtype=np.float64)
     if means.shape[0] == 0:
         return means, covs
-    z = _measurements(boxes_array(boxes))
+    z = _measurements(np.asarray(xywh, dtype=np.float64).reshape(-1, 4))
     std = np.multiply.outer(means[:, 3], _R_WEIGHTS)
     std[:, 2] = 1e-1
     pht = covs[:, :, :4]

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .association import Tracker, TrackRecord
-from .core import FrameDetections
+from .core import FrameDetections, box_centers
 from .metrics import EvalReport, evaluate, report_csv, report_table
 from .mot_io import (
     RunConfig,
@@ -48,11 +48,8 @@ class OnlineAffineEstimator:
         self._prev: Optional[np.ndarray] = None
 
     def step(self, frame_detections: FrameDetections) -> Optional[AffineTransform]:
-        centers = np.array(
-            [d.bbox.center() for d in frame_detections.detections
-             if d.score >= self.theta_high],
-            dtype=np.float64,
-        ).reshape(-1, 2)
+        fd = frame_detections
+        centers = box_centers(fd.boxes[fd.scores >= self.theta_high])
         prev, self._prev = self._prev, centers
         if prev is None or prev.shape[0] < 3 or centers.shape[0] < 3:
             return None
@@ -92,7 +89,9 @@ def run_tracking(cfg: RunConfig) -> RunSummary:
     records: list[TrackRecord] = []
     start = time.perf_counter()
     for t in range(1, last + 1):
-        fd = by_frame.get(t, FrameDetections(t, ()))
+        fd = by_frame.get(t)
+        if fd is None:
+            fd = FrameDetections(t, ())
         if affines is not None:
             m = affines.get(t)
         elif estimator is not None:

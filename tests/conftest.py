@@ -1,13 +1,29 @@
 """Shared helpers for the test suite, and the reference implementations
 that the batched code is checked against."""
 
+import logging
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
 
 from drone_assoc.appearance import BankEntry, KeyFeatureBank
-from drone_assoc.core import BoundingBox, Detection, Track, TrackState
+from drone_assoc.core import (
+    BoundingBox,
+    FrameDetections,
+    Track,
+    TrackState,
+    ZeroNormError,
+    boxes_array,
+)
+from drone_assoc.mot_io import (
+    MALFORMED_FATAL_RATIO,
+    FormatError,
+    IngestStats,
+    MotLine,
+    MotTable,
+)
 from drone_assoc.motion import (
     AffineEstimationError,
     AffineTransform,
@@ -48,8 +64,125 @@ def make_track(
     )
 
 
-def det(x, y, w=10.0, h=10.0, score=0.9, class_id=1, embedding=None) -> Detection:
-    return Detection(BoundingBox(x, y, w, h), score, class_id, embedding)
+class Det(NamedTuple):
+    """One detection as a test writes it; frame_detections stacks a frame's."""
+
+    bbox: BoundingBox
+    score: float
+    class_id: int
+    embedding: Optional[np.ndarray] = None
+
+
+def det(x, y, w=10.0, h=10.0, score=0.9, class_id=1, embedding=None) -> Det:
+    return Det(BoundingBox(x, y, w, h), score, class_id, embedding)
+
+
+def frame_detections(frame: int, dets) -> FrameDetections:
+    """The array FrameDetections of a list of Det; embeddings are stacked
+    when every detection has one and left out when none has."""
+    dets = list(dets)
+    embeddings = [d.embedding for d in dets]
+    if any(e is None for e in embeddings) and any(e is not None for e in embeddings):
+        raise ValueError("a frame's detections carry embeddings all or none")
+    return FrameDetections(
+        frame,
+        boxes_array(d.bbox for d in dets),
+        [d.score for d in dets],
+        [d.class_id for d in dets],
+        np.array(embeddings, dtype=np.float64) if dets and embeddings[0] is not None
+        else None,
+    )
+
+
+def mot_table(lines) -> MotTable:
+    """The MotTable of a list of MotLine records, in the same order."""
+    return MotTable(np.array(
+        [(ln.frame, ln.obj_id, ln.bbox.x, ln.bbox.y, ln.bbox.w, ln.bbox.h,
+          ln.score, ln.class_id, ln.visibility) for ln in lines],
+        dtype=np.float64,
+    ).reshape(-1, 9))
+
+
+def embedding_dict(emb) -> dict:
+    """{(frame, ordinal): unit vector} of a parse_embeddings result."""
+    return {tuple(k): v for k, v in zip(emb.keys.tolist(), emb.vectors)}
+
+
+def reference_normalize(values) -> np.ndarray:
+    """A vector scaled to unit L2 norm, one `dot` and one `sqrt`; each row
+    of normalize_rows must equal it bit for bit."""
+    v = np.asarray(values, dtype=np.float64)
+    n = math.sqrt(float(v.dot(v)))
+    if n < 1e-12 or not math.isfinite(n):
+        raise ZeroNormError("zero-length" if n < 1e-12 else "non-finite")
+    return v / n
+
+
+def reference_parse_mot_lines(path: str):
+    """The per-row MOT reader that parse_mot_lines replaces with masks:
+    returns (MotLine list, IngestStats) and logs its warnings to the same
+    logger, or raises the same FormatError. One rule is newer than the
+    per-row reader: a frame, id or class past the int64 range is malformed
+    rather than kept as a Python int."""
+    stats = IngestStats()
+    out = []
+    warn = logging.getLogger("drone_assoc.io").warning
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.readlines()
+    except OSError as e:
+        raise FormatError(f"cannot read {path}: {e}") from e
+    fin = math.isfinite
+    for lineno, line in enumerate(raw, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        stats.lines += 1
+        parts = line.split(",")
+        if len(parts) < 8:
+            stats.malformed += 1
+            warn("%s:%d: expected >=8 columns, got %d", path, lineno, len(parts))
+            continue
+        try:
+            frame = int(float(parts[0]))
+            obj_id = int(float(parts[1]))
+            x, y, w, h = map(float, parts[2:6])
+            score = float(parts[6])
+            class_id = int(float(parts[7]))
+            vis = float(parts[8]) if len(parts) > 8 and parts[8] != "" else 1.0
+        except (ValueError, OverflowError):  # int(float("inf")) overflows
+            stats.malformed += 1
+            warn("%s:%d: non-numeric field", path, lineno)
+            continue
+        if not all(-2 ** 63 <= v < 2 ** 63 for v in (frame, obj_id, class_id)):
+            stats.malformed += 1
+            warn("%s:%d: frame, id or class outside the int64 range", path, lineno)
+            continue
+        if not (fin(x) and fin(y) and fin(w) and fin(h) and fin(score)):
+            stats.malformed += 1
+            warn("%s:%d: non-finite box or score", path, lineno)
+            continue
+        if frame < 1:
+            stats.malformed += 1
+            warn("%s:%d: frame indices are 1-based", path, lineno)
+            continue
+        if w <= 0 or h <= 0:
+            stats.skipped_empty_box += 1
+            warn("%s:%d: skipping box with non-positive extent", path, lineno)
+            continue
+        if score < 0.0 or score > 1.0:
+            stats.clamped_scores += 1
+            score = min(1.0, max(0.0, score))
+        out.append(MotLine(frame, obj_id, BoundingBox(x, y, w, h), score, class_id, vis))
+    if stats.lines and stats.malformed / stats.lines > MALFORMED_FATAL_RATIO:
+        raise FormatError(
+            f"{path}: {stats.malformed} of {stats.lines} rows malformed "
+            f"(limit {MALFORMED_FATAL_RATIO:.0%})"
+        )
+    if stats.clamped_scores:
+        warn("%s: clamped %d out-of-range scores", path, stats.clamped_scores)
+    return out, stats
 
 
 def reference_estimate_affine(

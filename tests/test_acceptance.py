@@ -12,7 +12,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import box_measurement, textbook_init, textbook_predict, textbook_update
+from conftest import (
+    box_measurement,
+    mot_table,
+    textbook_init,
+    textbook_predict,
+    textbook_update,
+)
 from drone_assoc.appearance import adaptive_alpha
 from drone_assoc.association import linear_assignment
 from drone_assoc.cli import main
@@ -207,7 +213,7 @@ def test_criterion_05_metric_self_consistency(standard_paths):
     ]
     # 20 gt boxes, 2 switches at frame 6, only 10 of 20 ids agree:
     # mota = 1 - 2/20 = 0.9, idf1 = 2*10 / (2*10 + 10 + 10) = 0.5
-    report = evaluate(truth, swapped)
+    report = evaluate(mot_table(truth), mot_table(swapped))
     assert report.id_switches == 2
     assert report.mota == pytest.approx(0.9, abs=1e-12)
     assert report.idf1 == pytest.approx(0.5, abs=1e-12)

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import det, make_track
+from conftest import det, frame_detections, make_track
 from drone_assoc.association import (
     AssignmentResult,
     FrameOrderError,
@@ -16,13 +16,7 @@ from drone_assoc.association import (
     lifecycle_step,
     linear_assignment,
 )
-from drone_assoc.core import (
-    BoundingBox,
-    Detection,
-    FrameDetections,
-    TrackState,
-    TrackerConfig,
-)
+from drone_assoc.core import BoundingBox, TrackState, TrackerConfig
 from drone_assoc.motion import AffineTransform
 
 
@@ -54,7 +48,7 @@ def brute_force_assignment(cost: np.ndarray) -> tuple[int, float]:
 
 
 def feed(tracker, frame, detections, m=None):
-    return tracker.associate_frame(FrameDetections(frame, tuple(detections)), m)
+    return tracker.associate_frame(frame_detections(frame, detections), m)
 
 
 class TestLinearAssignment:
@@ -123,13 +117,19 @@ def stage_one_cost(*args) -> np.ndarray:
     return fused_cost_matrix(*args)[0]
 
 
+def columns(*dets):
+    """The box, class and embedding blocks of a frame of detections."""
+    fd = frame_detections(1, dets)
+    return fd.boxes, fd.classes, fd.embeddings
+
+
 class TestBuildCostMatrix:
     def make_inputs(self, emb_track, emb_det, desc_track, desc_det):
         track = make_track(bbox=BoundingBox(0.0, 0.0, 10.0, 10.0),
                            local_feature=emb_track, rotation=desc_track)
-        d = Detection(BoundingBox(0.0, 0.0, 10.0, 5.0), 0.9, 1, emb_det)
+        d = det(0.0, 0.0, 10.0, 5.0, embedding=emb_det)
         predicted = np.array([[0.0, 0.0, 10.0, 10.0]])
-        return [track], predicted, [d], [desc_det]
+        return [track], predicted, *columns(d), [desc_det]
 
     def test_fused_terms_add_up(self):
         e = np.array([1.0, 0.0, 0.0, 0.0])
@@ -172,7 +172,7 @@ class TestBuildCostMatrix:
         track = make_track(bbox=BoundingBox(0.0, 0.0, 10.0, 10.0))
         d = det(500.0, 500.0)
         cost = stage_one_cost(
-            [track], np.array([[0.0, 0.0, 10.0, 10.0]]), [d], [None],
+            [track], np.array([[0.0, 0.0, 10.0, 10.0]]), *columns(d), [None],
             TrackerConfig(),
         )
         assert np.isinf(cost[0, 0])
@@ -181,7 +181,7 @@ class TestBuildCostMatrix:
         track = make_track(bbox=BoundingBox(0.0, 0.0, 10.0, 10.0), class_id=1)
         d = det(0.0, 0.0, class_id=2)
         cost = stage_one_cost(
-            [track], np.array([[0.0, 0.0, 10.0, 10.0]]), [d], [None],
+            [track], np.array([[0.0, 0.0, 10.0, 10.0]]), *columns(d), [None],
             TrackerConfig(),
         )
         assert np.isinf(cost[0, 0])
@@ -189,31 +189,32 @@ class TestBuildCostMatrix:
     def test_detection_without_embedding_skips_appearance(self, rng):
         track = make_track(bbox=BoundingBox(0.0, 0.0, 10.0, 10.0),
                            local_feature=np.array([1.0, 0.0]))
-        with_emb = Detection(BoundingBox(0.0, 0.0, 10.0, 5.0), 0.9, 1,
-                             np.array([0.0, 1.0]))
-        without = Detection(BoundingBox(0.0, 0.0, 10.0, 5.0), 0.9, 1, None)
-        cost = stage_one_cost(
-            [track], np.array([[0.0, 0.0, 10.0, 10.0]]),
-            [with_emb, without], [None, None], TrackerConfig(),
-        )
+        # a frame's detections carry embeddings all or none
+        with_emb = det(0.0, 0.0, 10.0, 5.0, embedding=np.array([0.0, 1.0]))
+        without = det(0.0, 0.0, 10.0, 5.0)
+        predicted = np.array([[0.0, 0.0, 10.0, 10.0]])
+        cost = stage_one_cost([track], predicted, *columns(with_emb, with_emb),
+                              [None, None], TrackerConfig())
         assert cost[0, 0] == pytest.approx(0.5 + 0.5 * 1.0, abs=1e-12)
+        cost = stage_one_cost([track], predicted, *columns(without, without),
+                              [None, None], TrackerConfig())
         assert cost[0, 1] == pytest.approx(0.5, abs=1e-12)
 
     def test_empty_inputs(self):
         cfg = TrackerConfig()
-        assert stage_one_cost([], np.zeros((0, 4)), [det(0, 0)], [None],
-                                 cfg).shape == (0, 1)
+        assert stage_one_cost([], np.zeros((0, 4)), *columns(det(0, 0)), [None],
+                              cfg).shape == (0, 1)
         t = make_track()
-        assert stage_one_cost([t], np.zeros((1, 4)), [], [], cfg).shape == (1, 0)
+        assert stage_one_cost([t], np.zeros((1, 4)), *columns(), [], cfg).shape == (1, 0)
 
     def test_stage_two_ignores_features(self):
         track = make_track(bbox=BoundingBox(0.0, 0.0, 10.0, 10.0),
                            local_feature=np.array([1.0, 0.0]),
                            rotation=np.array([1.0, 0.0, 0.0]))
-        d = Detection(BoundingBox(0.0, 0.0, 10.0, 5.0), 0.3, 1,
-                      np.array([0.0, 1.0]))
+        d = det(0.0, 0.0, 10.0, 5.0, score=0.3, embedding=np.array([0.0, 1.0]))
+        boxes, classes, _ = columns(d)
         cost, _ = iou_cost_matrix([track], np.array([[0.0, 0.0, 10.0, 10.0]]),
-                                  [d], TrackerConfig())
+                                  boxes, classes, TrackerConfig())
         assert cost[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 

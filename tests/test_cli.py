@@ -1,5 +1,7 @@
 """Command-line interface: argument handling, exit codes, output text."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,25 @@ class TestLogging:
         code = main(["eval", "--gt", paths.gt, "--results", paths.gt])
         assert code == 0
         assert "DRONE_ASSOC_LOG" not in capsys.readouterr().err
+
+
+class TestLoggingState:
+    """main sets the package logger up from DRONE_ASSOC_LOG and puts its
+    handlers and level back on return, on success and on a usage error."""
+
+    def test_main_restores_logger_handlers_and_level(self, tmp_path, monkeypatch):
+        pkg = logging.getLogger("drone_assoc")
+        handlers, level = pkg.handlers[:], pkg.level
+        monkeypatch.setenv("DRONE_ASSOC_LOG", "error")
+        cfg_path = str(tmp_path / "scenario.txt")
+        save_scenario_config(ScenarioConfig(
+            seed=2, n_objects=3, n_frames=6, world_extent=200.0,
+            object_speed_range=(0.5, 1.0), embedding_dim=4,
+        ), cfg_path)
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+        assert pkg.level == level and pkg.level != logging.ERROR
+        assert pkg.handlers == handlers
+        with pytest.raises(SystemExit):
+            main(["simulate", "--config", cfg_path])
+        assert pkg.level == level
+        assert pkg.handlers == handlers

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from drone_assoc.core import (
     BoundingBox,
     ConfigError,
-    Detection,
     FrameDetections,
     TrackerConfig,
     ZeroNormError,
+    box_centers,
     boxes_array,
     iou,
     iou_matrix,
@@ -94,6 +94,13 @@ class TestBoundingBox:
         for row, b in zip(out, bs):
             assert np.array_equal(row, b.as_array())
 
+    @given(st.lists(boxes, max_size=6))
+    @settings(max_examples=50)
+    def test_box_centers_equal_center_of_each_box(self, bs):
+        out = box_centers(boxes_array(bs))
+        assert out.shape == (len(bs), 2)
+        assert [tuple(row) for row in out.tolist()] == [b.center() for b in bs]
+
 
 class TestIou:
     def test_half_offset_squares(self):
@@ -145,13 +152,13 @@ class TestIou:
 
 class TestDetectionAndFrame:
     def test_score_bounds(self):
-        b = BoundingBox(0, 0, 1, 1)
-        Detection(b, 0.0, 1)
-        Detection(b, 1.0, 1)
+        b = [(0.0, 0.0, 1.0, 1.0)]
+        FrameDetections(1, b, [0.0], [1])
+        FrameDetections(1, b, [1.0], [1])
         with pytest.raises(ValueError):
-            Detection(b, 1.5, 1)
+            FrameDetections(1, b, [1.5], [1])
         with pytest.raises(ValueError):
-            Detection(b, -0.1, 1)
+            FrameDetections(1, b, [-0.1], [1])
 
     def test_frames_are_one_based(self):
         FrameDetections(1, ())
@@ -193,3 +200,8 @@ class TestTrackerConfig:
     def test_invalid_values_raise(self, kwargs):
         with pytest.raises(ConfigError):
             TrackerConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["w_a", "w_r", "radius_R", "novelty_threshold"])
+    def test_nan_values_raise(self, name):
+        with pytest.raises(ConfigError):
+            TrackerConfig(**{name: float("nan")})

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import embedding_dict, mot_table
 from drone_assoc.core import BoundingBox
 from drone_assoc.mot_io import (
     FormatError,
@@ -37,7 +38,8 @@ class TestMotFiles:
         write_mot_file(path, lines, comment="round trip check")
         parsed, stats = parse_mot_lines(path)
         assert stats.lines == 2 and stats.malformed == 0
-        assert parsed == sorted(lines, key=lambda ln: (ln.frame, ln.obj_id))
+        want = mot_table(sorted(lines, key=lambda ln: (ln.frame, ln.obj_id)))
+        assert np.array_equal(parsed.rows, want.rows)
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "det.txt"
@@ -84,14 +86,14 @@ class TestMotFiles:
         path = tmp_path / "det.txt"
         path.write_text("1,1,0,0,10,10,1.7,1,1.0\n1,2,0,0,10,10,-0.2,1,1.0\n")
         parsed, stats = parse_mot_lines(str(path))
-        assert [ln.score for ln in parsed] == [1.0, 0.0]
+        assert parsed.scores.tolist() == [1.0, 0.0]
         assert stats.clamped_scores == 2
 
     def test_missing_visibility_defaults_to_one(self, tmp_path):
         path = tmp_path / "det.txt"
         path.write_text("1,1,0,0,10,10,0.9,1\n")
         parsed, _ = parse_mot_lines(str(path))
-        assert parsed[0].visibility == 1.0
+        assert parsed.rows[0, 8] == 1.0
 
     def test_unreadable_file_raises(self, tmp_path):
         with pytest.raises(FormatError):
@@ -130,7 +132,7 @@ class TestNonFiniteRows:
         assert stats.lines == 21 and stats.malformed == 1
         assert f"{path}:11:" in caplog.text
         frames = parse_detections(path)
-        assert sum(len(fd.detections) for fd in frames) == 20
+        assert sum(len(fd) for fd in frames) == 20
 
     @pytest.mark.parametrize("bad", NON_FINITE_ROWS)
     def test_more_than_a_tenth_bad_is_fatal(self, tmp_path, bad):
@@ -151,7 +153,7 @@ class TestParseDetections:
         )
         frames = parse_detections(str(path))
         assert [fd.frame for fd in frames] == [1, 2]
-        assert len(frames[0].detections) == 2
+        assert len(frames[0]) == 2
 
     def test_embeddings_attach_by_frame_and_ordinal(self, tmp_path):
         det_path = tmp_path / "det.txt"
@@ -164,9 +166,8 @@ class TestParseDetections:
         v1 = np.array([0.0, 1.0], dtype=np.float64)
         write_embeddings(emb_path, [(1, 0, v0), (1, 1, v1)], 2)
         frames = parse_detections(str(det_path), emb_path, 2)
-        dets = frames[0].detections
-        assert np.allclose(dets[0].embedding, v0)
-        assert np.allclose(dets[1].embedding, v1)
+        assert np.allclose(frames[0].embeddings[0], v0)
+        assert np.allclose(frames[0].embeddings[1], v1)
 
     def test_min_score_drop_preserves_ordinals(self, tmp_path):
         """A filtered row still consumes its ordinal in the sidecar."""
@@ -180,9 +181,8 @@ class TestParseDetections:
         v1 = np.array([0.0, 1.0], dtype=np.float64)
         write_embeddings(emb_path, [(1, 0, v0), (1, 1, v1)], 2)
         frames = parse_detections(str(det_path), emb_path, 2, min_score=0.1)
-        dets = frames[0].detections
-        assert len(dets) == 1
-        assert np.allclose(dets[0].embedding, v1)
+        assert len(frames[0]) == 1
+        assert np.allclose(frames[0].embeddings[0], v1)
 
     def test_missing_embedding_is_fatal(self, tmp_path):
         det_path = tmp_path / "det.txt"
@@ -199,7 +199,7 @@ class TestEmbeddingSidecar:
         records = [(f, o, rng.normal(size=8) * 3.0)
                    for f in (1, 2) for o in (0, 1)]
         write_embeddings(path, records, 8)
-        out = parse_embeddings(path, 8)
+        out = embedding_dict(parse_embeddings(path, 8))
         assert set(out) == {(1, 0), (1, 1), (2, 0), (2, 1)}
         for frame, ordinal, vec in records:
             got = out[(frame, ordinal)]
@@ -254,7 +254,7 @@ class TestEmbeddingSidecar:
     def test_csv_fallback(self, tmp_path):
         path = tmp_path / "emb.csv"
         path.write_text("# frame,ordinal,v0,v1\n1,0,3.0,4.0\n1,1,1.0,0.0\n")
-        out = parse_embeddings(str(path))
+        out = embedding_dict(parse_embeddings(str(path)))
         assert np.allclose(out[(1, 0)], [0.6, 0.8])
         assert np.allclose(out[(1, 1)], [1.0, 0.0])
 
@@ -370,6 +370,14 @@ class TestRunConfig:
     def test_bad_number_rejected(self):
         with pytest.raises(FormatError):
             run_config_from_dict({"w_a": "heavy"})
+
+    @pytest.mark.parametrize("name", ["w_a", "w_r", "radius_R", "novelty_threshold"])
+    def test_nan_value_fails_tracker_config(self, name):
+        from drone_assoc.core import ConfigError
+
+        cfg = run_config_from_dict({name: "nan"})
+        with pytest.raises(ConfigError):
+            cfg.tracker_config()
 
     def test_key_value_file_errors(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import mot_table
 from drone_assoc.core import BoundingBox
 from drone_assoc.metrics import (
     EvaluationError,
@@ -28,7 +29,7 @@ def straight_run(obj_id, x0, frames, step=2.0):
 class TestClearMot:
     def test_perfect_self_evaluation(self):
         gt = straight_run(1, 0.0, 10) + straight_run(2, 100.0, 10)
-        out = clear_mot(gt, list(gt))
+        out = clear_mot(mot_table(gt), mot_table(gt))
         assert out["mota"] == 1.0
         assert out["motp"] == 1.0
         assert out["fp"] == 0 and out["fn"] == 0 and out["id_switches"] == 0
@@ -37,14 +38,14 @@ class TestClearMot:
     def test_one_missed_frame_counts_one_fn(self):
         gt = straight_run(1, 0.0, 10)
         results = [ln for ln in gt if ln.frame != 5]
-        out = clear_mot(gt, results)
+        out = clear_mot(mot_table(gt), mot_table(results))
         assert out["fn"] == 1 and out["fp"] == 0 and out["id_switches"] == 0
         assert out["mota"] == pytest.approx(1.0 - 1.0 / 10.0)
 
     def test_spurious_result_counts_one_fp(self):
         gt = straight_run(1, 0.0, 10)
         results = list(gt) + [row(4, 9, 500.0)]
-        out = clear_mot(gt, results)
+        out = clear_mot(mot_table(gt), mot_table(results))
         assert out["fp"] == 1 and out["fn"] == 0
         assert out["mota"] == pytest.approx(0.9)
 
@@ -55,7 +56,7 @@ class TestClearMot:
             if ln.frame >= 6:  # the two result ids trade places mid-run
                 ln = MotLine(ln.frame, 3 - ln.obj_id, ln.bbox, ln.score, ln.class_id)
             results.append(ln)
-        out = clear_mot(gt, results)
+        out = clear_mot(mot_table(gt), mot_table(results))
         assert out["id_switches"] == 2
         assert out["fp"] == 0 and out["fn"] == 0
         assert out["mota"] == pytest.approx(1.0 - 2.0 / 20.0)
@@ -70,7 +71,7 @@ class TestClearMot:
             row(2, 7, 3.0),              # still above threshold: kept
             row(2, 8, 0.0),              # perfect overlap, but arrives second
         ]
-        out = clear_mot(gt, results)
+        out = clear_mot(mot_table(gt), mot_table(results))
         assert out["id_switches"] == 0
         assert out["fp"] == 1  # the perfect newcomer ends up unmatched
         assert out["fn"] == 0
@@ -78,7 +79,7 @@ class TestClearMot:
     def test_fresh_assignment_after_carryover_breaks(self):
         gt = [row(1, 1, 0.0), row(2, 1, 0.0)]
         results = [row(1, 7, 3.0), row(2, 7, 300.0), row(2, 8, 0.0)]
-        out = clear_mot(gt, results)
+        out = clear_mot(mot_table(gt), mot_table(results))
         # id 7 walked away, id 8 takes over: one switch, one floating fp
         assert out["id_switches"] == 1
         assert out["fp"] == 1
@@ -90,7 +91,7 @@ class TestClearMot:
         results = [ln for ln in gt if not (ln.obj_id == 1 and ln.frame > 9)]
         results = [ln for ln in results if not (ln.obj_id == 2 and ln.frame > 2)]
         results = [ln for ln in results if not (ln.obj_id == 3 and ln.frame > 5)]
-        out = clear_mot(gt, results)
+        out = clear_mot(mot_table(gt), mot_table(results))
         cov = out["coverage"]
         assert cov[1] == pytest.approx(0.9) and cov[2] == pytest.approx(0.2)
         assert cov[3] == pytest.approx(0.5)
@@ -99,16 +100,16 @@ class TestClearMot:
 
     def test_empty_ground_truth_raises(self):
         with pytest.raises(EvaluationError):
-            clear_mot([], [row(1, 1, 0.0)])
+            clear_mot(mot_table([]), mot_table([row(1, 1, 0.0)]))
 
     def test_empty_results_lose_everything(self):
         gt = straight_run(1, 0.0, 10)
-        out = clear_mot(gt, [])
+        out = clear_mot(mot_table(gt), mot_table([]))
         assert out["fn"] == 10 and out["mota"] == 0.0 and out["ml"] == 1
 
     def test_below_threshold_overlap_never_matches(self):
         gt = [row(1, 1, 0.0)]
-        out = clear_mot(gt, [row(1, 9, 8.0)], iou_threshold=0.5)
+        out = clear_mot(mot_table(gt), mot_table([row(1, 9, 8.0)]), iou_threshold=0.5)
         # IoU 2/18 = 0.111: both sides go unmatched
         assert out["fp"] == 1 and out["fn"] == 1
 
@@ -118,8 +119,8 @@ class TestIdMeasures:
         from drone_assoc.metrics import _by_frame
         from drone_assoc.core import iou_matrix
 
-        gt_frames = _by_frame(gt)
-        res_frames = _by_frame(results)
+        gt_frames = _by_frame(mot_table(gt))
+        res_frames = _by_frame(mot_table(results))
         overlap = {}
         for frame, (g_ids, g_boxes) in gt_frames.items():
             if frame not in res_frames:
@@ -151,7 +152,7 @@ class TestIdMeasures:
 
     def test_perfect_identity(self):
         gt = straight_run(1, 0.0, 10)
-        assert id_measures(gt, list(gt)) == (10, 0, 0)
+        assert id_measures(mot_table(gt), mot_table(gt)) == (10, 0, 0)
 
     def test_swap_halves_identity_overlap(self):
         gt = straight_run(1, 0.0, 10) + straight_run(2, 100.0, 10)
@@ -159,7 +160,7 @@ class TestIdMeasures:
         for ln in gt:
             rid = ln.obj_id if ln.frame <= 5 else 3 - ln.obj_id
             results.append(MotLine(ln.frame, rid, ln.bbox, ln.score, ln.class_id))
-        idtp, idfp, idfn = id_measures(gt, results)
+        idtp, idfp, idfn = id_measures(mot_table(gt), mot_table(results))
         assert (idtp, idfp, idfn) == (10, 10, 10)
 
     def test_matches_exhaustive_mapping(self, rng):
@@ -177,18 +178,18 @@ class TestIdMeasures:
                         near = int(rng.integers(1, n_gt + 1))
                         jitter = float(rng.uniform(0, 6))
                         results.append(row(f, 100 + r, 50.0 * near + jitter))
-            got = id_measures(gt, results)
+            got = id_measures(mot_table(gt), mot_table(results))
             assert got == self.brute_force(gt, results)
 
     def test_threshold_gates_overlap(self):
         gt = [row(1, 1, 0.0)]
         results = [row(1, 5, 3.0)]  # IoU 7/13 = 0.538
-        assert id_measures(gt, results, iou_threshold=0.5)[0] == 1
-        assert id_measures(gt, results, iou_threshold=0.6)[0] == 0
+        assert id_measures(mot_table(gt), mot_table(results), iou_threshold=0.5)[0] == 1
+        assert id_measures(mot_table(gt), mot_table(results), iou_threshold=0.6)[0] == 0
 
     def test_empty_results(self):
         gt = straight_run(1, 0.0, 4)
-        assert id_measures(gt, []) == (0, 0, 4)
+        assert id_measures(mot_table(gt), mot_table([])) == (0, 0, 4)
 
 
 class TestEvaluate:
@@ -198,7 +199,7 @@ class TestEvaluate:
         for ln in gt:
             rid = ln.obj_id if ln.frame <= 5 else 3 - ln.obj_id
             results.append(MotLine(ln.frame, rid, ln.bbox, ln.score, ln.class_id))
-        rep = evaluate(gt, results)
+        rep = evaluate(mot_table(gt), mot_table(results))
         assert rep.mota == pytest.approx(0.9)
         assert rep.motp == pytest.approx(1.0)
         assert rep.idf1 == pytest.approx(0.5)
@@ -209,19 +210,19 @@ class TestEvaluate:
     def test_missing_tail_report(self):
         gt = straight_run(1, 0.0, 10)
         results = [ln for ln in gt if ln.frame != 10]
-        rep = evaluate(gt, results)
+        rep = evaluate(mot_table(gt), mot_table(results))
         assert rep.fn == 1
         assert rep.idf1 == pytest.approx(2 * 9 / (2 * 9 + 0 + 1))
 
     def test_empty_gt_raises(self):
         with pytest.raises(EvaluationError):
-            evaluate([], [])
+            evaluate(mot_table([]), mot_table([]))
 
 
 class TestReports:
     def sample_rows(self):
         gt = straight_run(1, 0.0, 10)
-        return [("self", evaluate(gt, list(gt)))]
+        return [("self", evaluate(mot_table(gt), mot_table(gt)))]
 
     def test_table_formats_percents(self):
         text = report_table(self.sample_rows())

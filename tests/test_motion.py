@@ -11,11 +11,12 @@ from conftest import (
     box_measurement,
     reference_estimate_affine,
     reference_rotation_descriptor,
+    textbook_init,
     textbook_predict,
     textbook_update,
     textbook_warp,
 )
-from drone_assoc.core import BoundingBox
+from drone_assoc.core import BoundingBox, boxes_array
 from drone_assoc.motion import (
     AffineEstimationError,
     AffineTransform,
@@ -28,6 +29,7 @@ from drone_assoc.motion import (
     kalman_init,
     kalman_predict,
     kalman_update,
+    multi_init,
     multi_predict,
     multi_update,
     predict_state,
@@ -148,17 +150,31 @@ class TestBatchedKalman:
                  for _ in states]
         means, covs = multi_update(
             np.stack([s.mean for s in states]),
-            np.stack([s.covariance for s in states]), boxes)
+            np.stack([s.covariance for s in states]), boxes_array(boxes))
         for k, (s, b) in enumerate(zip(states, boxes)):
             mean, cov = textbook_update(s.mean, s.covariance, box_measurement(b))
             assert np.allclose(means[k], mean, rtol=0, atol=1e-9)
             assert np.allclose(covs[k], cov, rtol=0, atol=1e-9)
 
+    def test_multi_init_matches_singles(self, rng):
+        boxes = [BoundingBox(*rng.uniform(0, 200, 2), *rng.uniform(5, 50, 2))
+                 for _ in range(7)]
+        means, covs = multi_init(boxes_array(boxes))
+        for k, b in enumerate(boxes):
+            mean, cov = textbook_init(box_measurement(b))
+            assert np.allclose(means[k], mean, rtol=0, atol=1e-9)
+            assert np.allclose(covs[k], cov, rtol=0, atol=1e-9)
+            s = kalman_init(b)
+            assert np.array_equal(s.mean, means[k])
+            assert np.array_equal(s.covariance, covs[k])
+
     def test_empty_batches(self):
         means, covs = multi_predict(np.zeros((0, 8)), np.zeros((0, 8, 8)), None)
         assert means.shape == (0, 8)
-        means, covs = multi_update(np.zeros((0, 8)), np.zeros((0, 8, 8)), [])
+        means, covs = multi_update(np.zeros((0, 8)), np.zeros((0, 8, 8)), np.zeros((0, 4)))
         assert covs.shape == (0, 8, 8)
+        means, covs = multi_init(np.zeros((0, 4)))
+        assert means.shape == (0, 8) and covs.shape == (0, 8, 8)
 
 
 class TestAffineTransform:

@@ -5,8 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import det, reference_estimate_affine
-from drone_assoc.core import FrameDetections
+from conftest import det, frame_detections, reference_estimate_affine
 from drone_assoc.motion import AffineEstimationError
 from drone_assoc.mot_io import RunConfig, parse_mot_lines
 from drone_assoc.pipeline import (
@@ -20,8 +19,7 @@ from drone_assoc.simulator import ScenarioConfig, generate_scenario
 
 
 def frame_of(frame, centers, score=0.9):
-    dets = tuple(det(x - 5.0, y - 5.0, score=score) for x, y in centers)
-    return FrameDetections(frame, dets)
+    return frame_detections(frame, [det(x - 5.0, y - 5.0, score=score) for x, y in centers])
 
 
 class TestOnlineAffineEstimator:
@@ -64,8 +62,9 @@ def reference_affine_steps(frames, theta_high, seed):
     prev = None
     out = []
     for fd in frames:
-        centers = np.array([d.bbox.center() for d in fd.detections
-                            if d.score >= theta_high], dtype=np.float64).reshape(-1, 2)
+        centers = np.array([(x + w / 2.0, y + h / 2.0)
+                            for (x, y, w, h), s in zip(fd.boxes.tolist(), fd.scores.tolist())
+                            if s >= theta_high], dtype=np.float64).reshape(-1, 2)
         before, prev = prev, centers
         if before is None or before.shape[0] < 3 or centers.shape[0] < 3:
             out.append(None)
@@ -100,9 +99,9 @@ def jittered_sequence(n_frames, seed):
             pts = pts + g.normal(0.0, 1.2, pts.shape)
         keep = g.random(len(pts)) > 0.1
         scores = np.where(g.random(len(pts)) < 0.15, 0.3, 0.9)
-        frames.append(FrameDetections(t, tuple(
+        frames.append(frame_detections(t, [
             det(x - 5.0, y - 5.0, score=float(s))
-            for (x, y), s, k in zip(pts, scores, keep) if k)))
+            for (x, y), s, k in zip(pts, scores, keep) if k]))
     return frames
 
 
@@ -150,7 +149,7 @@ class TestRunTracking:
         lines, stats = parse_mot_lines(out)
         assert stats.malformed == 0
         assert len(lines) == summary.records
-        keys = [(ln.frame, ln.obj_id) for ln in lines]
+        keys = list(zip(lines.frames.tolist(), lines.ids.tolist()))
         assert keys == sorted(keys)
 
     def test_runs_without_affine_sidecar(self, tmp_path):
@@ -174,7 +173,7 @@ class TestRunTracking:
         ))
         assert summary.frames == 4  # frames 2 and 3 ran with no detections
         lines, _ = parse_mot_lines(out)
-        frames = {ln.frame for ln in lines}
+        frames = set(lines.frames.tolist())
         assert frames == {1, 4}  # the track survives the gap and re-emits
 
 

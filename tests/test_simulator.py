@@ -210,9 +210,9 @@ class TestDeterminism:
 
     def test_sidecar_loads_back(self, tmp_path):
         paths = generate_scenario(quiet_config(), str(tmp_path))
-        emb = parse_embeddings(paths.embeddings, 8)
-        assert len(emb) == 4 * 12
-        for v in emb.values():
+        keys, vectors = parse_embeddings(paths.embeddings, 8)
+        assert len(keys) == 4 * 12
+        for v in vectors:
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-6)
 
 
