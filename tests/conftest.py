@@ -221,6 +221,15 @@ def reference_estimate_affine(
     return refit
 
 
+def grid_error(m: np.ndarray, truth: np.ndarray, extent: float = 600.0) -> float:
+    """Mean displacement (px) between two 2x3 affines over an 11 x 11 grid
+    spanning [0, extent]^2, as the benchmark scores camera motion."""
+    axis = np.linspace(0.0, extent, 11)
+    grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+    diff = grid @ (m[:, :2] - truth[:, :2]).T + (m[:, 2] - truth[:, 2])
+    return float(np.mean(np.linalg.norm(diff, axis=1)))
+
+
 _F8 = np.eye(8)
 _F8[:4, 4:] = np.eye(4)
 _H48 = np.eye(4, 8)
