@@ -87,13 +87,14 @@ def clear_mot(gt: MotTable, results: MotTable, iou_threshold: float = 0.5) -> di
 
         matched_g: dict[int, int] = {}
         used_r: set[int] = set()
-        # carry over yesterday's pairs that still overlap enough
+        # carry over yesterday's pairs that still overlap enough; a result id
+        # given twice in a frame resolves to its first row
+        first_row: dict[int, int] = {}
+        for ri, r in enumerate(r_ids):
+            first_row.setdefault(r, ri)
         for gi, g in enumerate(g_ids):
-            r = prev.get(g)
-            if r is None or r not in r_ids:
-                continue
-            ri = r_ids.index(r)
-            if ri in used_r:
+            ri = first_row.get(prev.get(g))
+            if ri is None or ri in used_r:
                 continue
             if ious[gi, ri] >= iou_threshold:
                 matched_g[gi] = ri

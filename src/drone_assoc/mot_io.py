@@ -422,7 +422,7 @@ def write_embeddings(
 def parse_affines(path: str) -> dict[int, AffineTransform]:
     """Per-frame camera transforms. An absent file means all-identity;
     frames missing from the file are identity at lookup; a numerically
-    singular row is fatal."""
+    singular row, a frame below 1 and a repeated frame are fatal."""
     if not os.path.exists(path):
         log.warning("%s: affine sidecar not found, assuming identity", path)
         return {}
@@ -440,6 +440,10 @@ def parse_affines(path: str) -> dict[int, AffineTransform]:
                 a, b, tx, c, d, ty = (float(v) for v in parts[1:7])
             except ValueError as e:
                 raise FormatError(f"{path}:{lineno}: non-numeric field") from e
+            if frame < 1:
+                raise FormatError(f"{path}:{lineno}: frame {frame} is below 1")
+            if frame in out:
+                raise FormatError(f"{path}:{lineno}: frame {frame} appears twice")
             try:
                 out[frame] = AffineTransform(np.array([[a, b, tx], [c, d, ty]]))
             except ValueError as e:

@@ -10,9 +10,8 @@ warp_motion_state, predict_state, rotation_descriptor, rotation_cost) are
 one-row calls of it.
 
 Camera motion without a sidecar comes from estimate_affine, a RANSAC search
-that fits and scores all of its minimal 3-point models in one batch. Its
-random draws stay those of a one-model-at-a-time loop, call for call, so a
-caller's generator leaves every call in the same state either way.
+that draws all of its minimal 3-point models in one generator call and fits
+and scores them in one batch.
 
 The filter state is [cx, cy, a, h, vcx, vcy, va, vh] where a = w / h.
 Noise scales with box height: weight 1/20 on position terms, 1/160 on
@@ -39,12 +38,6 @@ _MIN_EXTENT = 1e-3
 # components are constants and get overwritten
 _Q_WEIGHTS = np.array([STD_WEIGHT_POSITION] * 4 + [STD_WEIGHT_VELOCITY] * 4)
 _R_WEIGHTS = _Q_WEIGHTS[:4]
-
-# estimate_affine: how many eps per unit of condition number a minimal
-# fit's coefficients may move between solvers, and the condition number past
-# which a triple is fitted the loop's way without further checks
-_ROUNDING_SLACK = 100.0 * np.finfo(np.float64).eps
-_MAX_CONDITION = 1e8
 
 _F = np.eye(8, dtype=np.float64)
 _F[:4, 4:] = np.eye(4)
@@ -272,23 +265,14 @@ def estimate_affine(
 ) -> AffineTransform:
     """Robust least-squares affine from matched point pairs.
 
-    Draws `max_iterations` minimal 3-point models, keeps the first one with
-    the largest consensus set under `inlier_threshold` (px), and refits on
-    that set. Every model is fitted and scored in one batch, but the picks
-    come from the same per-model `rng.choice` calls, in the same order, as a
-    one-at-a-time loop would make. That loop stops at the first model that
-    takes every pair as an inlier; when that happens, the generator is
-    rewound and only the picks up to that model are drawn again, so `rng`
-    leaves in the state the loop would have left it. Each minimal model is
-    solved directly rather than by least squares, which rounds differently;
-    the few models whose skip decision or inlier set that rounding could
-    change (a residual within its error bound of `inlier_threshold`, a
-    near-collinear triple, a determinant near the cut) are fitted and
-    scored again one at a time as the loop did, so the result is the
-    loop's bit for bit.
+    Draws `max_iterations` minimal 3-point models in one call on `rng`, fits
+    and scores them in one batch, keeps the first one with the largest
+    consensus set under `inlier_threshold` (px), and refits on that set by
+    least squares.
 
-    Raises AffineEstimationError with fewer than 3 pairs or when every
-    candidate support is collinear; callers treat that as identity.
+    Raises AffineEstimationError with fewer than 3 pairs, with no models to
+    draw, or when every candidate support is collinear; callers treat that
+    as identity.
     """
     prev = np.asarray(prev_points, dtype=np.float64).reshape(-1, 2)
     cur = np.asarray(cur_points, dtype=np.float64).reshape(-1, 2)
@@ -297,37 +281,17 @@ def estimate_affine(
     n = prev.shape[0]
     if n < 3:
         raise AffineEstimationError("need at least 3 point pairs")
+    if max_iterations < 1:
+        raise AffineEstimationError("no minimal models to draw")
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    start = rng.bit_generator.state
     picks = _draw_picks(rng, n, max_iterations)
     homog = np.column_stack([prev, np.ones(n)])  # rows [x y 1]
-    coef, valid, err = _fit_minimal_models(homog[picks], cur[picks])
+    coef, valid = _fit_minimal_models(homog[picks], cur[picks])
     resid = np.linalg.norm(homog @ coef - cur, axis=2)  # (K, N), one matmul
     inliers = (resid <= inlier_threshold) & valid[:, None]
-    # under the loop's fit a residual moves by at most
-    # sqrt(2) * err * (|x| + |y| + 1) <= slack; closer calls are redone its way
-    slack = 3.0 * err * (np.abs(prev).max() + 1.0)
-    unsure = ~np.isfinite(slack)
-    unsure |= (np.abs(resid - inlier_threshold) <= slack[:, None]).any(axis=1)
-    for k in np.flatnonzero(unsure).tolist():
-        model = _fit_affine_lstsq(prev[picks[k]], cur[picks[k]])
-        valid[k] = model is not None
-        inliers[k] = False
-        if model is not None:
-            resid_k = np.linalg.norm(model.apply_points(prev) - cur, axis=1)
-            inliers[k] = resid_k <= inlier_threshold
-    if not valid.any():
-        raise AffineEstimationError("no 3-pair support found for an affine fit")
     # a skipped pick counts 0 inliers; only a count of 3 or more is kept
-    counts = inliers.sum(axis=1)
-    best = int(np.argmax(counts))
-    if counts[best] == n and best < len(picks) - 1:
-        # a sequential search would have stopped here: rewind and redraw
-        rng.bit_generator.state = start
-        _draw_picks(rng, n, best + 1)
-    best_inliers = inliers[best]
-
+    best_inliers = inliers[np.argmax(inliers.sum(axis=1))]
     if best_inliers.sum() < 3:
         raise AffineEstimationError("no 3-pair support found for an affine fit")
     refit = _fit_affine_lstsq(prev[best_inliers], cur[best_inliers])
@@ -337,16 +301,16 @@ def estimate_affine(
 
 
 def _draw_picks(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """(count, 3) index triples, one `rng.choice` call per row."""
-    picks = [rng.choice(n, size=3, replace=False) for _ in range(count)]
-    return np.array(picks, dtype=np.intp).reshape(-1, 3)
+    """(count, 3) index triples from one (count, n) draw of uniform keys:
+    each row holds the positions of its 3 smallest keys, so its indices are
+    distinct and every 3-subset is equally likely."""
+    return np.argpartition(rng.random((count, n)), 2, axis=1)[:, :3]
 
 
 def _fit_minimal_models(
     basis: np.ndarray, targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact affines through K triples of pairs, which of them count, and
-    how far _fit_affine_lstsq's fit of each may differ by rounding.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact affines through K triples of pairs, and which of them count.
 
     `basis` (K, 3, 3) holds rows [x y 1] of the previous points, `targets`
     (K, 3, 2) the current points; coef (K, 3, 2) solves basis @ coef =
@@ -355,28 +319,13 @@ def _fit_minimal_models(
     singular values of the 3x3 basis, each twice, so it is rank-deficient
     when the smallest of those is <= the largest * 6 * eps; and the model
     must be finite with |det| > 1e-9.
-
-    err (K,) bounds the difference of any coefficient from the loop's
-    least-squares one: both solvers are backward stable, so each is within
-    condition number * a small multiple of eps of the exact solution
-    (_ROUNDING_SLACK keeps a wide margin on that multiple). err is inf where
-    either skip decision could go the other way: a condition number past
-    _MAX_CONDITION (the rank cut sits near 1 / (6 * eps)), or |det| within
-    its own error of 1e-9. It is nan or inf where the fit is not finite.
     """
     sv = np.linalg.svd(basis, compute_uv=False)
     valid = sv[:, -1] > sv[:, 0] * (6 * np.finfo(np.float64).eps)
     coef = np.linalg.solve(np.where(valid[:, None, None], basis, np.eye(3)), targets)
     det = coef[:, 0, 0] * coef[:, 1, 1] - coef[:, 1, 0] * coef[:, 0, 1]
     valid &= np.isfinite(coef).all(axis=(1, 2)) & (np.abs(det) > 1e-9)
-    scale = np.abs(coef).max(axis=(1, 2))
-    with np.errstate(divide="ignore"):  # the largest is >= sqrt(3), never 0
-        cond = sv[:, 0] / sv[:, -1]
-    err = _ROUNDING_SLACK * cond * scale
-    near_cut = ~(cond <= _MAX_CONDITION)
-    near_cut |= np.abs(np.abs(det) - 1e-9) <= 4.0 * err * (scale + err)
-    err[near_cut] = np.inf
-    return coef, valid, err
+    return coef, valid
 
 
 def _fit_affine_lstsq(prev: np.ndarray, cur: np.ndarray) -> Optional[AffineTransform]:

@@ -305,6 +305,20 @@ class TestAffineSidecar:
         with pytest.raises(FormatError):
             parse_affines(str(path))
 
+    @pytest.mark.parametrize("frame", ["0", "-3"])
+    def test_frame_below_one_rejected(self, tmp_path, frame):
+        path = tmp_path / "affines.csv"
+        path.write_text(f"# cam\n2,1.0,0.0,4.0,0.0,1.0,1.0\n{frame},1.0,0.0,4.0,0.0,1.0,1.0\n")
+        with pytest.raises(FormatError, match=f"affines.csv:3: frame {frame} is below 1"):
+            parse_affines(str(path))
+
+    def test_repeated_frame_rejected(self, tmp_path):
+        path = tmp_path / "affines.csv"
+        path.write_text("2,1.0,0.0,4.0,0.0,1.0,1.0\n3,1.0,0.0,1.0,0.0,1.0,1.0\n"
+                        "2,1.0,0.0,5.0,0.0,1.0,1.0\n")
+        with pytest.raises(FormatError, match="affines.csv:3: frame 2 appears twice"):
+            parse_affines(str(path))
+
 
 class TestWriteResults:
     def test_sorted_with_trailing_sentinels(self, tmp_path):

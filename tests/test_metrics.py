@@ -85,6 +85,21 @@ class TestClearMot:
         assert out["fp"] == 1
         assert out["fn"] == 0
 
+    def test_repeated_result_id_carries_over_its_first_row(self):
+        """A result id given twice in a frame resolves to its first row, as
+        a list lookup would: that row misses, so the carry-over breaks."""
+        gt = [row(1, 1, 0.0), row(2, 1, 0.0)]
+        results = [
+            row(1, 7, 0.0),
+            row(2, 7, 100.0),            # first row of id 7: no overlap
+            row(2, 7, 3.0),              # second row would carry over
+            row(2, 8, 0.0),
+        ]
+        out = clear_mot(mot_table(gt), mot_table(results))
+        assert out["id_switches"] == 1
+        assert out["fp"] == 2
+        assert out["fn"] == 0
+
     def test_mostly_tracked_and_lost_thresholds(self):
         gt = straight_run(1, 0.0, 10) + straight_run(2, 100.0, 10) \
             + straight_run(3, 200.0, 10)

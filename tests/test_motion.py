@@ -23,6 +23,7 @@ from drone_assoc.motion import (
     AffineTransform,
     DegenerateTransformError,
     MotionState,
+    _draw_picks,
     _fit_affine_lstsq,
     _fit_minimal_models,
     estimate_affine,
@@ -404,7 +405,7 @@ class TestEstimateAffineLockstep:
             basis.append(np.column_stack([prev, np.ones(3)]))
             targets.append(cur)
             want.append(_fit_affine_lstsq(prev, cur) is not None)
-        _, valid, _ = _fit_minimal_models(np.array(basis), np.array(targets))
+        _, valid = _fit_minimal_models(np.array(basis), np.array(targets))
         assert 50 < sum(want) < len(want) - 50
         assert valid.tolist() == want
 
@@ -438,6 +439,29 @@ class TestEstimateAffineLockstep:
         prev = np.random.default_rng(11).uniform(0, 600, (15, 2))
         with pytest.raises(AffineEstimationError):
             estimate_affine(prev, self.moved(prev), max_iterations=0)
+
+    @pytest.mark.parametrize("iterations", [1, 7, 100])
+    def test_draw_advances_generator_once(self, iterations):
+        """A call consumes one (max_iterations, n) block of uniform keys."""
+        prev = np.random.default_rng(11).uniform(0, 600, (15, 2))
+        gen, twin = np.random.default_rng(5), np.random.default_rng(5)
+        estimate_affine(prev, self.moved(prev), rng=gen, max_iterations=iterations)
+        twin.random((iterations, 15))
+        assert gen.bit_generator.state == twin.bit_generator.state
+
+    def test_draw_gives_distinct_uniform_triples(self):
+        n, count = 8, 40_000
+        picks = _draw_picks(np.random.default_rng(3), n, count)
+        assert picks.shape == (count, 3)
+        assert ((picks >= 0) & (picks < n)).all()
+        ordered = np.sort(picks, axis=1)
+        assert (np.diff(ordered, axis=1) > 0).all()
+        # each index is in 3/8 of the rows: about 15 000, sd about 97
+        freq = np.bincount(picks.ravel(), minlength=n)
+        assert np.abs(freq - 3 * count / n).max() < 600
+        # and each of the 56 triples in about 1/56 of them
+        triples = np.unique(ordered, axis=0, return_counts=True)[1]
+        assert len(triples) == 56 and np.abs(triples - count / 56).max() < 150
 
     def test_tight_threshold_recovers_low_noise_affine(self):
         g = np.random.default_rng(11)
