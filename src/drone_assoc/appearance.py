@@ -1,19 +1,39 @@
 """Appearance memory for tracks: a confidence-adaptive EMA over the local
 feature plus a small LRU bank of historically distinct "key" features.
 
+The tracker stores both as arrays, one row per track: a gallery block
+(N, 1 + K, D) whose slot 0 holds the local feature and slots 1..K the key
+bank, a presence mask for the local feature, the bank's fill count (N,) and
+its last-used frames (N, K). Bank slots stay in list order: an insert lands
+at the fill count, an eviction shifts the tail left. Each operation runs on
+many rows at once:
+
+- blend_rows folds matched detections into their local features;
+- insert_keys runs the novelty test of matched detections against their
+  banks and inserts or refreshes, in place;
+- gallery_cost_matrix scores every track's present gallery rows against a
+  frame's embeddings through one stacked product.
+
+The Track-based functions (update_local_feature, blend_feature,
+maybe_insert_key, appearance_cost, appearance_cost_matrix) are one-row calls
+or thin adapters of them.
+
 All features are unit-norm float64 vectors. Cosine similarity is therefore
-a plain dot product.
+a plain dot product. Two rounding rules keep the batched forms equal bit for
+bit to the one-vector arithmetic: the blend weight comes from math.exp once
+per row, and the novelty similarities are stacked (1, D) @ (D, 1) products,
+which run np.dot's kernel, not a (K, D) @ (D, 1) product, which does not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Track, normalize
+from .core import Track, normalize_rows
 
 
 def adaptive_alpha(s: float, theta: float, alpha_f: float) -> float:
@@ -26,21 +46,92 @@ def adaptive_alpha(s: float, theta: float, alpha_f: float) -> float:
     return min(1.0, alpha_f + (1.0 - alpha_f) * math.exp(theta - s))
 
 
+def adaptive_alphas(scores: Sequence[float], theta: float, alpha_f: float) -> np.ndarray:
+    """adaptive_alpha of each score, as an (R,) array. math.exp, not np.exp:
+    the two round differently on about 5% of arguments."""
+    return np.array([adaptive_alpha(s, theta, alpha_f) for s in scores],
+                    dtype=np.float64)
+
+
+def blend_rows(prev: np.ndarray, feats: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Row-wise alpha-weighted average of (R, D) unit features, renormalized:
+    row r is alphas[r] * prev[r] + (1 - alphas[r]) * feats[r], scaled to
+    unit norm."""
+    a = alphas[:, None]
+    return normalize_rows(a * prev + (1.0 - a) * feats)
+
+
 def blend_feature(prev: np.ndarray, f: np.ndarray, alpha: float) -> np.ndarray:
-    """alpha-weighted average of two unit features, renormalized."""
-    return normalize(alpha * prev + (1.0 - alpha) * f)
+    """alpha-weighted average of two unit features, renormalized; the
+    one-row call of blend_rows."""
+    prev = np.asarray(prev, dtype=np.float64)
+    out = blend_rows(prev.reshape(1, -1), np.asarray(f, dtype=np.float64).reshape(1, -1),
+                     np.array([alpha], dtype=np.float64))
+    return out.reshape(prev.shape)
 
 
 def update_local_feature(
     track: Track, f: np.ndarray, s: float, theta: float, alpha_f: float
 ) -> np.ndarray:
     """Fold a matched detection's feature into the track's local feature."""
-    alpha = adaptive_alpha(s, theta, alpha_f)
     if track.local_feature is None:
         track.local_feature = np.asarray(f, dtype=np.float64)
     else:
-        track.local_feature = blend_feature(track.local_feature, f, alpha)
+        track.local_feature = blend_feature(
+            track.local_feature, f, adaptive_alpha(s, theta, alpha_f)
+        )
     return track.local_feature
+
+
+def insert_keys(
+    bank: np.ndarray,
+    last_used: np.ndarray,
+    fill: np.ndarray,
+    rows: np.ndarray,
+    feats: np.ndarray,
+    frame: int,
+    novelty_threshold: float,
+) -> np.ndarray:
+    """Offer feats[r] to the key bank of row rows[r], in place; returns the
+    (R,) mask of rows that inserted (the others refreshed).
+
+    `bank` is (N, K, D) with `last_used` (N, K) and `fill` (N,); `rows` are
+    distinct. A feature is novel when its minimum cosine distance to the
+    filled slots exceeds the threshold, or when the bank is empty. A novel
+    feature goes in at the fill count; in a full bank the least-recently-used
+    slot (the first of equal ones) is evicted and the tail shifts left, so
+    the new feature lands last. Otherwise the first most similar slot is
+    marked used at `frame`.
+    """
+    k = bank.shape[1]
+    n_filled = fill[rows]
+    slots = np.arange(k)
+    # similarities over the slots any of these banks has filled
+    depth = int(n_filled.max(initial=0))
+    sims = np.full((rows.shape[0], k), -np.inf)
+    sims[:, :depth] = (bank[rows, :depth][:, :, None, :]
+                       @ feats[:, None, :, None])[:, :, 0, 0]
+    sims[slots[None, :] >= n_filled[:, None]] = -np.inf
+    closest = np.argmax(sims, axis=1)
+    best = sims[np.arange(rows.shape[0]), closest]
+    novel = (n_filled == 0) | (1.0 - best > novelty_threshold)
+
+    keep = ~novel
+    last_used[rows[keep], closest[keep]] = frame
+
+    full = novel & (n_filled >= k)
+    if full.any():
+        r = rows[full]
+        evict = np.argmin(last_used[r], axis=1)
+        src = np.minimum(slots[None, :] + (slots[None, :] >= evict[:, None]), k - 1)
+        bank[r] = bank[r[:, None], src]
+        last_used[r] = last_used[r[:, None], src]
+    r = rows[novel]
+    slot = np.minimum(fill[r], k - 1)
+    bank[r, slot] = feats[novel]
+    last_used[r, slot] = frame
+    fill[r] = slot + 1
+    return novel
 
 
 @dataclass
@@ -68,27 +159,49 @@ def maybe_insert_key(
     bank: KeyFeatureBank, f: np.ndarray, frame: int, novelty_threshold: float
 ) -> KeyFeatureBank:
     """Insert f as a key feature when it is novel enough, else touch the
-    closest entry.
-
-    Novelty is minimum cosine distance to the bank exceeding the threshold.
-    Insertion into a full bank evicts the least-recently-used entry (ties
-    broken toward the oldest slot). Mutates and returns the bank.
-    """
+    closest entry; the one-row call of insert_keys. Mutates and returns the
+    bank."""
     f = np.asarray(f, dtype=np.float64)
-    if not bank.entries:
-        bank.entries.append(BankEntry(f, frame))
-        return bank
-    sims = [float(np.dot(e.feature, f)) for e in bank.entries]
-    best = max(sims)
-    closest = sims.index(best)
-    if 1.0 - best > novelty_threshold:
-        if len(bank.entries) >= bank.capacity:
-            ages = [e.last_used for e in bank.entries]
-            bank.entries.pop(ages.index(min(ages)))
-        bank.entries.append(BankEntry(f, frame))
-    else:
-        bank.entries[closest].last_used = frame
+    n = len(bank.entries)
+    keys = np.zeros((1, bank.capacity, f.shape[0]), dtype=np.float64)
+    used = np.zeros((1, bank.capacity), dtype=np.int64)
+    if n:
+        keys[0, :n] = bank.features()
+        used[0, :n] = [e.last_used for e in bank.entries]
+    fill = np.array([n])
+    insert_keys(keys, used, fill, np.array([0]), f[None], frame, novelty_threshold)
+    bank.entries = [BankEntry(keys[0, i], int(used[0, i])) for i in range(fill[0])]
     return bank
+
+
+def gallery_cost_matrix(
+    gallery: np.ndarray, present: np.ndarray, feats: np.ndarray
+) -> np.ndarray:
+    """(N, M) appearance costs of N galleries against an (M, D) block of
+    features: 1 - the best cosine similarity over each gallery's present
+    slots, clamped to [0, 1].
+
+    `gallery` is (N, S, D) with the (N, S) mask `present`. The present rows,
+    gathered in (track, slot) order, go through one product, and the max
+    runs over slot depths: depth s folds in row s of every gallery holding
+    more than s rows. A gallery without a present row gets a neutral
+    all-zero row.
+    """
+    block = np.zeros((present.shape[0], feats.shape[0]), dtype=np.float64)
+    counts = present.sum(axis=1)
+    owners = np.flatnonzero(counts)
+    if owners.size == 0:
+        return block
+    sims = gallery[present] @ feats.T
+    counts = counts[owners]
+    starts = np.zeros(owners.size, dtype=np.intp)
+    np.cumsum(counts[:-1], out=starts[1:])
+    best = sims[starts]
+    for depth in range(1, int(counts.max())):
+        deeper = np.flatnonzero(counts > depth)
+        best[deeper] = np.maximum(best[deeper], sims[starts[deeper] + depth])
+    block[owners] = np.clip(1.0 - best, 0.0, 1.0)
+    return block
 
 
 def appearance_cost(track: Track, f: Optional[np.ndarray]) -> float:
@@ -101,28 +214,18 @@ def appearance_cost(track: Track, f: Optional[np.ndarray]) -> float:
 
 
 def appearance_cost_matrix(tracks: list[Track], feats: np.ndarray) -> np.ndarray:
-    """appearance_cost of many tracks against an (M, D) block of features,
-    through one stacked matmul over every track's gallery.
-
-    Rows follow the track order; tracks without any stored feature get a
-    neutral all-zero row.
-    """
-    block = np.zeros((len(tracks), feats.shape[0]), dtype=np.float64)
-    rows: list[np.ndarray] = []
-    owners: list[int] = []
-    starts: list[int] = []
-    for j, t in enumerate(tracks):
-        gallery = _gallery_rows(t)
-        if gallery:
-            owners.append(j)
-            starts.append(len(rows))
-            rows.extend(gallery)
-    if not rows:
-        return block
-    sims = np.array(rows, dtype=np.float64) @ feats.T
-    best = np.maximum.reduceat(sims, starts, axis=0)
-    block[owners] = np.clip(1.0 - best, 0.0, 1.0)
-    return block
+    """appearance_cost of many tracks against an (M, D) block of features:
+    gallery_cost_matrix over each track's local feature, then its key-bank
+    features. Rows follow the track order."""
+    galleries = [_gallery_rows(t) for t in tracks]
+    width = max(map(len, galleries), default=0)
+    gallery = np.zeros((len(tracks), width, feats.shape[1]), dtype=np.float64)
+    present = np.zeros((len(tracks), width), dtype=bool)
+    for j, rows in enumerate(galleries):
+        if rows:
+            gallery[j, :len(rows)] = rows
+            present[j, :len(rows)] = True
+    return gallery_cost_matrix(gallery, present, feats)
 
 
 def _gallery_rows(track: Track) -> list[np.ndarray]:

@@ -1,4 +1,4 @@
-"""Two-stage association engine.
+"""Two-stage association engine over a columnar track table.
 
 Stage 1 matches high-confidence detections against every live track
 (tentative, confirmed, and lost) under the fused cost
@@ -10,16 +10,25 @@ Stage 2 sweeps the remaining low-confidence detections against the
 still-unmatched tentative/confirmed tracks on IoU alone. Unmatched
 high-confidence detections found new tracks.
 
-A frame arrives as the arrays of a FrameDetections; the stages are masks
-over them, and the cost functions and the Kalman correction take the
-gathered (M, 4) box, class and embedding blocks directly.
+The live tracks are a TrackTable, one row per track in creation order:
+(N,) ids, classes, state codes, consecutive hits, lost ages, last frames and
+last scores; (N, 8) Kalman means and (N, 8, 8) covariances; the appearance
+gallery of appearance.py; and (N, 3) rotation descriptors, a zero row where
+a track has none. A frame arrives as the arrays of a FrameDetections, and
+each step is an array operation over rows: predict every row, score the
+galleries, correct the matched rows, blend and offer the stage-1 matches'
+features, advance the lifecycle by masks, drop removed rows with one boolean
+index and append the spawns at the end. Creation order keeps the cost-matrix
+row order, so assignment ties resolve as they did when tracks were objects.
+Indexing the table gives Track snapshots.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -40,6 +49,12 @@ log = logging.getLogger("drone_assoc.association")
 
 INFEASIBLE = np.inf
 _LARGE = 1e9
+
+# state codes of the table's `states` column
+TENTATIVE, CONFIRMED, LOST, REMOVED = range(4)
+_STATES = (TrackState.TENTATIVE, TrackState.CONFIRMED, TrackState.LOST,
+           TrackState.REMOVED)
+_CODES = {state: code for code, state in enumerate(_STATES)}
 
 
 class FrameOrderError(ValueError):
@@ -62,6 +77,24 @@ class TrackRecord:
     bbox: BoundingBox
     score: float
     class_id: int
+
+
+@dataclass(frozen=True)
+class FrameStats:
+    """What the tracker did with one frame. Gallery rows are the stored
+    features scored against the frame's embeddings (0 when no appearance
+    term ran); bank inserts and refreshes count the key-bank offers of
+    matched and spawned tracks."""
+
+    frame: int
+    stage1_matches: int
+    stage2_matches: int
+    spawned: int
+    removed: int
+    live_tracks: int
+    gallery_rows: int
+    bank_inserts: int
+    bank_refreshes: int
 
 
 def linear_assignment(cost: np.ndarray) -> AssignmentResult:
@@ -91,75 +124,182 @@ def linear_assignment(cost: np.ndarray) -> AssignmentResult:
     )
 
 
+class TrackTable(Sequence):
+    """The live tracks as columns, one row per track in creation order.
+
+    Rows are read as Track snapshots (`table[j]`, iteration); the tracker
+    writes the columns. `gallery` is (N, 1 + K, D): slot 0 the local feature
+    (present where `has_local`), slots 1..K the key bank, filled to `fill`
+    with `last_used` frames. D is 0 until the first embedding arrives.
+    """
+
+    _COLUMNS = ("ids", "classes", "states", "hits", "lost_age", "last_frame",
+                "last_score", "means", "covs", "gallery", "has_local", "fill",
+                "last_used", "rotation")
+
+    def __init__(self, capacity: int, n: int = 0, dim: int = 0):
+        self.capacity = capacity
+        self.ids = np.zeros(n, dtype=np.int64)
+        self.classes = np.zeros(n, dtype=np.int64)
+        self.states = np.zeros(n, dtype=np.int8)
+        self.hits = np.zeros(n, dtype=np.int64)
+        self.lost_age = np.zeros(n, dtype=np.int64)
+        self.last_frame = np.zeros(n, dtype=np.int64)
+        self.last_score = np.zeros(n, dtype=np.float64)
+        self.means = np.zeros((n, 8), dtype=np.float64)
+        self.covs = np.zeros((n, 8, 8), dtype=np.float64)
+        self.gallery = np.zeros((n, 1 + capacity, dim), dtype=np.float64)
+        self.has_local = np.zeros(n, dtype=bool)
+        self.fill = np.zeros(n, dtype=np.int64)
+        self.last_used = np.zeros((n, capacity), dtype=np.int64)
+        self.rotation = np.zeros((n, 3), dtype=np.float64)
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def __getitem__(self, j: int) -> Track:
+        j = range(len(self))[j]
+        bank = ap.KeyFeatureBank(self.capacity, [
+            ap.BankEntry(self.gallery[j, 1 + k].copy(), int(self.last_used[j, k]))
+            for k in range(self.fill[j])
+        ])
+        rotation = self.rotation[j]
+        return Track(
+            track_id=int(self.ids[j]),
+            class_id=int(self.classes[j]),
+            state=_STATES[self.states[j]],
+            motion=mo.MotionState(self.means[j].copy(), self.covs[j].copy()),
+            local_feature=self.gallery[j, 0].copy() if self.has_local[j] else None,
+            key_bank=bank,
+            rotation=rotation.copy() if rotation.any() else None,
+            consecutive_hits=int(self.hits[j]),
+            lost_age=int(self.lost_age[j]),
+            last_frame=int(self.last_frame[j]),
+            last_score=float(self.last_score[j]),
+        )
+
+    @property
+    def local(self) -> np.ndarray:
+        """(N, D) view of the local features."""
+        return self.gallery[:, 0]
+
+    @property
+    def bank(self) -> np.ndarray:
+        """(N, K, D) view of the key banks."""
+        return self.gallery[:, 1:]
+
+    def gallery_mask(self) -> np.ndarray:
+        """(N, 1 + K) mask of the present gallery slots."""
+        slots = np.arange(self.capacity)[None, :] < self.fill[:, None]
+        return np.column_stack([self.has_local, slots])
+
+    def fit_dim(self, dim: int) -> None:
+        """Size the gallery for D-dimensional embeddings; only a gallery that
+        holds no feature yet can change its D."""
+        if self.gallery.shape[2] == dim:
+            return
+        if self.has_local.any() or self.fill.any():
+            raise ValueError(f"embeddings of dimension {dim} reached tracks "
+                             f"holding dimension {self.gallery.shape[2]}")
+        self.gallery = np.zeros((len(self), 1 + self.capacity, dim))
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the rows where `mask` is false."""
+        for name in self._COLUMNS:
+            setattr(self, name, getattr(self, name)[mask])
+
+    def extend(self, other: "TrackTable") -> None:
+        """Append the rows of `other`, which has the same K and D."""
+        for name in self._COLUMNS:
+            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
+
+
 def iou_cost_matrix(
-    tracks: Sequence[Track],
+    track_classes: np.ndarray,
     predicted_boxes: np.ndarray,
     det_boxes: np.ndarray,
     det_classes: np.ndarray,
     config: TrackerConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stage-2 cost, shape (len(tracks), len(det_boxes)): 1 - IoU of the
-    (N, 4) predicted and (M, 4) detected xywh boxes, +inf where IoU falls
-    below the gate or classes differ. Returned with the IoU matrix it was
-    built from."""
-    shape = (len(tracks), det_boxes.shape[0])
+    """Stage-2 cost, shape (N, M): 1 - IoU of the (N, 4) predicted and
+    (M, 4) detected xywh boxes, +inf where IoU falls below the gate or the
+    (N,) track and (M,) detection classes differ. Returned with the IoU
+    matrix it was built from."""
+    shape = (track_classes.shape[0], det_boxes.shape[0])
     if 0 in shape:
         return np.zeros(shape, dtype=np.float64), np.zeros(shape, dtype=np.float64)
     ious = iou_matrix(predicted_boxes, det_boxes)
     cost = 1.0 - ious
     cost[ious < config.iou_gate] = INFEASIBLE
-    t_cls = np.array([t.class_id for t in tracks])
-    cost[t_cls[:, None] != det_classes[None, :]] = INFEASIBLE
+    cost[track_classes[:, None] != det_classes[None, :]] = INFEASIBLE
     return cost, ious
 
 
 def fused_cost_matrix(
-    tracks: Sequence[Track],
+    tracks: TrackTable,
     predicted_boxes: np.ndarray,
     det_boxes: np.ndarray,
     det_classes: np.ndarray,
     det_embeddings: Optional[np.ndarray],
-    det_descriptors: Sequence[Optional[np.ndarray]],
+    det_descriptors: np.ndarray,
     config: TrackerConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stage-1 cost: the gated stage-2 block plus the weighted appearance
     and rotation terms (inf + finite stays inf, so gating first changes no
-    feasible cell). Detections without embeddings (None) add no appearance
-    term. Returned with the IoU matrix it was built from."""
-    cost, ious = iou_cost_matrix(tracks, predicted_boxes, det_boxes, det_classes, config)
+    feasible cell). A frame without embeddings (None) adds no appearance
+    term; (M, 3) detection descriptors are zero rows where missing.
+    Returned with the IoU matrix it was built from."""
+    cost, ious = iou_cost_matrix(tracks.classes, predicted_boxes, det_boxes,
+                                 det_classes, config)
     if cost.size == 0:
         return cost, ious
     if config.w_a > 0 and det_embeddings is not None:
-        cost += config.w_a * ap.appearance_cost_matrix(list(tracks), det_embeddings)
+        cost += config.w_a * ap.gallery_cost_matrix(
+            tracks.gallery, tracks.gallery_mask(), det_embeddings)
     if config.w_r > 0:
-        cost += config.w_r * mo.rotation_cost_matrix(
-            [t.rotation for t in tracks], det_descriptors
-        )
+        cost += config.w_r * mo.rotation_cost_matrix(tracks.rotation, det_descriptors)
     return cost, ious
 
 
+def lifecycle(
+    states: np.ndarray,
+    hits: np.ndarray,
+    lost_age: np.ndarray,
+    matched: np.ndarray,
+    config: TrackerConfig,
+) -> None:
+    """Advance (N,) state codes, consecutive hits and lost ages through the
+    state table for one frame, in place; `matched` (N,) marks the rows
+    matched this frame."""
+    missed = ~matched
+    tentative, confirmed, lost = states == TENTATIVE, states == CONFIRMED, states == LOST
+    hits[matched] += 1
+    hits[missed] = 0
+    lost_age[matched] = 0
+    lost_age[missed & confirmed] = 1
+    lost_age[missed & lost] += 1
+    states[matched & (lost | (tentative & (hits >= config.confirm_hits)))] = CONFIRMED
+    states[missed & confirmed] = LOST
+    states[missed & (tentative | (lost & (lost_age > config.max_lost_age)))] = REMOVED
+
+
 def lifecycle_step(track: Track, matched: bool, config: TrackerConfig) -> Track:
-    """Advance one track through the state table for this frame."""
-    if matched:
-        track.consecutive_hits += 1
-        track.lost_age = 0
-        if track.state is TrackState.LOST:
-            track.state = TrackState.CONFIRMED
-        elif track.state is TrackState.TENTATIVE:
-            if track.consecutive_hits >= config.confirm_hits:
-                track.state = TrackState.CONFIRMED
-        return track
-    track.consecutive_hits = 0
-    if track.state is TrackState.TENTATIVE:
-        track.state = TrackState.REMOVED
-    elif track.state is TrackState.CONFIRMED:
-        track.state = TrackState.LOST
-        track.lost_age = 1
-    elif track.state is TrackState.LOST:
-        track.lost_age += 1
-        if track.lost_age > config.max_lost_age:
-            track.state = TrackState.REMOVED
+    """Advance one track through the state table; the one-row call of
+    lifecycle."""
+    states = np.array([_CODES[track.state]], dtype=np.int8)
+    hits = np.array([track.consecutive_hits], dtype=np.int64)
+    lost_age = np.array([track.lost_age], dtype=np.int64)
+    lifecycle(states, hits, lost_age, np.array([matched]), config)
+    track.state = _STATES[states[0]]
+    track.consecutive_hits = int(hits[0])
+    track.lost_age = int(lost_age[0])
     return track
+
+
+def _pairs(result: AssignmentResult) -> tuple[np.ndarray, np.ndarray]:
+    """The matched rows and columns of an assignment, as index arrays."""
+    pairs = np.array(result.matches, dtype=np.intp).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
 
 
 class Tracker:
@@ -167,12 +307,13 @@ class Tracker:
 
     def __init__(self, config: Optional[TrackerConfig] = None):
         self.config = config if config is not None else TrackerConfig()
-        self.tracks: list[Track] = []
+        self.tracks = TrackTable(self.config.key_bank_capacity)
         self.next_id = 1
         self.last_frame = 0
         self._first_frame: Optional[int] = None
         # (frame, IoU of predicted box vs matched detection) per stage-1 match
         self.stage1_match_ious: list[tuple[int, float]] = []
+        self.last_stats: Optional[FrameStats] = None
 
     def associate_frame(
         self, frame_detections: FrameDetections, m: Optional[mo.AffineTransform]
@@ -195,150 +336,136 @@ class Tracker:
         boxes, classes, scores = fd.boxes[kept], fd.classes[kept], fd.scores[kept]
         high = scores >= cfg.theta_high
         hi, lo = np.flatnonzero(high), np.flatnonzero(~high)
-        hi_pos, lo_pos = hi.tolist(), lo.tolist()
-        scores = scores.tolist()
-        emb = fd.embeddings
-        # views into the frame's block, not a gathered copy: tracks keep
-        # them, and would keep a per-frame copy alive with them
-        features = ([None] * len(scores) if emb is None
-                    else [emb[r] for r in kept.tolist()])
+        emb = None if fd.embeddings is None else fd.embeddings[kept]
         descriptors = (mo.frame_descriptors(box_centers(boxes), cfg.radius_R)
-                       if cfg.w_r > 0 else [None] * len(scores))
+                       if cfg.w_r > 0 else np.zeros((kept.shape[0], 3)))
 
-        m_eff = m if cfg.use_dmp else None
-        pool = list(self.tracks)
-        means, covs, predicted = self._predict_pool(pool, m_eff)
+        t = self.tracks
+        if emb is not None:
+            t.fit_dim(emb.shape[1])
+        t.means, t.covs = mo.multi_predict(t.means, t.covs, m if cfg.use_dmp else None)
+        predicted = mo.states_to_xywh(t.means)
 
-        cost, ious = fused_cost_matrix(
-            pool, predicted, boxes[hi], classes[hi],
-            None if emb is None else emb[kept[hi]],
-            [descriptors[p] for p in hi_pos], cfg,
-        )
+        emb_hi = None if emb is None else emb[hi]
+        cost, ious = fused_cost_matrix(t, predicted, boxes[hi], classes[hi], emb_hi,
+                                       descriptors[hi], cfg)
+        gallery_rows = (int(t.has_local.sum() + t.fill.sum())
+                        if cfg.w_a > 0 and emb is not None and cost.size else 0)
         stage1 = linear_assignment(cost)
-        for j, i in stage1.matches:
-            self.stage1_match_ious.append((frame, float(ious[j, i])))
+        rows1, cols1 = _pairs(stage1)
+        self.stage1_match_ious.extend(
+            (frame, iou) for iou in ious[rows1, cols1].tolist())
 
-        leftover_idx = [j for j in stage1.unmatched_rows
-                        if pool[j].state is not TrackState.LOST]
-        leftovers = [pool[j] for j in leftover_idx]
-        leftover_boxes = predicted[leftover_idx] if leftover_idx else np.zeros((0, 4))
-        cost2, _ = iou_cost_matrix(leftovers, leftover_boxes, boxes[lo], classes[lo], cfg)
-        stage2 = linear_assignment(cost2)
+        free = np.array(stage1.unmatched_rows, dtype=np.intp)
+        leftover = free[t.states[free] != LOST]
+        cost2, _ = iou_cost_matrix(t.classes[leftover], predicted[leftover],
+                                   boxes[lo], classes[lo], cfg)
+        rows2, cols2 = _pairs(linear_assignment(cost2))
 
-        matched_idx = [j for j, _ in stage1.matches]
-        matched_idx += [leftover_idx[j] for j, _ in stage2.matches]
-        matched_pos = [hi_pos[i] for _, i in stage1.matches]
-        matched_pos += [lo_pos[i] for _, i in stage2.matches]
-        if matched_idx:
-            means[matched_idx], covs[matched_idx] = mo.multi_update(
-                means[matched_idx], covs[matched_idx], boxes[matched_pos]
-            )
-        for t, mean, cov in zip(pool, means, covs):
-            t.motion = mo.MotionState(mean, cov)
-        for j, p in zip(matched_idx, matched_pos):
-            self._absorb(pool[j], features[p], scores[p], descriptors[p], frame)
+        rows = np.concatenate([rows1, leftover[rows2]])
+        pos = np.concatenate([hi[cols1], lo[cols2]])
+        if rows.size:
+            t.means[rows], t.covs[rows] = mo.multi_update(t.means[rows], t.covs[rows],
+                                                          boxes[pos])
+        inserted = self._absorb_features(rows1, emb_hi, cols1, scores[hi[cols1]], frame)
+        matched_desc = descriptors[pos]
+        has_desc = matched_desc.any(axis=1)
+        t.rotation[rows[has_desc]] = matched_desc[has_desc]
+        t.last_frame[rows] = frame
+        t.last_score[rows] = scores[pos]
+        matched = np.zeros(len(t), dtype=bool)
+        matched[rows] = True
+        lifecycle(t.states, t.hits, t.lost_age, matched, cfg)
+        removed = t.states == REMOVED
+        n_removed = int(removed.sum())
+        if n_removed:
+            t.keep(~removed)
 
-        for t in pool:
-            if t.last_frame != frame:
-                lifecycle_step(t, False, cfg)
+        spawn = hi[np.array(stage1.unmatched_cols, dtype=np.intp)]
+        if spawn.size:
+            inserted = np.concatenate([inserted, self._spawn(
+                boxes[spawn], classes[spawn], scores[spawn],
+                None if emb is None else emb[spawn], descriptors[spawn], frame)])
 
-        spawn = [hi_pos[i] for i in stage1.unmatched_cols]
-        if spawn:
-            spawn_means, spawn_covs = mo.multi_init(boxes[spawn])
-            for p, mean, cov in zip(spawn, spawn_means, spawn_covs):
-                self._spawn(int(classes[p]), mo.MotionState(mean, cov), features[p],
-                            scores[p], descriptors[p], frame)
-
-        self.tracks = [t for t in self.tracks if t.state is not TrackState.REMOVED]
-        emitted = [t for t in self.tracks
-                   if t.state is TrackState.CONFIRMED and t.last_frame == frame]
+        emit = np.flatnonzero((t.states == CONFIRMED) & (t.last_frame == frame))
         records = [
-            TrackRecord(frame, t.track_id, box, t.last_score, t.class_id)
-            for t, box in zip(emitted, mo.states_to_boxes([t.motion.mean for t in emitted]))
+            TrackRecord(frame, track_id, box, score, class_id)
+            for track_id, box, score, class_id in zip(
+                t.ids[emit].tolist(), mo.states_to_boxes(t.means[emit]),
+                t.last_score[emit].tolist(), t.classes[emit].tolist())
         ]
+        n_inserts = int(inserted.sum())
+        self.last_stats = FrameStats(
+            frame, rows1.size, rows2.size, spawn.size, n_removed, len(t),
+            gallery_rows, n_inserts, inserted.size - n_inserts,
+        )
         log.debug("frame %d: %d dets, %d live tracks, %d emitted",
-                  frame, len(scores), len(self.tracks), len(records))
+                  frame, kept.shape[0], len(t), len(records))
         return records
 
     # -- internals ---------------------------------------------------------
 
-    def _predict_pool(
-        self, pool: Sequence[Track], m: Optional[mo.AffineTransform]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Warp+predict every track; returns the predicted means (N, 8),
-        covariances (N, 8, 8) and boxes (N, 4). The tracks' own states are
-        written back once the matched rows are corrected."""
-        if not pool:
-            return np.zeros((0, 8)), np.zeros((0, 8, 8)), np.zeros((0, 4))
-        means = np.array([t.motion.mean for t in pool])
-        covs = np.array([t.motion.covariance for t in pool])
-        means, covs = mo.multi_predict(means, covs, m)
-        return means, covs, mo.states_to_xywh(means)
-
-    def _absorb(
+    def _absorb_features(
         self,
-        track: Track,
-        embedding: Optional[np.ndarray],
-        score: float,
-        desc: Optional[np.ndarray],
+        rows: np.ndarray,
+        emb_hi: Optional[np.ndarray],
+        cols: np.ndarray,
+        scores: np.ndarray,
         frame: int,
-    ) -> None:
-        """Feature, descriptor, and lifecycle effects of a match; the motion
-        correction itself happens in associate_frame beforehand."""
-        cfg = self.config
-        was_lost = track.state is TrackState.LOST
-        if embedding is not None and score >= cfg.theta_high:
-            if cfg.use_afs:
-                ap.update_local_feature(
-                    track, embedding, score, cfg.theta_high, cfg.alpha_f
-                )
-                # the bank stays frozen through the frame that re-acquires a
-                # lost track; inserts resume once it is confirmed again
-                if not was_lost and track.key_bank is not None:
-                    ap.maybe_insert_key(
-                        track.key_bank, embedding, frame, cfg.novelty_threshold
-                    )
-            else:
-                if track.local_feature is None:
-                    track.local_feature = embedding
-                else:
-                    track.local_feature = ap.blend_feature(
-                        track.local_feature, embedding, cfg.alpha_f
-                    )
-        if desc is not None:
-            track.rotation = desc
-        track.last_frame = frame
-        track.last_score = score
-        lifecycle_step(track, True, cfg)
+    ) -> np.ndarray:
+        """Fold the stage-1 matches' embeddings into their tracks: the blend
+        of the local feature, then, with AFS and outside the frame that
+        re-acquires a lost track, the key-bank offer. Runs before the
+        lifecycle step; returns the offers' insert mask."""
+        cfg, t = self.config, self.tracks
+        if emb_hi is None or rows.size == 0:
+            return np.zeros(0, dtype=bool)
+        feats = emb_hi[cols]
+        if cfg.use_afs:
+            alphas = ap.adaptive_alphas(scores.tolist(), cfg.theta_high, cfg.alpha_f)
+        else:
+            alphas = np.full(rows.shape[0], cfg.alpha_f)
+        had = t.has_local[rows]
+        t.local[rows[had]] = ap.blend_rows(t.local[rows[had]], feats[had], alphas[had])
+        t.local[rows[~had]] = feats[~had]
+        t.has_local[rows] = True
+        if not cfg.use_afs:
+            return np.zeros(0, dtype=bool)
+        # the bank stays frozen through the frame that re-acquires a lost
+        # track; inserts resume once it is confirmed again
+        offer = t.states[rows] != LOST
+        return ap.insert_keys(t.bank, t.last_used, t.fill, rows[offer], feats[offer],
+                              frame, cfg.novelty_threshold)
 
     def _spawn(
         self,
-        class_id: int,
-        motion: mo.MotionState,
-        embedding: Optional[np.ndarray],
-        score: float,
-        desc: Optional[np.ndarray],
+        boxes: np.ndarray,
+        classes: np.ndarray,
+        scores: np.ndarray,
+        emb: Optional[np.ndarray],
+        descriptors: np.ndarray,
         frame: int,
-    ) -> None:
-        state = (
-            TrackState.CONFIRMED if frame == self._first_frame else TrackState.TENTATIVE
-        )
-        track = Track(
-            track_id=self.next_id,
-            class_id=class_id,
-            state=state,
-            motion=motion,
-            local_feature=embedding,
-            key_bank=ap.KeyFeatureBank(self.config.key_bank_capacity),
-            rotation=desc,
-            consecutive_hits=1,
-            lost_age=0,
-            last_frame=frame,
-            last_score=score,
-        )
-        if self.config.use_afs and embedding is not None:
-            ap.maybe_insert_key(
-                track.key_bank, embedding, frame, self.config.novelty_threshold
-            )
-        self.next_id += 1
-        self.tracks.append(track)
+    ) -> np.ndarray:
+        """Append one track per unmatched high-confidence detection; returns
+        the insert mask of their first key-bank offers."""
+        cfg, t = self.config, self.tracks
+        n = boxes.shape[0]
+        new = TrackTable(cfg.key_bank_capacity, n, t.gallery.shape[2])
+        new.ids[:] = np.arange(self.next_id, self.next_id + n)
+        new.classes[:] = classes
+        new.states[:] = CONFIRMED if frame == self._first_frame else TENTATIVE
+        new.hits[:] = 1
+        new.last_frame[:] = frame
+        new.last_score[:] = scores
+        new.means, new.covs = mo.multi_init(boxes)
+        new.rotation[:] = descriptors
+        inserted = np.zeros(0, dtype=bool)
+        if emb is not None:
+            new.local[:] = emb
+            new.has_local[:] = True
+            if cfg.use_afs:
+                inserted = ap.insert_keys(new.bank, new.last_used, new.fill, np.arange(n),
+                                          emb, frame, cfg.novelty_threshold)
+        t.extend(new)
+        self.next_id += n
+        return inserted

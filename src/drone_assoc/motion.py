@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -359,34 +359,34 @@ def rotation_descriptor(
     [smallest angle, second-smallest angle, side opposite the largest angle
     divided by radius]. Returns None when fewer than two distinct neighbors
     qualify or the triangle is degenerate (area < 1e-6 px^2). This is row 0
-    of frame_descriptors over [subject, *neighbors].
+    of frame_descriptors over [subject, *neighbors], None for a zero row.
     """
     pts = np.vstack([
         np.reshape(np.asarray(subject, dtype=np.float64), (1, 2)),
         np.asarray(list(neighbors), dtype=np.float64).reshape(-1, 2),
     ])
-    return frame_descriptors(pts, radius)[0]
+    row = frame_descriptors(pts, radius)[0]
+    return row if row.any() else None
 
 
-def frame_descriptors(
-    centers: np.ndarray, radius: float
-) -> list[Optional[np.ndarray]]:
-    """rotation_descriptor of every point in a frame against the others.
+def frame_descriptors(centers: np.ndarray, radius: float) -> np.ndarray:
+    """rotation_descriptor of every point in a frame against the others, as
+    (M, 3) rows.
 
-    Shares one pairwise-distance matrix across subjects. An entry is None
-    when fewer than two neighbors qualify or the triangle is degenerate.
+    Shares one pairwise-distance matrix across subjects. A row is zero when
+    fewer than two neighbors qualify or the triangle is degenerate; a valid
+    descriptor never is, since its third entry, a side, is positive.
     """
     pts = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
     n = pts.shape[0]
-    out: list[Optional[np.ndarray]] = [None] * n
     if n < 3:
-        return out
+        return np.zeros((n, 3))
     diff = pts[None, :, :] - pts[:, None, :]
     d = np.linalg.norm(diff, axis=2)
     qual = (d > 0.0) & (d <= radius)
     valid = qual.sum(axis=1) >= 2
     if not valid.any():
-        return out
+        return np.zeros((n, 3))
 
     nearest = np.argmin(np.where(qual, d, np.inf), axis=1)
     # ties on the farthest distance resolve to the last qualifying index
@@ -413,9 +413,8 @@ def frame_descriptors(
     two_smallest = np.sort(angles, axis=1)
     opposite = sides[np.arange(n), np.argmax(angles, axis=1)] / radius
     desc = np.column_stack([two_smallest[:, 0], two_smallest[:, 1], opposite])
-    for i in np.flatnonzero(valid).tolist():
-        out[i] = desc[i]
-    return out
+    desc[~valid] = 0.0
+    return desc
 
 
 def _triangle_angles(opposite: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -436,34 +435,23 @@ def _edge_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def rotation_cost(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> float:
     """1 - cosine similarity between two descriptors, clamped to [0, 1]; the
-    1x1 rotation_cost_matrix."""
-    return float(rotation_cost_matrix([a], [b])[0, 0])
+    1x1 rotation_cost_matrix, with a missing (None) descriptor as a zero
+    row."""
+    rows = [np.zeros(3) if d is None else np.asarray(d, dtype=np.float64) for d in (a, b)]
+    return float(rotation_cost_matrix(rows[0][None], rows[1][None])[0, 0])
 
 
-def rotation_cost_matrix(
-    a: Sequence[Optional[np.ndarray]], b: Sequence[Optional[np.ndarray]]
-) -> np.ndarray:
-    """(len(a), len(b)) block of 1 - cosine similarity between descriptors,
-    clamped to [0, 1].
+def rotation_cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) block of 1 - cosine similarity between (N, 3) and (M, 3)
+    descriptor rows, clamped to [0, 1].
 
-    A missing descriptor on either side, or a pair whose norms multiply to
-    under 1e-12, contributes a neutral 0 cost.
+    A missing descriptor is a zero row. It, or any pair whose norms multiply
+    to under 1e-12, contributes a neutral 0 cost.
     """
-    a_rows = _descriptor_rows(a)
-    b_rows = _descriptor_rows(b)
-    denom = np.linalg.norm(a_rows, axis=1)[:, None] * np.linalg.norm(b_rows, axis=1)
-    neutral = denom < 1e-12  # a missing descriptor is a zero row
+    denom = np.linalg.norm(a, axis=1)[:, None] * np.linalg.norm(b, axis=1)
+    neutral = denom < 1e-12
     denom[neutral] = 1.0
-    block = 1.0 - (a_rows @ b_rows.T) / denom
+    block = 1.0 - (a @ b.T) / denom
     np.clip(block, 0.0, 1.0, out=block)
     block[neutral] = 0.0
     return block
-
-
-def _descriptor_rows(descriptors: Sequence[Optional[np.ndarray]]) -> np.ndarray:
-    """(N, 3) descriptor rows, zero where missing."""
-    ok = np.array([d is not None for d in descriptors], dtype=bool)
-    rows = np.zeros((len(descriptors), 3))
-    if ok.any():
-        rows[ok] = [d for d in descriptors if d is not None]
-    return rows

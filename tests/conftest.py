@@ -8,15 +8,27 @@ from typing import NamedTuple, Optional
 import numpy as np
 import pytest
 
+from drone_assoc import motion as mo
 from drone_assoc.appearance import BankEntry, KeyFeatureBank
+from drone_assoc.association import (
+    FrameOrderError,
+    TrackRecord,
+    TrackTable,
+    linear_assignment,
+)
 from drone_assoc.core import (
     BoundingBox,
     FrameDetections,
     Track,
+    TrackerConfig,
     TrackState,
     ZeroNormError,
+    box_centers,
     boxes_array,
+    iou_matrix,
+    normalize,
 )
+from drone_assoc.metrics import EvaluationError, _by_frame
 from drone_assoc.mot_io import (
     MALFORMED_FATAL_RATIO,
     FormatError,
@@ -62,6 +74,40 @@ def make_track(
         last_frame=1,
         last_score=0.9,
     )
+
+
+_STATE_CODES = {TrackState.TENTATIVE: 0, TrackState.CONFIRMED: 1, TrackState.LOST: 2}
+
+
+def track_table(tracks, capacity: int = 10) -> TrackTable:
+    """The TrackTable holding `tracks` as rows, in the given order; its rows
+    read back as equal Track snapshots."""
+    n = len(tracks)
+    dims = {len(f) for t in tracks
+            for f in ([] if t.local_feature is None else [t.local_feature])
+            + [e.feature for e in t.key_bank.entries]}
+    table = TrackTable(capacity, n, dims.pop() if dims else 0)
+    for j, t in enumerate(tracks):
+        table.ids[j] = t.track_id
+        table.classes[j] = t.class_id
+        table.states[j] = _STATE_CODES[t.state]
+        table.hits[j] = t.consecutive_hits
+        table.lost_age[j] = t.lost_age
+        table.last_frame[j] = t.last_frame
+        table.last_score[j] = t.last_score
+        table.means[j] = t.motion.mean
+        table.covs[j] = t.motion.covariance
+        if t.local_feature is not None:
+            table.local[j] = t.local_feature
+            table.has_local[j] = True
+        entries = t.key_bank.entries
+        table.fill[j] = len(entries)
+        for k, e in enumerate(entries):
+            table.bank[j, k] = e.feature
+            table.last_used[j, k] = e.last_used
+        if t.rotation is not None:
+            table.rotation[j] = t.rotation
+    return table
 
 
 class Det(NamedTuple):
@@ -327,3 +373,324 @@ def reference_rotation_descriptor(subject, neighbors, radius: float):
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+# -- the per-track tracker the columnar Tracker replaced -----------------------
+
+
+def reference_adaptive_alpha(s, theta, alpha_f):
+    return min(1.0, alpha_f + (1.0 - alpha_f) * math.exp(theta - s))
+
+
+def reference_blend_feature(prev, f, alpha):
+    return normalize(alpha * prev + (1.0 - alpha) * f)
+
+
+def reference_maybe_insert_key(bank: KeyFeatureBank, f, frame, novelty_threshold):
+    """The list-based novelty test: one np.dot per entry, the first maximum,
+    and eviction of the first least-recently-used entry by list.pop."""
+    f = np.asarray(f, dtype=np.float64)
+    if not bank.entries:
+        bank.entries.append(BankEntry(f, frame))
+        return True
+    sims = [float(np.dot(e.feature, f)) for e in bank.entries]
+    best = max(sims)
+    closest = sims.index(best)
+    if 1.0 - best > novelty_threshold:
+        if len(bank.entries) >= bank.capacity:
+            ages = [e.last_used for e in bank.entries]
+            bank.entries.pop(ages.index(min(ages)))
+        bank.entries.append(BankEntry(f, frame))
+        return True
+    bank.entries[closest].last_used = frame
+    return False
+
+
+def reference_appearance_cost_matrix(tracks, feats):
+    """Gallery rows rebuilt from Python lists, one product, reduceat."""
+    block = np.zeros((len(tracks), feats.shape[0]), dtype=np.float64)
+    rows, owners, starts = [], [], []
+    for j, t in enumerate(tracks):
+        gallery = ([] if t.local_feature is None else [t.local_feature])
+        gallery += [e.feature for e in t.key_bank.entries]
+        if gallery:
+            owners.append(j)
+            starts.append(len(rows))
+            rows.extend(gallery)
+    if not rows:
+        return block
+    sims = np.array(rows, dtype=np.float64) @ feats.T
+    best = np.maximum.reduceat(sims, starts, axis=0)
+    block[owners] = np.clip(1.0 - best, 0.0, 1.0)
+    return block
+
+
+def _descriptor_block(descriptors) -> np.ndarray:
+    return np.array([np.zeros(3) if d is None else d for d in descriptors],
+                    dtype=np.float64).reshape(-1, 3)
+
+
+def reference_lifecycle_step(track: Track, matched: bool, config) -> Track:
+    if matched:
+        track.consecutive_hits += 1
+        track.lost_age = 0
+        if track.state is TrackState.LOST:
+            track.state = TrackState.CONFIRMED
+        elif track.state is TrackState.TENTATIVE:
+            if track.consecutive_hits >= config.confirm_hits:
+                track.state = TrackState.CONFIRMED
+        return track
+    track.consecutive_hits = 0
+    if track.state is TrackState.TENTATIVE:
+        track.state = TrackState.REMOVED
+    elif track.state is TrackState.CONFIRMED:
+        track.state = TrackState.LOST
+        track.lost_age = 1
+    elif track.state is TrackState.LOST:
+        track.lost_age += 1
+        if track.lost_age > config.max_lost_age:
+            track.state = TrackState.REMOVED
+    return track
+
+
+class ReferenceTracker:
+    """One Track object per live track, updated one at a time: the tracker
+    as it was before its tracks became a table. The columnar Tracker must
+    emit the same records and hold the same per-track state, bit for bit.
+    `stats` counts what perfbench's trace counted: gallery rows per
+    appearance block and key-bank inserts and refreshes."""
+
+    def __init__(self, config=None):
+        self.config = config if config is not None else TrackerConfig()
+        self.tracks: list[Track] = []
+        self.next_id = 1
+        self.last_frame = 0
+        self._first_frame = None
+        self.stage1_match_ious: list = []
+        self.stats = {"gallery_rows": 0, "bank_inserts": 0, "bank_refreshes": 0}
+        # what a stream exercised: lost tracks matched again, full-bank inserts
+        self.events = {"reacquired": 0, "evictions": 0}
+
+    def _offer(self, bank, embedding, frame):
+        full = len(bank.entries) >= bank.capacity
+        inserted = reference_maybe_insert_key(bank, embedding, frame,
+                                              self.config.novelty_threshold)
+        self.stats["bank_inserts" if inserted else "bank_refreshes"] += 1
+        self.events["evictions"] += full and inserted
+
+    def _costs(self, tracks, predicted, boxes, classes, emb, descs, stage1):
+        cfg = self.config
+        shape = (len(tracks), boxes.shape[0])
+        if 0 in shape:
+            return np.zeros(shape), np.zeros(shape)
+        ious = iou_matrix(predicted, boxes)
+        cost = 1.0 - ious
+        cost[ious < cfg.iou_gate] = np.inf
+        t_cls = np.array([t.class_id for t in tracks])
+        cost[t_cls[:, None] != classes[None, :]] = np.inf
+        if not stage1:
+            return cost, ious
+        if cfg.w_a > 0 and emb is not None:
+            self.stats["gallery_rows"] += sum(
+                (t.local_feature is not None) + len(t.key_bank.entries) for t in tracks)
+            cost += cfg.w_a * reference_appearance_cost_matrix(tracks, emb)
+        if cfg.w_r > 0:
+            cost += cfg.w_r * mo.rotation_cost_matrix(
+                _descriptor_block([t.rotation for t in tracks]), _descriptor_block(descs))
+        return cost, ious
+
+    def associate_frame(self, fd: FrameDetections, m):
+        cfg = self.config
+        frame = fd.frame
+        if frame <= self.last_frame:
+            raise FrameOrderError(f"frame {frame} arrived after frame {self.last_frame}")
+        if self._first_frame is None:
+            self._first_frame = frame
+        self.last_frame = frame
+
+        kept = np.flatnonzero(fd.scores >= cfg.theta_low)
+        boxes, classes, scores = fd.boxes[kept], fd.classes[kept], fd.scores[kept]
+        high = scores >= cfg.theta_high
+        hi_pos, lo_pos = np.flatnonzero(high).tolist(), np.flatnonzero(~high).tolist()
+        scores = scores.tolist()
+        emb = fd.embeddings
+        features = ([None] * len(scores) if emb is None
+                    else [emb[r] for r in kept.tolist()])
+        if cfg.w_r > 0:
+            rows = mo.frame_descriptors(box_centers(boxes), cfg.radius_R)
+            descriptors = [r if r.any() else None for r in rows]
+        else:
+            descriptors = [None] * len(scores)
+
+        m_eff = m if cfg.use_dmp else None
+        pool = list(self.tracks)
+        if pool:
+            means, covs = mo.multi_predict(np.array([t.motion.mean for t in pool]),
+                                           np.array([t.motion.covariance for t in pool]),
+                                           m_eff)
+        else:
+            means, covs = np.zeros((0, 8)), np.zeros((0, 8, 8))
+        predicted = mo.states_to_xywh(means)
+
+        hi = np.array(hi_pos, dtype=np.intp)
+        cost, ious = self._costs(pool, predicted, boxes[hi], classes[hi],
+                                 None if emb is None else emb[kept[hi]],
+                                 [descriptors[p] for p in hi_pos], True)
+        stage1 = linear_assignment(cost)
+        for j, i in stage1.matches:
+            self.stage1_match_ious.append((frame, float(ious[j, i])))
+
+        leftover_idx = [j for j in stage1.unmatched_rows
+                        if pool[j].state is not TrackState.LOST]
+        leftovers = [pool[j] for j in leftover_idx]
+        lo = np.array(lo_pos, dtype=np.intp)
+        cost2, _ = self._costs(leftovers, predicted[leftover_idx], boxes[lo], classes[lo],
+                               None, None, False)
+        stage2 = linear_assignment(cost2)
+
+        matched_idx = [j for j, _ in stage1.matches]
+        matched_idx += [leftover_idx[j] for j, _ in stage2.matches]
+        matched_pos = [hi_pos[i] for _, i in stage1.matches]
+        matched_pos += [lo_pos[i] for _, i in stage2.matches]
+        if matched_idx:
+            means[matched_idx], covs[matched_idx] = mo.multi_update(
+                means[matched_idx], covs[matched_idx], boxes[matched_pos])
+        for t, mean, cov in zip(pool, means, covs):
+            t.motion = mo.MotionState(mean, cov)
+        for j, p in zip(matched_idx, matched_pos):
+            self._absorb(pool[j], features[p], scores[p], descriptors[p], frame)
+        for t in pool:
+            if t.last_frame != frame:
+                reference_lifecycle_step(t, False, cfg)
+
+        spawn = [hi_pos[i] for i in stage1.unmatched_cols]
+        if spawn:
+            spawn_means, spawn_covs = mo.multi_init(boxes[spawn])
+            for p, mean, cov in zip(spawn, spawn_means, spawn_covs):
+                self._spawn(int(classes[p]), mo.MotionState(mean, cov), features[p],
+                            scores[p], descriptors[p], frame)
+
+        self.tracks = [t for t in self.tracks if t.state is not TrackState.REMOVED]
+        emitted = [t for t in self.tracks
+                   if t.state is TrackState.CONFIRMED and t.last_frame == frame]
+        return [
+            TrackRecord(frame, t.track_id, box, t.last_score, t.class_id)
+            for t, box in zip(emitted, mo.states_to_boxes([t.motion.mean for t in emitted]))
+        ]
+
+    def _absorb(self, track, embedding, score, desc, frame):
+        cfg = self.config
+        was_lost = track.state is TrackState.LOST
+        self.events["reacquired"] += was_lost
+        if embedding is not None and score >= cfg.theta_high:
+            if cfg.use_afs:
+                if track.local_feature is None:
+                    track.local_feature = np.asarray(embedding, dtype=np.float64)
+                else:
+                    track.local_feature = reference_blend_feature(
+                        track.local_feature, embedding,
+                        reference_adaptive_alpha(score, cfg.theta_high, cfg.alpha_f))
+                if not was_lost:
+                    self._offer(track.key_bank, embedding, frame)
+            elif track.local_feature is None:
+                track.local_feature = embedding
+            else:
+                track.local_feature = reference_blend_feature(
+                    track.local_feature, embedding, cfg.alpha_f)
+        if desc is not None:
+            track.rotation = desc
+        track.last_frame = frame
+        track.last_score = score
+        reference_lifecycle_step(track, True, cfg)
+
+    def _spawn(self, class_id, motion, embedding, score, desc, frame):
+        state = (TrackState.CONFIRMED if frame == self._first_frame
+                 else TrackState.TENTATIVE)
+        track = Track(
+            track_id=self.next_id, class_id=class_id, state=state, motion=motion,
+            local_feature=embedding,
+            key_bank=KeyFeatureBank(self.config.key_bank_capacity),
+            rotation=desc, consecutive_hits=1, lost_age=0, last_frame=frame,
+            last_score=score,
+        )
+        if self.config.use_afs and embedding is not None:
+            self._offer(track.key_bank, embedding, frame)
+        self.next_id += 1
+        self.tracks.append(track)
+
+
+# -- the CLEAR sweep that clear_mot now runs on array blocks -------------------
+
+
+def reference_clear_mot(gt, results, iou_threshold: float = 0.5) -> dict:
+    """Per-frame full ground-truth x result IoU blocks and a Python walk over
+    the ids: clear_mot before it matched the carried-over pairs elementwise."""
+    gt_frames = _by_frame(gt)
+    res_frames = _by_frame(results)
+    gt_total = sum(len(ids) for ids, _ in gt_frames.values())
+    if gt_total == 0:
+        raise EvaluationError("ground truth contains no boxes")
+
+    fp = fn = switches = 0
+    iou_sum = 0.0
+    matches_total = 0
+    prev: dict = {}
+    last_match: dict = {}
+    present: dict = {}
+    covered: dict = {}
+
+    for frame in sorted(set(gt_frames) | set(res_frames)):
+        g_ids, g_boxes = gt_frames.get(frame, ([], np.zeros((0, 4))))
+        r_ids, r_boxes = res_frames.get(frame, ([], np.zeros((0, 4))))
+        for g in g_ids:
+            present[g] = present.get(g, 0) + 1
+        ious = iou_matrix(g_boxes, r_boxes)
+
+        matched_g: dict = {}
+        used_r: set = set()
+        first_row: dict = {}
+        for ri, r in enumerate(r_ids):
+            first_row.setdefault(r, ri)
+        for gi, g in enumerate(g_ids):
+            ri = first_row.get(prev.get(g))
+            if ri is None or ri in used_r:
+                continue
+            if ious[gi, ri] >= iou_threshold:
+                matched_g[gi] = ri
+                used_r.add(ri)
+
+        free_g = [gi for gi in range(len(g_ids)) if gi not in matched_g]
+        free_r = [ri for ri in range(len(r_ids)) if ri not in used_r]
+        if free_g and free_r:
+            sub = 1.0 - ious[np.ix_(free_g, free_r)]
+            sub[ious[np.ix_(free_g, free_r)] < iou_threshold] = np.inf
+            for a, b in linear_assignment(sub).matches:
+                matched_g[free_g[a]] = free_r[b]
+                used_r.add(free_r[b])
+
+        prev = {}
+        for gi, ri in matched_g.items():
+            g, r = g_ids[gi], r_ids[ri]
+            if g in last_match and last_match[g] != r:
+                switches += 1
+            last_match[g] = r
+            prev[g] = r
+            covered[g] = covered.get(g, 0) + 1
+            iou_sum += float(ious[gi, ri])
+            matches_total += 1
+
+        fp += len(r_ids) - len(matched_g)
+        fn += len(g_ids) - len(matched_g)
+
+    coverage = {g: covered.get(g, 0) / present[g] for g in present}
+    return {
+        "fp": fp,
+        "fn": fn,
+        "id_switches": switches,
+        "gt_total": gt_total,
+        "motp": iou_sum / matches_total if matches_total else 0.0,
+        "mota": 1.0 - (fp + fn + switches) / gt_total,
+        "mt": sum(1 for c in coverage.values() if c >= 0.8),
+        "ml": sum(1 for c in coverage.values() if c <= 0.2),
+        "coverage": coverage,
+    }

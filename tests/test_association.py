@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import det, frame_detections, make_track
+from conftest import det, frame_detections, make_track, track_table
 from drone_assoc.association import (
     AssignmentResult,
     FrameOrderError,
@@ -113,8 +113,12 @@ class TestLinearAssignment:
                 == list(range(m))
 
 
-def stage_one_cost(*args) -> np.ndarray:
-    return fused_cost_matrix(*args)[0]
+def stage_one_cost(tracks, predicted, boxes, classes, emb, descriptors, cfg) -> np.ndarray:
+    """The fused block of Track objects against detections whose
+    descriptors are given as rows or None."""
+    rows = np.array([np.zeros(3) if d is None else d for d in descriptors]).reshape(-1, 3)
+    return fused_cost_matrix(track_table(tracks), predicted, boxes, classes, emb, rows,
+                             cfg)[0]
 
 
 def columns(*dets):
@@ -213,7 +217,8 @@ class TestBuildCostMatrix:
                            rotation=np.array([1.0, 0.0, 0.0]))
         d = det(0.0, 0.0, 10.0, 5.0, score=0.3, embedding=np.array([0.0, 1.0]))
         boxes, classes, _ = columns(d)
-        cost, _ = iou_cost_matrix([track], np.array([[0.0, 0.0, 10.0, 10.0]]),
+        cost, _ = iou_cost_matrix(np.array([track.class_id]),
+                                  np.array([[0.0, 0.0, 10.0, 10.0]]),
                                   boxes, classes, TrackerConfig())
         assert cost[0, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -290,7 +295,7 @@ class TestTracker:
     def test_low_scores_never_spawn(self):
         tr = Tracker()
         recs = feed(tr, 1, [det(0, 0, score=0.3)])
-        assert recs == [] and tr.tracks == []
+        assert recs == [] and len(tr.tracks) == 0
 
     def test_below_theta_low_is_discarded(self):
         tr = Tracker()
@@ -323,16 +328,17 @@ class TestTracker:
         tr = Tracker()
         feed(tr, 1, [det(0, 0, embedding=emb())])
         feed(tr, 2, [])
-        track = tr.tracks[0]
-        assert track.state is TrackState.LOST
-        bank_before = len(track.key_bank.entries)
+        assert tr.tracks[0].state is TrackState.LOST
+        bank_before = len(tr.tracks[0].key_bank.entries)
         feed(tr, 3, [det(0, 0, embedding=emb())])
+        # tracks read back as snapshots: read the row again after each frame
+        track = tr.tracks[0]
         assert track.state is TrackState.CONFIRMED
         assert track.track_id == 1
         # novel feature, but the bank is frozen on the re-acquisition frame
         assert len(track.key_bank.entries) == bank_before
         feed(tr, 4, [det(0, 0, embedding=emb())])
-        assert len(track.key_bank.entries) == bank_before + 1
+        assert len(tr.tracks[0].key_bank.entries) == bank_before + 1
 
     def test_class_mismatch_spawns_a_second_track(self):
         tr = Tracker()
@@ -405,7 +411,7 @@ class TestTracker:
         feed(tr, 1, [det(0, 0)])
         for frame in range(2, 6):
             feed(tr, frame, [])
-        assert tr.tracks == []
+        assert len(tr.tracks) == 0
 
     def test_records_report_posterior_boxes(self):
         tr = Tracker()

@@ -528,14 +528,14 @@ class TestFrameDescriptors:
     def test_matches_per_subject_function(self, points):
         pts = np.array(points, dtype=np.float64).reshape(-1, 2)
         batch = frame_descriptors(pts, 75.0)
-        assert len(batch) == pts.shape[0]
+        assert batch.shape == (pts.shape[0], 3)
         for i in range(pts.shape[0]):
             others = [tuple(p) for j, p in enumerate(pts) if j != i]
             single = reference_rotation_descriptor(tuple(pts[i]), others, 75.0)
             if single is None:
-                assert batch[i] is None
+                assert not batch[i].any()  # a missing descriptor is a zero row
             else:
-                assert batch[i] is not None
+                assert batch[i].any()
                 assert np.max(np.abs(single - batch[i])) < 1e-12
 
     def test_duplicate_points_excluded_like_single(self):
@@ -545,14 +545,14 @@ class TestFrameDescriptors:
             others = [tuple(p) for j, p in enumerate(pts) if j != i]
             single = reference_rotation_descriptor(tuple(pts[i]), others, 100.0)
             if single is None:
-                assert batch[i] is None
+                assert not batch[i].any()
             else:
                 assert np.max(np.abs(single - batch[i])) < 1e-12
 
     def test_fewer_than_three_points(self):
-        assert frame_descriptors(np.zeros((0, 2)), 100.0) == []
-        assert frame_descriptors(np.array([[0.0, 0.0], [5.0, 5.0]]), 100.0) \
-            == [None, None]
+        assert frame_descriptors(np.zeros((0, 2)), 100.0).shape == (0, 3)
+        assert np.array_equal(
+            frame_descriptors(np.array([[0.0, 0.0], [5.0, 5.0]]), 100.0), np.zeros((2, 3)))
 
 
 class TestRotationCost:
