@@ -114,6 +114,21 @@ def box_centers(xywh: np.ndarray) -> np.ndarray:
     return np.column_stack([xywh[:, 0] + xywh[:, 2] / 2.0, xywh[:, 1] + xywh[:, 3] / 2.0])
 
 
+def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of xywh boxes a[..., :4] and b[..., :4] elementwise, broadcasting
+    their leading dimensions: (K, 4) with (K, 4) gives the K pairs' IoUs,
+    iou_matrix passes (N, 1, 4) and (1, M, 4)."""
+    ax1, ay1, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bx1, by1, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    iw = np.minimum(ax1 + aw, bx1 + bw) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay1 + ah, by1 + bh) - np.maximum(ay1, by1)
+    # np.maximum/np.minimum clip exactly as np.clip does, at a third of its
+    # call overhead on frame-sized matrices
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    union = (aw * ah) + (bw * bh) - inter
+    return np.minimum(np.maximum(inter / union, 0.0), 1.0)
+
+
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two (N, 4) / (M, 4) arrays of xywh boxes.
 
@@ -123,17 +138,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
-    ax1, ay1 = a[:, 0:1], a[:, 1:2]
-    ax2, ay2 = ax1 + a[:, 2:3], ay1 + a[:, 3:4]
-    bx1, by1 = b[None, :, 0], b[None, :, 1]
-    bx2, by2 = bx1 + b[None, :, 2], by1 + b[None, :, 3]
-    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-    # np.maximum/np.minimum clip exactly as np.clip does, at a third of its
-    # call overhead on frame-sized matrices
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    union = (a[:, 2:3] * a[:, 3:4]) + (b[None, :, 2] * b[None, :, 3]) - inter
-    return np.minimum(np.maximum(inter / union, 0.0), 1.0)
+    return iou_pairs(a[:, None, :], b[None, :, :])
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

@@ -9,9 +9,11 @@ than the last one it was ever matched to. Identity measures use one global
 bipartite assignment between ground-truth and result ids that maximizes
 the number of co-located frames.
 
-Both sides come in as MotTables, the arrays parse_mot_lines returns;
-_by_frame sorts their rows by frame once and slices each frame's ids and
-boxes out of the sorted block.
+Both sides come in as MotTables, the arrays parse_mot_lines returns; each
+is sorted by frame once and every frame is a slice of the sorted block.
+The CLEAR sweep keeps its per-id state in arrays over dense ids and scores
+the carried-over pairs elementwise, so iou_matrix and the assignment only
+see the rows and columns those pairs leave free.
 
 All rates are emitted as fractions; the table printer formats percents.
 """
@@ -24,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .association import linear_assignment
-from .core import iou_matrix
+from .core import iou_matrix, iou_pairs
 from .mot_io import MotTable
 
 
@@ -62,68 +64,118 @@ def _by_frame(table: MotTable) -> dict[int, tuple[list[int], np.ndarray]]:
     }
 
 
+def _frame_spans(table: MotTable):
+    """The table's rows sorted by frame (stable): each row's dense id (its
+    index among the sorted distinct ids), the (K, 4) boxes, the distinct
+    ids, and {frame: (start, end)} row spans, frames ascending."""
+    order = np.argsort(table.frames, kind="stable")
+    frames = table.frames[order]
+    ids, dense = np.unique(table.ids[order], return_inverse=True)
+    keys, starts = np.unique(frames, return_index=True)
+    ends = np.append(starts[1:], frames.shape[0])
+    spans = dict(zip(keys.tolist(), zip(starts.tolist(), ends.tolist())))
+    return dense.reshape(-1), table.rows[order, 2:6], ids, spans
+
+
+def _carried_over(g_ids, g_boxes, r_ids, r_boxes, prev_r, iou_threshold):
+    """Yesterday's pairs that still overlap enough: (gt rows, result rows,
+    IoUs), gt rows ascending. A gt row looks up the first row of the result
+    id it was matched to; a result row goes to the first gt row that keeps
+    it."""
+    want = prev_r[g_ids]
+    seen, first = np.unique(r_ids, return_index=True)
+    pos = np.minimum(np.searchsorted(seen, want), seen.shape[0] - 1)
+    gi = np.flatnonzero((want >= 0) & (seen[pos] == want))
+    ri = first[pos[gi]]
+    ious = iou_pairs(g_boxes[gi], r_boxes[ri])
+    ok = ious >= iou_threshold
+    gi, ri, ious = gi[ok], ri[ok], ious[ok]
+    keep = np.sort(np.unique(ri, return_index=True)[1])
+    return gi[keep], ri[keep], ious[keep]
+
+
 def clear_mot(gt: MotTable, results: MotTable, iou_threshold: float = 0.5) -> dict:
-    """CLEAR sweep; returns the raw counts the reports are built from."""
-    gt_frames = _by_frame(gt)
-    res_frames = _by_frame(results)
-    gt_total = sum(len(ids) for ids, _ in gt_frames.values())
+    """CLEAR sweep; returns the raw counts the reports are built from.
+
+    Ids are dense indices within each side. Per frame, the carried-over
+    pairs get their IoUs elementwise, and only the block of rows and
+    columns they leave free goes through iou_matrix and the assignment.
+    Matched IoUs are summed in match order, carried-over pairs first.
+    """
+    gd, gb, g_ids, g_spans = _frame_spans(gt)
+    rd, rb, _, r_spans = _frame_spans(results)
+    gt_total = gd.shape[0]
     if gt_total == 0:
         raise EvaluationError("ground truth contains no boxes")
 
     fp = fn = switches = 0
-    iou_sum = 0.0
-    matches_total = 0
-    prev: dict[int, int] = {}       # correspondence active in the previous frame
-    last_match: dict[int, int] = {} # last result id each gt id was matched to
-    present: dict[int, int] = {}
-    covered: dict[int, int] = {}
+    # per gt id: the result it matched in the previous frame, and the last
+    # result it was ever matched to; -1 for none
+    prev_r = np.full(g_ids.shape[0], -1)
+    last_r = np.full(g_ids.shape[0], -1)
+    prev_g = np.zeros(0, dtype=np.intp)
+    matched_g: list[np.ndarray] = []
+    matched_iou: list[np.ndarray] = []
 
-    for frame in sorted(set(gt_frames) | set(res_frames)):
-        g_ids, g_boxes = gt_frames.get(frame, ([], np.zeros((0, 4))))
-        r_ids, r_boxes = res_frames.get(frame, ([], np.zeros((0, 4))))
-        for g in g_ids:
-            present[g] = present.get(g, 0) + 1
-        ious = iou_matrix(g_boxes, r_boxes)
+    for frame in sorted(set(g_spans) | set(r_spans)):
+        g0, g1 = g_spans.get(frame, (0, 0))
+        r0, r1 = r_spans.get(frame, (0, 0))
+        g_frame, g_boxes = gd[g0:g1], gb[g0:g1]
+        r_frame, r_boxes = rd[r0:r1], rb[r0:r1]
 
-        matched_g: dict[int, int] = {}
-        used_r: set[int] = set()
-        # carry over yesterday's pairs that still overlap enough; a result id
-        # given twice in a frame resolves to its first row
-        first_row: dict[int, int] = {}
-        for ri, r in enumerate(r_ids):
-            first_row.setdefault(r, ri)
-        for gi, g in enumerate(g_ids):
-            ri = first_row.get(prev.get(g))
-            if ri is None or ri in used_r:
-                continue
-            if ious[gi, ri] >= iou_threshold:
-                matched_g[gi] = ri
-                used_r.add(ri)
+        if g_frame.size and r_frame.size:
+            gi, ri, ious = _carried_over(g_frame, g_boxes, r_frame, r_boxes, prev_r,
+                                         iou_threshold)
+            free_g = np.ones(g_frame.shape[0], dtype=bool)
+            free_g[gi] = False
+            free_r = np.ones(r_frame.shape[0], dtype=bool)
+            free_r[ri] = False
+            fg, fr = np.flatnonzero(free_g), np.flatnonzero(free_r)
+            if fg.size and fr.size:
+                block = iou_matrix(g_boxes[fg], r_boxes[fr])
+                sub = 1.0 - block
+                sub[block < iou_threshold] = np.inf
+                pairs = np.array(linear_assignment(sub).matches, dtype=np.intp).reshape(-1, 2)
+                a, b = pairs[:, 0], pairs[:, 1]
+                gi = np.concatenate([gi, fg[a]])
+                ri = np.concatenate([ri, fr[b]])
+                ious = np.concatenate([ious, block[a, b]])
+        else:
+            gi = ri = np.zeros(0, dtype=np.intp)
+            ious = np.zeros(0)
 
-        free_g = [gi for gi in range(len(g_ids)) if gi not in matched_g]
-        free_r = [ri for ri in range(len(r_ids)) if ri not in used_r]
-        if free_g and free_r:
-            sub = 1.0 - ious[np.ix_(free_g, free_r)]
-            sub[ious[np.ix_(free_g, free_r)] < iou_threshold] = np.inf
-            for a, b in linear_assignment(sub).matches:
-                matched_g[free_g[a]] = free_r[b]
-                used_r.add(free_r[b])
+        # in gt-id order; a gt id matched twice in one frame compares its
+        # second result against its first
+        g_m, r_m = g_frame[gi], r_frame[ri]
+        order = np.argsort(g_m, kind="stable")
+        gs, rs = g_m[order], r_m[order]
+        repeat = np.zeros(gs.shape[0], dtype=bool)
+        repeat[1:] = gs[1:] == gs[:-1]
+        before = last_r[gs]
+        before[repeat] = rs[:-1][repeat[1:]]
+        switches += int(np.count_nonzero((before >= 0) & (before != rs)))
+        final = np.ones(gs.shape[0], dtype=bool)
+        final[:-1] = ~repeat[1:]
+        last_r[gs[final]] = rs[final]
+        prev_r[prev_g] = -1
+        prev_g = gs[final]
+        prev_r[prev_g] = rs[final]
 
-        prev = {}
-        for gi, ri in matched_g.items():
-            g, r = g_ids[gi], r_ids[ri]
-            if g in last_match and last_match[g] != r:
-                switches += 1
-            last_match[g] = r
-            prev[g] = r
-            covered[g] = covered.get(g, 0) + 1
-            iou_sum += float(ious[gi, ri])
-            matches_total += 1
+        matched_g.append(g_m)
+        matched_iou.append(ious)
+        fp += r_frame.shape[0] - gi.shape[0]
+        fn += g_frame.shape[0] - gi.shape[0]
 
-        fp += len(r_ids) - len(matched_g)
-        fn += len(g_ids) - len(matched_g)
-
-    coverage = {g: covered.get(g, 0) / present[g] for g in present}
+    matched = np.concatenate(matched_g)
+    ious = np.concatenate(matched_iou)
+    # summed one match at a time, as the report has always added them
+    iou_sum = float(np.add.accumulate(ious)[-1]) if ious.size else 0.0
+    present = np.bincount(gd, minlength=g_ids.shape[0]).tolist()
+    covered = np.bincount(matched, minlength=g_ids.shape[0]).tolist()
+    # gt ids in order of first appearance
+    first_seen = np.sort(np.unique(gd, return_index=True)[1])
+    coverage = {int(g_ids[g]): covered[g] / present[g] for g in gd[first_seen].tolist()}
+    matches_total = matched.shape[0]
     return {
         "fp": fp,
         "fn": fn,

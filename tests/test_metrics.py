@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import mot_table
-from drone_assoc.core import BoundingBox
+from conftest import mot_table, reference_clear_mot
+from drone_assoc.core import BoundingBox, iou_matrix
 from drone_assoc.metrics import (
     EvaluationError,
     clear_mot,
@@ -127,6 +127,87 @@ class TestClearMot:
         out = clear_mot(mot_table(gt), mot_table([row(1, 9, 8.0)]), iou_threshold=0.5)
         # IoU 2/18 = 0.111: both sides go unmatched
         assert out["fp"] == 1 and out["fn"] == 1
+
+
+def same_clear(got: dict, want: dict) -> bool:
+    """Equal counts, equal coverage in the same key order, and rates equal
+    bit for bit."""
+    return (got == want and list(got["coverage"]) == list(want["coverage"])
+            and repr(got["motp"]) == repr(want["motp"]))
+
+
+def grid_sequence(rng, n_frames=40, n_gt=8):
+    """Ground truth and results on a 5 px grid with 10x10 and 10x20 boxes, so
+    many IoUs land exactly on 0.5 and other exact fractions. Results jitter,
+    drop out and come back, swap and reuse ids, repeat an id within a frame
+    and add strays."""
+    pos = rng.integers(0, 40, (n_gt, 2)) * 5.0
+    gt, res = [], []
+    owner = np.arange(n_gt) + 100
+    for f in range(1, n_frames + 1):
+        pos += rng.integers(-1, 2, (n_gt, 2)) * 5.0
+        if rng.random() < 0.15:
+            i, j = rng.choice(n_gt, 2, replace=False)
+            owner[[i, j]] = owner[[j, i]]
+        for g in range(n_gt):
+            if rng.random() < 0.1:
+                continue  # the object leaves this frame
+            x, y = pos[g]
+            gt.append(MotLine(f, g + 1, BoundingBox(x, y, 10.0, 10.0), 1.0, 1))
+            if rng.random() < 0.15:
+                continue  # the tracker misses it
+            dx, dy = rng.integers(-1, 2, 2) * 5.0
+            w, h = (10.0, 20.0) if rng.random() < 0.3 else (10.0, 10.0)
+            r = int(owner[g]) if rng.random() > 0.05 else int(rng.integers(100, 100 + n_gt))
+            res.append(MotLine(f, r, BoundingBox(x + dx, y + dy, w, h), 1.0, 1))
+            if rng.random() < 0.05:  # the same id again, elsewhere or on top
+                res.append(MotLine(f, r, BoundingBox(x, y + dy, 10.0, 10.0), 1.0, 1))
+        for _ in range(int(rng.integers(0, 2))):
+            x, y = rng.integers(0, 40, 2) * 5.0
+            res.append(MotLine(f, int(rng.integers(100, 120)),
+                               BoundingBox(x, y, 10.0, 10.0), 1.0, 1))
+    # ground truth with a frame of its own at the end, results past it
+    gt.append(MotLine(n_frames + 1, 1, BoundingBox(0.0, 0.0, 10.0, 10.0), 1.0, 1))
+    res.append(MotLine(n_frames + 2, 100, BoundingBox(0.0, 0.0, 10.0, 10.0), 1.0, 1))
+    order = rng.permutation(len(res))
+    return mot_table(gt), mot_table([res[i] for i in order])
+
+
+class TestClearMotLockstep:
+    """clear_mot against the per-id sweep it replaced, bit for bit."""
+
+    def test_random_grid_sequences(self, rng):
+        exact = 0
+        for _ in range(30):
+            gt, res = grid_sequence(rng)
+            for threshold in (0.5, 1.0 / 3.0, 0.25):
+                got, want = clear_mot(gt, res, threshold), reference_clear_mot(gt, res, threshold)
+                assert same_clear(got, want), (got, want)
+            exact += np.count_nonzero(
+                np.isclose(reference_ious(gt, res), 0.5, rtol=0, atol=0))
+        assert exact > 0  # some pairs sat exactly on the 0.5 threshold
+
+    def test_threshold_is_inclusive_for_carried_over_pairs(self):
+        gt = [row(1, 1, 0.0), row(2, 1, 0.0)]
+        res = [row(1, 7, 0.0), MotLine(2, 7, BoundingBox(0.0, 0.0, 10.0, 20.0), 1.0, 1)]
+        got = clear_mot(mot_table(gt), mot_table(res))
+        assert same_clear(got, reference_clear_mot(mot_table(gt), mot_table(res)))
+        assert got["fp"] == 0 and got["fn"] == 0 and got["motp"] == 0.75
+
+    def test_gt_id_repeated_within_a_frame(self):
+        gt = [row(1, 1, 0.0), row(1, 1, 50.0), row(2, 1, 0.0), row(2, 1, 50.0)]
+        res = [row(1, 7, 0.0), row(1, 8, 50.0), row(2, 8, 0.0), row(2, 7, 50.0)]
+        got = clear_mot(mot_table(gt), mot_table(res))
+        assert same_clear(got, reference_clear_mot(mot_table(gt), mot_table(res)))
+
+
+def reference_ious(gt, res) -> np.ndarray:
+    """Every gt x result IoU of frames both sides share."""
+    out = []
+    for f in np.intersect1d(gt.frames, res.frames):
+        out.append(iou_matrix(gt.rows[gt.frames == f, 2:6],
+                              res.rows[res.frames == f, 2:6]).ravel())
+    return np.concatenate(out)
 
 
 class TestIdMeasures:
