@@ -381,8 +381,11 @@ def frame_descriptors(centers: np.ndarray, radius: float) -> np.ndarray:
     n = pts.shape[0]
     if n < 3:
         return np.zeros((n, 3))
-    diff = pts[None, :, :] - pts[:, None, :]
-    d = np.linalg.norm(diff, axis=2)
+    # np.linalg.norm's arithmetic over the last axis, without its (n, n, 2)
+    # intermediate
+    dx = pts[None, :, 0] - pts[:, None, 0]
+    dy = pts[None, :, 1] - pts[:, None, 1]
+    d = np.sqrt(dx * dx + dy * dy)
     qual = (d > 0.0) & (d <= radius)
     valid = qual.sum(axis=1) >= 2
     if not valid.any():
@@ -448,7 +451,8 @@ def rotation_cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A missing descriptor is a zero row. It, or any pair whose norms multiply
     to under 1e-12, contributes a neutral 0 cost.
     """
-    denom = np.linalg.norm(a, axis=1)[:, None] * np.linalg.norm(b, axis=1)
+    # row norms in np.linalg.norm's arithmetic
+    denom = np.sqrt((a * a).sum(axis=1))[:, None] * np.sqrt((b * b).sum(axis=1))
     neutral = denom < 1e-12
     denom[neutral] = 1.0
     block = 1.0 - (a @ b.T) / denom
