@@ -13,8 +13,10 @@ from .appearance import (
 from .association import (
     AssignmentResult,
     FrameOrderError,
+    FrameStats,
     Tracker,
     TrackRecord,
+    TrackTable,
     lifecycle_step,
     linear_assignment,
 )

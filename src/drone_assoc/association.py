@@ -367,7 +367,7 @@ class Tracker:
         if rows.size:
             t.means[rows], t.covs[rows] = mo.multi_update(t.means[rows], t.covs[rows],
                                                           boxes[pos])
-        inserted = self._absorb_features(rows1, emb_hi, cols1, scores[hi[cols1]], frame)
+        inserted = self._update_appearance(rows1, emb_hi, cols1, scores[hi[cols1]], frame)
         matched_desc = descriptors[pos]
         has_desc = matched_desc.any(axis=1)
         t.rotation[rows[has_desc]] = matched_desc[has_desc]
@@ -405,7 +405,7 @@ class Tracker:
 
     # -- internals ---------------------------------------------------------
 
-    def _absorb_features(
+    def _update_appearance(
         self,
         rows: np.ndarray,
         emb_hi: Optional[np.ndarray],

@@ -7,8 +7,9 @@ vectors kept at unit L2 norm once ingested.
 A frame's detections are columns, not objects: FrameDetections holds an
 (M, 4) box block, (M,) scores and classes, and an (M, D) embedding block or
 None, in file order. The tracker splits and gathers them with masks.
-normalize_rows scales a whole embedding block in place; normalize is the
-single-vector form on the tracker's hot path, with the same arithmetic.
+normalize_rows scales a whole embedding block in place, for loading and for
+the tracker's feature blend; normalize is the single-vector form, with the
+same arithmetic. Track is a snapshot of one row of the tracker's table.
 """
 
 from __future__ import annotations
@@ -196,7 +197,9 @@ class TrackState(enum.Enum):
 
 @dataclass
 class Track:
-    """Mutable per-identity state. Only the association engine writes it."""
+    """Per-identity state as one object: what indexing the tracker's track
+    table returns, and what the one-row appearance and lifecycle functions
+    take."""
 
     track_id: int
     class_id: int

@@ -49,21 +49,6 @@ class EvalReport:
     gt_total: int
 
 
-def _by_frame(table: MotTable) -> dict[int, tuple[list[int], np.ndarray]]:
-    """Ids and (K, 4) boxes per frame, frames ascending, rows in input order
-    within a frame: slices of the table's rows after one stable sort."""
-    order = np.argsort(table.frames, kind="stable")
-    frames = table.frames[order]
-    ids = table.ids[order].tolist()
-    boxes = table.rows[order, 2:6]
-    keys, starts = np.unique(frames, return_index=True)
-    ends = np.append(starts[1:], frames.shape[0]).tolist()
-    return {
-        f: (ids[s:e], boxes[s:e])
-        for f, s, e in zip(keys.tolist(), starts.tolist(), ends)
-    }
-
-
 def _frame_spans(table: MotTable):
     """The table's rows sorted by frame (stable): each row's dense id (its
     index among the sorted distinct ids), the (K, 4) boxes, the distinct
@@ -193,41 +178,27 @@ def id_measures(
     gt: MotTable, results: MotTable, iou_threshold: float = 0.5
 ) -> tuple[int, int, int]:
     """(idtp, idfp, idfn) under the best global identity mapping."""
-    gt_frames = _by_frame(gt)
-    res_frames = _by_frame(results)
-    gt_len: dict[int, int] = {}
-    res_len: dict[int, int] = {}
-    overlap: dict[tuple[int, int], int] = {}
-
-    for frame, (g_ids, g_boxes) in gt_frames.items():
-        for g in g_ids:
-            gt_len[g] = gt_len.get(g, 0) + 1
-        if frame not in res_frames:
-            continue
-        r_ids, r_boxes = res_frames[frame]
-        hits = iou_matrix(g_boxes, r_boxes) >= iou_threshold
-        for gi, ri in zip(*np.nonzero(hits)):
-            key = (g_ids[int(gi)], r_ids[int(ri)])
-            overlap[key] = overlap.get(key, 0) + 1
-    for frame, (r_ids, _) in res_frames.items():
-        for r in r_ids:
-            res_len[r] = res_len.get(r, 0) + 1
-
-    if not gt_len:
+    gd, gb, g_ids, g_spans = _frame_spans(gt)
+    rd, rb, r_ids, r_spans = _frame_spans(results)
+    if gd.shape[0] == 0:
         raise EvaluationError("ground truth contains no boxes")
 
-    g_index = {g: i for i, g in enumerate(sorted(gt_len))}
-    r_index = {r: i for i, r in enumerate(sorted(res_len))}
+    # co-located (gt id, result id) pairs, coded as g * len(r_ids) + r
+    n_r = r_ids.shape[0]
+    codes = [np.zeros(0, dtype=np.intp)]
+    for frame, (g0, g1) in g_spans.items():
+        if frame not in r_spans:
+            continue
+        r0, r1 = r_spans[frame]
+        gi, ri = np.nonzero(iou_matrix(gb[g0:g1], rb[r0:r1]) >= iou_threshold)
+        codes.append(gd[g0 + gi] * n_r + rd[r0 + ri])
     idtp = 0
-    if r_index:
-        gain = np.zeros((len(g_index), len(r_index)))
-        for (g, r), n in overlap.items():
-            gain[g_index[g], r_index[r]] = n
+    if n_r:
+        gain = np.bincount(np.concatenate(codes), minlength=g_ids.shape[0] * n_r)
+        gain = gain.reshape(g_ids.shape[0], n_r).astype(np.float64)
         result = linear_assignment(-gain)
         idtp = int(sum(gain[r, c] for r, c in result.matches))
-    total_gt = sum(gt_len.values())
-    total_res = sum(res_len.values())
-    return idtp, total_res - idtp, total_gt - idtp
+    return idtp, rd.shape[0] - idtp, gd.shape[0] - idtp
 
 
 def evaluate(gt: MotTable, results: MotTable, iou_threshold: float = 0.5) -> EvalReport:

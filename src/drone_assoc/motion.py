@@ -4,10 +4,10 @@ rotation descriptor over neighboring object centers.
 
 Each operation has one batched implementation: multi_init, multi_predict
 (warp, then predict), multi_update, frame_descriptors and
-rotation_cost_matrix. Boxes enter them as (N, 4) xywh arrays. The
-single-item functions (kalman_init, kalman_predict, kalman_update,
-warp_motion_state, predict_state, rotation_descriptor, rotation_cost) are
-one-row calls of it.
+rotation_cost_matrix. Boxes enter them as (N, 4) xywh arrays; descriptors
+are (N, 3) rows, a zero row where a point has none. The single-item
+functions (kalman_init, kalman_predict, kalman_update, warp_motion_state,
+predict_state, rotation_descriptor, rotation_cost) are one-row calls of it.
 
 Camera motion without a sidecar comes from estimate_affine, a RANSAC search
 that draws all of its minimal 3-point models in one generator call and fits

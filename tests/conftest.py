@@ -28,7 +28,7 @@ from drone_assoc.core import (
     iou_matrix,
     normalize,
 )
-from drone_assoc.metrics import EvaluationError, _by_frame
+from drone_assoc.metrics import EvaluationError
 from drone_assoc.mot_io import (
     MALFORMED_FATAL_RATIO,
     FormatError,
@@ -622,11 +622,23 @@ class ReferenceTracker:
 # -- the CLEAR sweep that clear_mot now runs on array blocks -------------------
 
 
+def by_frame(table: MotTable) -> dict:
+    """{frame: (ids as a list, (K, 4) boxes)}, frames ascending, rows in
+    input order within a frame."""
+    order = np.argsort(table.frames, kind="stable")
+    frames = table.frames[order]
+    ids = table.ids[order].tolist()
+    boxes = table.rows[order, 2:6]
+    keys, starts = np.unique(frames, return_index=True)
+    ends = np.append(starts[1:], frames.shape[0]).tolist()
+    return {f: (ids[s:e], boxes[s:e]) for f, s, e in zip(keys.tolist(), starts.tolist(), ends)}
+
+
 def reference_clear_mot(gt, results, iou_threshold: float = 0.5) -> dict:
     """Per-frame full ground-truth x result IoU blocks and a Python walk over
     the ids: clear_mot before it matched the carried-over pairs elementwise."""
-    gt_frames = _by_frame(gt)
-    res_frames = _by_frame(results)
+    gt_frames = by_frame(gt)
+    res_frames = by_frame(results)
     gt_total = sum(len(ids) for ids, _ in gt_frames.values())
     if gt_total == 0:
         raise EvaluationError("ground truth contains no boxes")
@@ -694,3 +706,40 @@ def reference_clear_mot(gt, results, iou_threshold: float = 0.5) -> dict:
         "ml": sum(1 for c in coverage.values() if c <= 0.2),
         "coverage": coverage,
     }
+
+
+def reference_id_measures(gt, results, iou_threshold: float = 0.5):
+    """Overlap counts in a dict keyed by id pairs: id_measures before it
+    counted the pairs with one bincount."""
+    gt_frames = by_frame(gt)
+    res_frames = by_frame(results)
+    gt_len: dict = {}
+    res_len: dict = {}
+    overlap: dict = {}
+    for frame, (g_ids, g_boxes) in gt_frames.items():
+        for g in g_ids:
+            gt_len[g] = gt_len.get(g, 0) + 1
+        if frame not in res_frames:
+            continue
+        r_ids, r_boxes = res_frames[frame]
+        hits = iou_matrix(g_boxes, r_boxes) >= iou_threshold
+        for gi, ri in zip(*np.nonzero(hits)):
+            key = (g_ids[int(gi)], r_ids[int(ri)])
+            overlap[key] = overlap.get(key, 0) + 1
+    for frame, (r_ids, _) in res_frames.items():
+        for r in r_ids:
+            res_len[r] = res_len.get(r, 0) + 1
+    if not gt_len:
+        raise EvaluationError("ground truth contains no boxes")
+    g_index = {g: i for i, g in enumerate(sorted(gt_len))}
+    r_index = {r: i for i, r in enumerate(sorted(res_len))}
+    idtp = 0
+    if r_index:
+        gain = np.zeros((len(g_index), len(r_index)))
+        for (g, r), n in overlap.items():
+            gain[g_index[g], r_index[r]] = n
+        result = linear_assignment(-gain)
+        idtp = int(sum(gain[r, c] for r, c in result.matches))
+    total_gt = sum(gt_len.values())
+    total_res = sum(res_len.values())
+    return idtp, total_res - idtp, total_gt - idtp

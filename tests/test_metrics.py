@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import mot_table, reference_clear_mot
+from conftest import by_frame, mot_table, reference_clear_mot, reference_id_measures
 from drone_assoc.core import BoundingBox, iou_matrix
 from drone_assoc.metrics import (
     EvaluationError,
@@ -174,7 +174,8 @@ def grid_sequence(rng, n_frames=40, n_gt=8):
 
 
 class TestClearMotLockstep:
-    """clear_mot against the per-id sweep it replaced, bit for bit."""
+    """clear_mot and id_measures against the per-id sweeps they replaced,
+    bit for bit."""
 
     def test_random_grid_sequences(self, rng):
         exact = 0
@@ -186,6 +187,13 @@ class TestClearMotLockstep:
             exact += np.count_nonzero(
                 np.isclose(reference_ious(gt, res), 0.5, rtol=0, atol=0))
         assert exact > 0  # some pairs sat exactly on the 0.5 threshold
+
+    def test_id_measures_on_random_grid_sequences(self, rng):
+        for _ in range(20):
+            gt, res = grid_sequence(rng)
+            for threshold in (0.5, 0.25):
+                assert id_measures(gt, res, threshold) == \
+                    reference_id_measures(gt, res, threshold)
 
     def test_threshold_is_inclusive_for_carried_over_pairs(self):
         gt = [row(1, 1, 0.0), row(2, 1, 0.0)]
@@ -212,11 +220,8 @@ def reference_ious(gt, res) -> np.ndarray:
 
 class TestIdMeasures:
     def brute_force(self, gt, results, iou_threshold=0.5):
-        from drone_assoc.metrics import _by_frame
-        from drone_assoc.core import iou_matrix
-
-        gt_frames = _by_frame(mot_table(gt))
-        res_frames = _by_frame(mot_table(results))
+        gt_frames = by_frame(mot_table(gt))
+        res_frames = by_frame(mot_table(results))
         overlap = {}
         for frame, (g_ids, g_boxes) in gt_frames.items():
             if frame not in res_frames:
