@@ -67,6 +67,11 @@ class AssignmentResult:
     unmatched_rows: list[int]
     unmatched_cols: list[int]
 
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The matched rows and columns as index arrays, in match order."""
+        pairs = np.array(self.matches, dtype=np.intp).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
+
 
 @dataclass(frozen=True)
 class TrackRecord:
@@ -296,12 +301,6 @@ def lifecycle_step(track: Track, matched: bool, config: TrackerConfig) -> Track:
     return track
 
 
-def _pairs(result: AssignmentResult) -> tuple[np.ndarray, np.ndarray]:
-    """The matched rows and columns of an assignment, as index arrays."""
-    pairs = np.array(result.matches, dtype=np.intp).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
-
-
 class Tracker:
     """Holds live tracks and consumes frames in strictly increasing order."""
 
@@ -352,7 +351,7 @@ class Tracker:
         gallery_rows = (int(t.has_local.sum() + t.fill.sum())
                         if cfg.w_a > 0 and emb is not None and cost.size else 0)
         stage1 = linear_assignment(cost)
-        rows1, cols1 = _pairs(stage1)
+        rows1, cols1 = stage1.pairs()
         self.stage1_match_ious.extend(
             (frame, iou) for iou in ious[rows1, cols1].tolist())
 
@@ -360,7 +359,7 @@ class Tracker:
         leftover = free[t.states[free] != LOST]
         cost2, _ = iou_cost_matrix(t.classes[leftover], predicted[leftover],
                                    boxes[lo], classes[lo], cfg)
-        rows2, cols2 = _pairs(linear_assignment(cost2))
+        rows2, cols2 = linear_assignment(cost2).pairs()
 
         rows = np.concatenate([rows1, leftover[rows2]])
         pos = np.concatenate([hi[cols1], lo[cols2]])

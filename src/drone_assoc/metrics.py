@@ -120,8 +120,7 @@ def clear_mot(gt: MotTable, results: MotTable, iou_threshold: float = 0.5) -> di
                 block = iou_matrix(g_boxes[fg], r_boxes[fr])
                 sub = 1.0 - block
                 sub[block < iou_threshold] = np.inf
-                pairs = np.array(linear_assignment(sub).matches, dtype=np.intp).reshape(-1, 2)
-                a, b = pairs[:, 0], pairs[:, 1]
+                a, b = linear_assignment(sub).pairs()
                 gi = np.concatenate([gi, fg[a]])
                 ri = np.concatenate([ri, fr[b]])
                 ious = np.concatenate([ious, block[a, b]])
