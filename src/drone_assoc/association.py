@@ -366,7 +366,8 @@ class Tracker:
         if rows.size:
             t.means[rows], t.covs[rows] = mo.multi_update(t.means[rows], t.covs[rows],
                                                           boxes[pos])
-        inserted = self._update_appearance(rows1, emb_hi, cols1, scores[hi[cols1]], frame)
+        inserted = self._update_appearance(
+            rows1, None if emb is None else emb_hi[cols1], scores[hi[cols1]], frame)
         matched_desc = descriptors[pos]
         has_desc = matched_desc.any(axis=1)
         t.rotation[rows[has_desc]] = matched_desc[has_desc]
@@ -407,19 +408,17 @@ class Tracker:
     def _update_appearance(
         self,
         rows: np.ndarray,
-        emb_hi: Optional[np.ndarray],
-        cols: np.ndarray,
+        feats: Optional[np.ndarray],
         scores: np.ndarray,
         frame: int,
     ) -> np.ndarray:
-        """Fold the stage-1 matches' embeddings into their tracks: the blend
-        of the local feature, then, with AFS and outside the frame that
-        re-acquires a lost track, the key-bank offer. Runs before the
-        lifecycle step; returns the offers' insert mask."""
+        """Fold the stage-1 matches' embeddings `feats` into their `rows`:
+        the blend of the local feature, then, with AFS and outside the
+        frame that re-acquires a lost track, the key-bank offer. Runs before
+        the lifecycle step; returns the offers' insert mask."""
         cfg, t = self.config, self.tracks
-        if emb_hi is None or rows.size == 0:
+        if feats is None or rows.size == 0:
             return np.zeros(0, dtype=bool)
-        feats = emb_hi[cols]
         if cfg.use_afs:
             alphas = ap.adaptive_alphas(scores.tolist(), cfg.theta_high, cfg.alpha_f)
         else:
