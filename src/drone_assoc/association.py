@@ -21,6 +21,12 @@ features, advance the lifecycle by masks, drop removed rows with one boolean
 index and append the spawns at the end. Creation order keeps the cost-matrix
 row order, so assignment ties resolve as they did when tracks were objects.
 Indexing the table gives Track snapshots.
+
+linear_assignment returns index arrays: the matches as (K, 2) (row, column)
+pairs, and the unmatched rows and columns. A frame's output is one
+TrackRecord per confirmed track matched that frame: a tuple of plain values
+in MOT result order (frame, id, x, y, w, h, score, class), taken from one
+(K, 4) block of posterior boxes that must be finite.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -36,7 +42,6 @@ from scipy.optimize import linear_sum_assignment
 from . import appearance as ap
 from . import motion as mo
 from .core import (
-    BoundingBox,
     FrameDetections,
     Track,
     TrackState,
@@ -61,25 +66,25 @@ class FrameOrderError(ValueError):
     """Raised when frames are fed out of order."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssignmentResult:
-    matches: list[tuple[int, int]]
-    unmatched_rows: list[int]
-    unmatched_cols: list[int]
+    """Matches as a (K, 2) intp array of (row, column) pairs in solver
+    order; the unmatched rows and columns as ascending intp arrays."""
 
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The matched rows and columns as index arrays, in match order."""
-        pairs = np.array(self.matches, dtype=np.intp).reshape(-1, 2)
-        return pairs[:, 0], pairs[:, 1]
+    matches: np.ndarray
+    unmatched_rows: np.ndarray
+    unmatched_cols: np.ndarray
 
 
-@dataclass(frozen=True)
-class TrackRecord:
-    """One output line: a confirmed track observed at a frame."""
+class TrackRecord(NamedTuple):
+    """One output row: a confirmed track's posterior xywh box at a frame."""
 
     frame: int
     track_id: int
-    bbox: BoundingBox
+    x: float
+    y: float
+    w: float
+    h: float
     score: float
     class_id: int
 
@@ -113,20 +118,18 @@ def linear_assignment(cost: np.ndarray) -> AssignmentResult:
         raise ValueError("cost matrix must be 2-dimensional")
     n, m = cost.shape
     if n == 0 or m == 0:
-        return AssignmentResult([], list(range(n)), list(range(m)))
+        return AssignmentResult(np.zeros((0, 2), dtype=np.intp),
+                                np.arange(n, dtype=np.intp), np.arange(m, dtype=np.intp))
     solvable = np.where(np.isfinite(cost), cost, _LARGE)
     rows, cols = linear_sum_assignment(solvable)
     ok = np.isfinite(cost[rows, cols])
-    matched_r, matched_c = rows[ok].tolist(), cols[ok].tolist()
+    rows, cols = rows[ok], cols[ok]
     free_r = np.ones(n, dtype=bool)
-    free_r[matched_r] = False
+    free_r[rows] = False
     free_c = np.ones(m, dtype=bool)
-    free_c[matched_c] = False
-    return AssignmentResult(
-        list(zip(matched_r, matched_c)),
-        np.flatnonzero(free_r).tolist(),
-        np.flatnonzero(free_c).tolist(),
-    )
+    free_c[cols] = False
+    return AssignmentResult(np.column_stack([rows, cols]),
+                            np.flatnonzero(free_r), np.flatnonzero(free_c))
 
 
 class TrackTable(Sequence):
@@ -351,15 +354,15 @@ class Tracker:
         gallery_rows = (int(t.has_local.sum() + t.fill.sum())
                         if cfg.w_a > 0 and emb is not None and cost.size else 0)
         stage1 = linear_assignment(cost)
-        rows1, cols1 = stage1.pairs()
+        rows1, cols1 = stage1.matches.T
         self.stage1_match_ious.extend(
             (frame, iou) for iou in ious[rows1, cols1].tolist())
 
-        free = np.array(stage1.unmatched_rows, dtype=np.intp)
+        free = stage1.unmatched_rows
         leftover = free[t.states[free] != LOST]
         cost2, _ = iou_cost_matrix(t.classes[leftover], predicted[leftover],
                                    boxes[lo], classes[lo], cfg)
-        rows2, cols2 = linear_assignment(cost2).pairs()
+        rows2, cols2 = linear_assignment(cost2).matches.T
 
         rows = np.concatenate([rows1, leftover[rows2]])
         pos = np.concatenate([hi[cols1], lo[cols2]])
@@ -381,17 +384,21 @@ class Tracker:
         if n_removed:
             t.keep(~removed)
 
-        spawn = hi[np.array(stage1.unmatched_cols, dtype=np.intp)]
+        spawn = hi[stage1.unmatched_cols]
         if spawn.size:
             inserted = np.concatenate([inserted, self._spawn(
                 boxes[spawn], classes[spawn], scores[spawn],
                 None if emb is None else emb[spawn], descriptors[spawn], frame)])
 
         emit = np.flatnonzero((t.states == CONFIRMED) & (t.last_frame == frame))
+        xywh = mo.states_to_xywh(t.means[emit])
+        if not np.isfinite(xywh).all():
+            bad = t.ids[emit][~np.isfinite(xywh).all(axis=1)][0]
+            raise ValueError(f"frame {frame}: the box of track {bad} must be finite")
         records = [
-            TrackRecord(frame, track_id, box, score, class_id)
-            for track_id, box, score, class_id in zip(
-                t.ids[emit].tolist(), mo.states_to_boxes(t.means[emit]),
+            TrackRecord(frame, track_id, x, y, w, h, score, class_id)
+            for track_id, (x, y, w, h), score, class_id in zip(
+                t.ids[emit].tolist(), xywh.tolist(),
                 t.last_score[emit].tolist(), t.classes[emit].tolist())
         ]
         n_inserts = int(inserted.sum())

@@ -153,7 +153,6 @@ def _cmd_track(parser, args) -> int:
         merged["w_r"] = 0.0
     try:
         cfg = run_config_from_dict(merged, source=args.config or "flags")
-        cfg.tracker_config()
     except (FormatError, ConfigError, ValueError) as e:
         parser.error(str(e))
     for required in ("detections", "embeddings", "output"):

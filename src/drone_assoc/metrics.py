@@ -120,7 +120,7 @@ def clear_mot(gt: MotTable, results: MotTable, iou_threshold: float = 0.5) -> di
                 block = iou_matrix(g_boxes[fg], r_boxes[fr])
                 sub = 1.0 - block
                 sub[block < iou_threshold] = np.inf
-                a, b = linear_assignment(sub).pairs()
+                a, b = linear_assignment(sub).matches.T
                 gi = np.concatenate([gi, fg[a]])
                 ri = np.concatenate([ri, fr[b]])
                 ious = np.concatenate([ious, block[a, b]])
@@ -195,8 +195,8 @@ def id_measures(
     if n_r:
         gain = np.bincount(np.concatenate(codes), minlength=g_ids.shape[0] * n_r)
         gain = gain.reshape(g_ids.shape[0], n_r).astype(np.float64)
-        result = linear_assignment(-gain)
-        idtp = int(sum(gain[r, c] for r, c in result.matches))
+        rows, cols = linear_assignment(-gain).matches.T
+        idtp = int(gain[rows, cols].sum())
     return idtp, rd.shape[0] - idtp, gd.shape[0] - idtp
 
 

@@ -25,6 +25,7 @@ import logging
 import os
 import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -462,17 +463,18 @@ def write_affines(path: str, affines: dict[int, AffineTransform],
             fh.write(f"{frame},{vals}\n")
 
 
-def write_results(records: Iterable, path: str) -> None:
-    """Write tracker output rows sorted by (frame, id).
+def write_results(rows: Iterable, path: str) -> None:
+    """Write tracker output rows sorted by (frame, id), keeping the given
+    order among equal keys.
 
-    Records need frame, track_id, bbox, score, class_id attributes.
+    Each row is a tuple of plain Python values (frame, track_id, x, y, w, h,
+    score, class_id), such as association.TrackRecord.
     """
-    rows = sorted(records, key=lambda r: (r.frame, r.track_id))
+    ordered = sorted(rows, key=itemgetter(0, 1))
     with open(path, "w", encoding="utf-8") as fh:
-        for r in rows:
-            b = r.bbox
-            fh.write(f"{r.frame},{r.track_id},{b.x!r},{b.y!r},{b.w!r},{b.h!r},"
-                     f"{float(r.score)!r},{r.class_id},-1,-1\n")
+        for frame, track_id, x, y, w, h, score, class_id in ordered:
+            fh.write(f"{frame},{track_id},{x!r},{y!r},{w!r},{h!r},{score!r},"
+                     f"{class_id},-1,-1\n")
 
 
 def write_mot_file(path: str, lines: Sequence[MotLine],
@@ -518,8 +520,9 @@ def write_key_values(path: str, values: dict, comment: Optional[str] = None) -> 
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Everything a tracking run needs: paths, tracker knobs, seed."""
+class RunConfig(TrackerConfig):
+    """Everything a tracking run needs: the tracker settings it inherits,
+    plus paths, the sidecar width and the seed."""
 
     detections: Optional[str] = None
     embeddings: Optional[str] = None
@@ -527,26 +530,11 @@ class RunConfig:
     output: Optional[str] = None
     embedding_dim: Optional[int] = None  # None: the sidecar's own width
     seed: int = 0
-    theta_high: float = 0.6
-    theta_low: float = 0.1
-    alpha_f: float = 0.9
-    w_a: float = 0.5
-    w_r: float = 0.1
-    radius_R: float = 100.0
-    key_bank_capacity: int = 10
-    novelty_threshold: float = 0.25
-    iou_gate: float = 0.1
-    confirm_hits: int = 3
-    max_lost_age: int = 30
-    use_afs: bool = True
-    use_dmp: bool = True
 
     def tracker_config(self) -> TrackerConfig:
-        fields = {f.name for f in dataclasses.fields(TrackerConfig)}
-        return TrackerConfig(**{
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(RunConfig) if f.name in fields
-        })
+        """The tracker settings alone, as a plain TrackerConfig."""
+        return TrackerConfig(**{f.name: getattr(self, f.name)
+                                for f in dataclasses.fields(TrackerConfig)})
 
 
 _PATH_KEYS = {"detections", "embeddings", "affines", "output"}

@@ -121,17 +121,6 @@ def states_to_xywh(means: np.ndarray) -> np.ndarray:
     return np.column_stack([means[:, 0] - w / 2.0, means[:, 1] - h / 2.0, w, h])
 
 
-def state_to_box(mean: np.ndarray) -> BoundingBox:
-    """Reconstruct an xywh box from a filter mean, clamped to positive extent."""
-    return states_to_boxes(mean)[0]
-
-
-def states_to_boxes(means: np.ndarray) -> list[BoundingBox]:
-    """state_to_box over stacked (N, 8) means."""
-    xywh = states_to_xywh(np.asarray(means, dtype=np.float64).reshape(-1, 8))
-    return [BoundingBox(*row) for row in xywh.tolist()]
-
-
 def kalman_init(box: BoundingBox) -> MotionState:
     """Start a filter at a measured box with zero velocity; the one-row
     call of multi_init."""

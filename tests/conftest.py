@@ -453,6 +453,18 @@ def reference_lifecycle_step(track: Track, matched: bool, config) -> Track:
     return track
 
 
+def reference_record(frame: int, track: Track) -> TrackRecord:
+    """A confirmed track's output row, one track at a time: the posterior box
+    in Python float arithmetic, validated by BoundingBox as records were
+    before they became plain rows."""
+    cx, cy, a, h = track.motion.mean[:4].tolist()
+    h = max(h, 1e-3)
+    w = max(a * h, 1e-3)
+    box = BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
+    return TrackRecord(frame, track.track_id, box.x, box.y, box.w, box.h,
+                       track.last_score, track.class_id)
+
+
 class ReferenceTracker:
     """One Track object per live track, updated one at a time: the tracker
     as it was before its tracks became a table. The columnar Tracker must
@@ -537,21 +549,22 @@ class ReferenceTracker:
                                  None if emb is None else emb[kept[hi]],
                                  [descriptors[p] for p in hi_pos], True)
         stage1 = linear_assignment(cost)
-        for j, i in stage1.matches:
+        matches1 = stage1.matches.tolist()
+        for j, i in matches1:
             self.stage1_match_ious.append((frame, float(ious[j, i])))
 
-        leftover_idx = [j for j in stage1.unmatched_rows
+        leftover_idx = [j for j in stage1.unmatched_rows.tolist()
                         if pool[j].state is not TrackState.LOST]
         leftovers = [pool[j] for j in leftover_idx]
         lo = np.array(lo_pos, dtype=np.intp)
         cost2, _ = self._costs(leftovers, predicted[leftover_idx], boxes[lo], classes[lo],
                                None, None, False)
-        stage2 = linear_assignment(cost2)
+        matches2 = linear_assignment(cost2).matches.tolist()
 
-        matched_idx = [j for j, _ in stage1.matches]
-        matched_idx += [leftover_idx[j] for j, _ in stage2.matches]
-        matched_pos = [hi_pos[i] for _, i in stage1.matches]
-        matched_pos += [lo_pos[i] for _, i in stage2.matches]
+        matched_idx = [j for j, _ in matches1]
+        matched_idx += [leftover_idx[j] for j, _ in matches2]
+        matched_pos = [hi_pos[i] for _, i in matches1]
+        matched_pos += [lo_pos[i] for _, i in matches2]
         if matched_idx:
             means[matched_idx], covs[matched_idx] = mo.multi_update(
                 means[matched_idx], covs[matched_idx], boxes[matched_pos])
@@ -563,7 +576,7 @@ class ReferenceTracker:
             if t.last_frame != frame:
                 reference_lifecycle_step(t, False, cfg)
 
-        spawn = [hi_pos[i] for i in stage1.unmatched_cols]
+        spawn = [hi_pos[i] for i in stage1.unmatched_cols.tolist()]
         if spawn:
             spawn_means, spawn_covs = mo.multi_init(boxes[spawn])
             for p, mean, cov in zip(spawn, spawn_means, spawn_covs):
@@ -573,10 +586,7 @@ class ReferenceTracker:
         self.tracks = [t for t in self.tracks if t.state is not TrackState.REMOVED]
         emitted = [t for t in self.tracks
                    if t.state is TrackState.CONFIRMED and t.last_frame == frame]
-        return [
-            TrackRecord(frame, t.track_id, box, t.last_score, t.class_id)
-            for t, box in zip(emitted, mo.states_to_boxes([t.motion.mean for t in emitted]))
-        ]
+        return [reference_record(frame, t) for t in emitted]
 
     def _absorb(self, track, embedding, score, desc, frame):
         cfg = self.config
@@ -676,7 +686,7 @@ def reference_clear_mot(gt, results, iou_threshold: float = 0.5) -> dict:
         if free_g and free_r:
             sub = 1.0 - ious[np.ix_(free_g, free_r)]
             sub[ious[np.ix_(free_g, free_r)] < iou_threshold] = np.inf
-            for a, b in linear_assignment(sub).matches:
+            for a, b in linear_assignment(sub).matches.tolist():
                 matched_g[free_g[a]] = free_r[b]
                 used_r.add(free_r[b])
 
@@ -739,7 +749,7 @@ def reference_id_measures(gt, results, iou_threshold: float = 0.5):
         for (g, r), n in overlap.items():
             gain[g_index[g], r_index[r]] = n
         result = linear_assignment(-gain)
-        idtp = int(sum(gain[r, c] for r, c in result.matches))
+        idtp = int(sum(gain[r, c] for r, c in result.matches.tolist()))
     total_gt = sum(gt_len.values())
     total_res = sum(res_len.values())
     return idtp, total_res - idtp, total_gt - idtp

@@ -16,7 +16,7 @@ from drone_assoc.association import (
     lifecycle_step,
     linear_assignment,
 )
-from drone_assoc.core import BoundingBox, TrackState, TrackerConfig
+from drone_assoc.core import BoundingBox, FrameDetections, TrackState, TrackerConfig
 from drone_assoc.motion import AffineTransform
 
 
@@ -54,41 +54,45 @@ def feed(tracker, frame, detections, m=None):
 class TestLinearAssignment:
     def test_two_by_two(self):
         res = linear_assignment(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert sorted(res.matches) == [(0, 0), (1, 1)]
-        assert res.unmatched_rows == [] and res.unmatched_cols == []
+        assert sorted(res.matches.tolist()) == [[0, 0], [1, 1]]
+        assert res.unmatched_rows.tolist() == [] and res.unmatched_cols.tolist() == []
 
     def test_rectangular_leaves_extra_columns(self):
         cost = np.array([[0.1, 0.9, 0.5], [0.9, 0.1, 0.5]])
         res = linear_assignment(cost)
-        assert sorted(res.matches) == [(0, 0), (1, 1)]
-        assert res.unmatched_cols == [2]
+        assert sorted(res.matches.tolist()) == [[0, 0], [1, 1]]
+        assert res.unmatched_cols.tolist() == [2]
 
     def test_infeasible_entries_never_match(self):
         cost = np.array([[np.inf, 1.0], [np.inf, np.inf]])
         res = linear_assignment(cost)
-        assert res.matches == [(0, 1)]
-        assert res.unmatched_rows == [1]
-        assert res.unmatched_cols == [0]
+        assert res.matches.tolist() == [[0, 1]]
+        assert res.unmatched_rows.tolist() == [1]
+        assert res.unmatched_cols.tolist() == [0]
 
-    def test_result_holds_plain_ints_in_solver_order(self):
+    def test_result_holds_intp_arrays_in_solver_order(self):
         cost = np.array([[0.1, np.inf, 0.9], [0.9, 0.2, 0.1], [0.5, 0.5, np.inf]])
         res = linear_assignment(cost)
-        assert res.matches == [(0, 0), (1, 2), (2, 1)]
-        assert res.unmatched_rows == [] and res.unmatched_cols == []
-        for r, c in res.matches:
-            assert type(r) is int and type(c) is int
+        assert res.matches.tolist() == [[0, 0], [1, 2], [2, 1]]
+        assert res.unmatched_rows.tolist() == [] and res.unmatched_cols.tolist() == []
+        for arr in (res.matches, res.unmatched_rows, res.unmatched_cols):
+            assert arr.dtype == np.intp
 
     def test_all_infeasible(self):
         res = linear_assignment(np.full((3, 3), np.inf))
-        assert res.matches == []
-        assert res.unmatched_rows == [0, 1, 2]
-        assert res.unmatched_cols == [0, 1, 2]
+        assert res.matches.shape == (0, 2) and res.matches.dtype == np.intp
+        assert res.unmatched_rows.tolist() == [0, 1, 2]
+        assert res.unmatched_cols.tolist() == [0, 1, 2]
 
     def test_empty_shapes(self):
         res = linear_assignment(np.zeros((0, 4)))
-        assert res.matches == [] and res.unmatched_cols == [0, 1, 2, 3]
+        assert res.matches.shape == (0, 2) and res.unmatched_rows.tolist() == []
+        assert res.unmatched_cols.tolist() == [0, 1, 2, 3]
         res = linear_assignment(np.zeros((2, 0)))
-        assert res.matches == [] and res.unmatched_rows == [0, 1]
+        assert res.matches.shape == (0, 2) and res.unmatched_cols.tolist() == []
+        assert res.unmatched_rows.tolist() == [0, 1]
+        for arr in (res.matches, res.unmatched_rows, res.unmatched_cols):
+            assert arr.dtype == np.intp
 
     def test_rejects_non_matrix(self):
         with pytest.raises(ValueError):
@@ -102,14 +106,15 @@ class TestLinearAssignment:
             cost[rng.uniform(size=(n, m)) < 0.2] = np.inf
             res = linear_assignment(cost)
             count, total = brute_force_assignment(cost)
-            assert len(res.matches) == count
-            got = sum(cost[r, c] for r, c in res.matches)
+            matches = res.matches.tolist()
+            assert len(matches) == count
+            got = sum(cost[r, c] for r, c in matches)
             assert got == pytest.approx(total, abs=1e-9)
-            assert len({r for r, _ in res.matches}) == len(res.matches)
-            assert len({c for _, c in res.matches}) == len(res.matches)
-            assert sorted([r for r, _ in res.matches] + res.unmatched_rows) \
+            assert len({r for r, _ in matches}) == len(matches)
+            assert len({c for _, c in matches}) == len(matches)
+            assert sorted([r for r, _ in matches] + res.unmatched_rows.tolist()) \
                 == list(range(n))
-            assert sorted([c for _, c in res.matches] + res.unmatched_cols) \
+            assert sorted([c for _, c in matches] + res.unmatched_cols.tolist()) \
                 == list(range(m))
 
 
@@ -419,4 +424,14 @@ class TestTracker:
         recs = feed(tr, 2, [det(6, 0)])
         # the reported center sits between prediction (0 velocity) and the
         # measured box, pulled strongly toward the measurement
-        assert 5.0 < recs[0].bbox.x + recs[0].bbox.w / 2.0 <= 11.0
+        assert 5.0 < recs[0].x + recs[0].w / 2.0 <= 11.0
+
+    def test_non_finite_posterior_box_raises(self):
+        # a finite but huge box overflows the filter's covariance, so the
+        # second frame's posterior is NaN
+        tr = Tracker()
+        fd = [FrameDetections(f, [[0.0, 0.0, 1.0, 1e160]], [0.9], [1]) for f in (1, 2)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert len(tr.associate_frame(fd[0], None)) == 1
+            with pytest.raises(ValueError, match="must be finite"):
+                tr.associate_frame(fd[1], None)

@@ -326,9 +326,9 @@ class TestWriteResults:
 
         path = tmp_path / "res.txt"
         records = [
-            TrackRecord(2, 1, BoundingBox(0.5, 1.5, 10.0, 10.0), 0.9, 1),
-            TrackRecord(1, 2, BoundingBox(5.0, 5.0, 8.0, 8.0), 0.8, 1),
-            TrackRecord(1, 1, BoundingBox(0.0, 0.0, 10.0, 10.0), 0.7, 2),
+            TrackRecord(2, 1, 0.5, 1.5, 10.0, 10.0, 0.9, 1),
+            TrackRecord(1, 2, 5.0, 5.0, 8.0, 8.0, 0.8, 1),
+            TrackRecord(1, 1, 0.0, 0.0, 10.0, 10.0, 0.7, 2),
         ]
         write_results(records, str(path))
         lines = path.read_text().splitlines()
@@ -340,10 +340,10 @@ class TestWriteResults:
         from drone_assoc.association import TrackRecord
 
         path = tmp_path / "res.txt"
-        b = BoundingBox(1.0 / 3.0, 0.1, 10.7, 20.0000001)
-        write_results([TrackRecord(1, 1, b, 0.123456789, 1)], str(path))
+        b = (1.0 / 3.0, 0.1, 10.7, 20.0000001)
+        write_results([TrackRecord(1, 1, *b, 0.123456789, 1)], str(path))
         parts = path.read_text().strip().split(",")
-        assert [float(v) for v in parts[2:6]] == [b.x, b.y, b.w, b.h]
+        assert [float(v) for v in parts[2:6]] == list(b)
         assert float(parts[6]) == 0.123456789
 
 
@@ -352,6 +352,7 @@ class TestRunConfig:
         from drone_assoc.core import TrackerConfig
 
         assert RunConfig().tracker_config() == TrackerConfig()
+        assert RunConfig(w_a=0.25).tracker_config() == TrackerConfig(w_a=0.25)
 
     def test_dict_coercions(self):
         cfg = run_config_from_dict({
@@ -389,9 +390,8 @@ class TestRunConfig:
     def test_nan_value_fails_tracker_config(self, name):
         from drone_assoc.core import ConfigError
 
-        cfg = run_config_from_dict({name: "nan"})
         with pytest.raises(ConfigError):
-            cfg.tracker_config()
+            run_config_from_dict({name: "nan"})
 
     def test_key_value_file_errors(self, tmp_path):
         path = tmp_path / "run.cfg"

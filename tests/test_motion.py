@@ -37,8 +37,7 @@ from drone_assoc.motion import (
     predict_state,
     rotation_cost,
     rotation_descriptor,
-    state_to_box,
-    states_to_boxes,
+    states_to_xywh,
     warp_motion_state,
 )
 
@@ -111,24 +110,25 @@ class TestKalmanBasics:
         mean = s.mean + gain @ (z - h_mat @ s.mean)
         assert np.allclose(u.mean, mean, atol=1e-9)
 
-    def test_state_to_box_roundtrip(self):
+    def test_states_to_xywh_roundtrip(self):
         box = BoundingBox(3.0, 4.0, 12.0, 30.0)
-        assert state_to_box(kalman_init(box).mean) == box
+        out = states_to_xywh(kalman_init(box).mean[None])
+        assert out.tolist() == [[box.x, box.y, box.w, box.h]]
 
-    def test_state_to_box_clamps_degenerate(self):
-        out = state_to_box(np.array([0, 0, 1.0, -5.0, 0, 0, 0, 0], dtype=float))
-        assert out.w == 1e-3 and out.h == 1e-3
+    def test_states_to_xywh_clamps_degenerate(self):
+        out = states_to_xywh(np.array([[0, 0, 1.0, -5.0, 0, 0, 0, 0]], dtype=float))
+        assert out[0, 2] == 1e-3 and out[0, 3] == 1e-3
 
-    def test_states_to_boxes_clamps_each_row(self, rng):
+    def test_states_to_xywh_clamps_each_row(self, rng):
         means = np.stack([random_motion_state(rng).mean for _ in range(9)])
         means[2, 3] = -5.0  # height clamps
         means[4, 2] = 1e-9  # width clamps
-        boxes = states_to_boxes(means)
-        assert boxes[2].h == 1e-3 and boxes[4].w == 1e-3
+        boxes = states_to_xywh(means)
+        assert boxes[2, 3] == 1e-3 and boxes[4, 2] == 1e-3
         for box, mean in zip(boxes, means):
-            assert box.center() == pytest.approx(tuple(mean[:2]))
-        assert boxes == [state_to_box(m) for m in means]
-        assert states_to_boxes(np.zeros((0, 8))) == []
+            assert box[:2] + box[2:] / 2.0 == pytest.approx(mean[:2])
+        assert boxes.tolist() == [states_to_xywh(m[None])[0].tolist() for m in means]
+        assert states_to_xywh(np.zeros((0, 8))).shape == (0, 4)
 
 
 class TestBatchedKalman:

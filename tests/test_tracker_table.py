@@ -64,7 +64,10 @@ def run_lockstep(config: TrackerConfig, stream) -> dict:
     events = {"spawned": 0, "removed": 0, "empty": 0, "no_embeddings": 0}
     totals = {"gallery_rows": 0, "bank_inserts": 0, "bank_refreshes": 0}
     for fd, m in stream:
-        assert tracker.associate_frame(fd, m) == ref.associate_frame(fd, m), fd.frame
+        # repr tells -0.0 from 0.0 and a numpy scalar from a plain value, as
+        # the results writer does
+        assert repr(tracker.associate_frame(fd, m)) == repr(ref.associate_frame(fd, m)), \
+            fd.frame
         assert tracker.stage1_match_ious == ref.stage1_match_ious, fd.frame
         assert_same_state(tracker, ref, fd.frame)
         stats = tracker.last_stats
