@@ -6,7 +6,6 @@ generator."""
 from .appearance import (
     KeyFeatureBank,
     adaptive_alpha,
-    appearance_cost,
     maybe_insert_key,
     update_local_feature,
 )
@@ -17,7 +16,6 @@ from .association import (
     Tracker,
     TrackRecord,
     TrackTable,
-    lifecycle_step,
     linear_assignment,
 )
 from .core import (
@@ -28,7 +26,6 @@ from .core import (
     TrackState,
     TrackerConfig,
     ZeroNormError,
-    iou,
     iou_matrix,
     normalize,
 )
@@ -57,7 +54,6 @@ from .motion import (
     multi_update,
     rotation_cost,
     rotation_descriptor,
-    warp_motion_state,
 )
 from .pipeline import run_ablation, run_tracking
 from .simulator import (

@@ -15,8 +15,8 @@ many rows at once:
   frame's embeddings through one stacked product.
 
 The Track-based functions (update_local_feature, blend_feature,
-maybe_insert_key, appearance_cost, appearance_cost_matrix) are one-row calls
-or thin adapters of them.
+maybe_insert_key, appearance_cost_matrix) are one-row calls or thin adapters
+of them.
 
 All features are unit-norm float64 vectors. Cosine similarity is therefore
 a plain dot product. Two rounding rules keep the batched forms equal bit for
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -204,19 +204,11 @@ def gallery_cost_matrix(
     return block
 
 
-def appearance_cost(track: Track, f: Optional[np.ndarray]) -> float:
-    """1 - best cosine similarity of f against the track's local feature and
-    its key bank, clamped to [0, 1]: one cell of appearance_cost_matrix.
-    Neutral 0 when either side lacks a feature."""
-    if f is None:
-        return 0.0
-    return float(appearance_cost_matrix([track], np.asarray(f)[None])[0, 0])
-
-
 def appearance_cost_matrix(tracks: list[Track], feats: np.ndarray) -> np.ndarray:
-    """appearance_cost of many tracks against an (M, D) block of features:
-    gallery_cost_matrix over each track's local feature, then its key-bank
-    features. Rows follow the track order."""
+    """(N, M) appearance costs of N tracks against an (M, D) block of
+    features: gallery_cost_matrix over each track's local feature, then its
+    key-bank features. Rows follow the track order; a track without a
+    feature scores a neutral 0."""
     galleries = [_gallery_rows(t) for t in tracks]
     width = max(map(len, galleries), default=0)
     gallery = np.zeros((len(tracks), width, feats.shape[1]), dtype=np.float64)

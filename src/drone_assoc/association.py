@@ -59,7 +59,6 @@ _LARGE = 1e9
 TENTATIVE, CONFIRMED, LOST, REMOVED = range(4)
 _STATES = (TrackState.TENTATIVE, TrackState.CONFIRMED, TrackState.LOST,
            TrackState.REMOVED)
-_CODES = {state: code for code, state in enumerate(_STATES)}
 
 
 class FrameOrderError(ValueError):
@@ -289,19 +288,6 @@ def lifecycle(
     states[matched & (lost | (tentative & (hits >= config.confirm_hits)))] = CONFIRMED
     states[missed & confirmed] = LOST
     states[missed & (tentative | (lost & (lost_age > config.max_lost_age)))] = REMOVED
-
-
-def lifecycle_step(track: Track, matched: bool, config: TrackerConfig) -> Track:
-    """Advance one track through the state table; the one-row call of
-    lifecycle."""
-    states = np.array([_CODES[track.state]], dtype=np.int8)
-    hits = np.array([track.consecutive_hits], dtype=np.int64)
-    lost_age = np.array([track.lost_age], dtype=np.int64)
-    lifecycle(states, hits, lost_age, np.array([matched]), config)
-    track.state = _STATES[states[0]]
-    track.consecutive_hits = int(hits[0])
-    track.lost_age = int(lost_age[0])
-    return track
 
 
 class Tracker:

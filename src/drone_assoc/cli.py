@@ -17,7 +17,6 @@ from .core import ConfigError
 from .metrics import EvaluationError, evaluate, report_csv, report_table
 from .mot_io import (
     FormatError,
-    RunConfig,
     parse_mot_lines,
     read_key_values,
     run_config_from_dict,

@@ -142,11 +142,6 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return iou_pairs(a[:, None, :], b[None, :, :])
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes, in [0, 1]; the 1x1 iou_matrix."""
-    return float(iou_matrix(a.as_array(), b.as_array())[0, 0])
-
-
 @dataclass(frozen=True, eq=False)
 class FrameDetections:
     """All detections of one frame, in file order, as columns: boxes (M, 4)

@@ -24,6 +24,7 @@ import dataclasses
 import logging
 import os
 import struct
+import typing
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -537,36 +538,40 @@ class RunConfig(TrackerConfig):
                                 for f in dataclasses.fields(TrackerConfig)})
 
 
-_PATH_KEYS = {"detections", "embeddings", "affines", "output"}
-_BOOL_KEYS = {"use_afs", "use_dmp"}
+def _path(value) -> Optional[str]:
+    return None if value in (None, "", "none") else str(value)
+
+
+def _flag(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    lowered = str(value).strip().lower()
+    if lowered not in ("true", "false", "0", "1"):
+        raise ValueError("must be true/false")
+    return lowered in ("true", "1")
+
+
+# each setting's coercion, picked by the type RunConfig declares for it with
+# Optional unwrapped; only a path reads "none" or "" as no value
+_COERCIONS = {
+    name: {str: _path, bool: _flag, int: int, float: float}[
+        next((a for a in typing.get_args(hint) if a is not type(None)), hint)]
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
 
 
 def run_config_from_dict(values: dict, source: str = "config") -> RunConfig:
     """Build a RunConfig from key/values (strings from a file, typed values
-    from CLI flags), with typed coercion."""
+    from CLI flags), coercing each to its field's declared type."""
     kwargs = {}
-    field_names = {f.name for f in dataclasses.fields(RunConfig)}
     for key, value in values.items():
-        if key not in field_names:
+        coerce = _COERCIONS.get(key)
+        if coerce is None:
             raise FormatError(f"{source}: unknown key {key!r}")
         try:
-            if key in _PATH_KEYS:
-                kwargs[key] = str(value) if value not in (None, "", "none") else None
-            elif key in _BOOL_KEYS:
-                if isinstance(value, bool):
-                    kwargs[key] = value
-                else:
-                    lowered = str(value).strip().lower()
-                    if lowered not in ("true", "false", "0", "1"):
-                        raise FormatError(f"{source}: {key} must be true/false")
-                    kwargs[key] = lowered in ("true", "1")
-            elif key in ("embedding_dim", "seed", "key_bank_capacity",
-                         "confirm_hits", "max_lost_age"):
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = float(value)
+            kwargs[key] = coerce(value)
         except (ValueError, TypeError) as e:
-            if isinstance(e, FormatError):
-                raise
+            if coerce is _flag:
+                raise FormatError(f"{source}: {key} must be true/false") from e
             raise FormatError(f"{source}: bad value for {key!r}: {value!r}") from e
     return RunConfig(**kwargs)

@@ -6,8 +6,8 @@ Each operation has one batched implementation: multi_init, multi_predict
 (warp, then predict), multi_update, frame_descriptors and
 rotation_cost_matrix. Boxes enter them as (N, 4) xywh arrays; descriptors
 are (N, 3) rows, a zero row where a point has none. The single-item
-functions (kalman_init, kalman_predict, kalman_update, warp_motion_state,
-predict_state, rotation_descriptor, rotation_cost) are one-row calls of it.
+functions (kalman_init, kalman_predict, kalman_update, rotation_descriptor,
+rotation_cost) are one-row calls of it.
 
 Camera motion without a sidecar comes from estimate_affine, a RANSAC search
 that draws all of its minimal 3-point models in one generator call and fits
@@ -153,8 +153,10 @@ def multi_init(xywh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kalman_predict(s: MotionState) -> MotionState:
-    """One constant-velocity step: mean <- F mean, cov <- F cov F' + Q."""
-    return predict_state(s, None)
+    """One constant-velocity step: mean <- F mean, cov <- F cov F' + Q; the
+    one-row call of multi_predict without a camera transform."""
+    means, covs = multi_predict(s.mean[None], s.covariance[None], None)
+    return MotionState(means[0], covs[0])
 
 
 def kalman_update(s: MotionState, box: BoundingBox) -> MotionState:
@@ -201,24 +203,12 @@ def _warp_matrix(m: AffineTransform) -> np.ndarray:
     return t8
 
 
-def warp_motion_state(s: MotionState, m: AffineTransform) -> MotionState:
-    """Re-express a filter state in the coordinates of the next frame."""
-    means, covs = _multi_warp(s.mean[None], s.covariance[None], m)
-    return MotionState(means[0], covs[0])
-
-
-def predict_state(s: MotionState, m: Optional[AffineTransform]) -> MotionState:
-    """Camera-compensate (when a transform is given) then predict."""
-    means, covs = multi_predict(s.mean[None], s.covariance[None], m)
-    return MotionState(means[0], covs[0])
-
-
 def multi_predict(
     means: np.ndarray, covs: np.ndarray, m: Optional[AffineTransform]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Warp (when a transform is given) then predict stacked (N, 8) means and
-    (N, 8, 8) covs; predict_state is its one-row call. The process noise
-    scales with the warped height."""
+    (N, 8, 8) covs; kalman_predict is its one-row call without a transform.
+    The process noise scales with the warped height."""
     means = np.array(means, dtype=np.float64)
     covs = np.array(covs, dtype=np.float64)
     if means.shape[0] == 0:

@@ -1,14 +1,18 @@
-"""End-to-end runs: load inputs, drive the tracker frame by frame, write
-results; plus the ablation harness that sweeps the feature toggles over a
-generated scenario."""
+"""End-to-end runs over the one frame loop, track_frames: it feeds a tracker
+frames 1..last, an empty frame where the input has none, each with its
+camera motion from camera_source (the affine sidecar, online estimation, or
+none). run_tracking loads a detection file, runs the loop and writes the
+results; run_ablation parses its generated scene once and runs the loop once
+per feature-toggle cell, each with a fresh tracker and camera source."""
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import os
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -65,46 +69,71 @@ class OnlineAffineEstimator:
             return None
 
 
-def run_tracking(cfg: RunConfig) -> RunSummary:
-    """Track a detection file end to end and write the results file."""
-    if cfg.detections is None or cfg.output is None:
-        raise ValueError("run config needs detections and output paths")
+# a run's camera motion per frame, and a parsed affine sidecar
+Camera = Callable[[FrameDetections], Optional[AffineTransform]]
+Affines = Optional[dict[int, AffineTransform]]
+
+
+def track_frames(
+    frames: Iterable[FrameDetections], camera: Camera, tracker: Tracker
+) -> Iterator[list[TrackRecord]]:
+    """Feed the tracker frames 1..last in order, an empty frame where the
+    input has no rows, each with its camera motion `camera(fd)`; yields
+    each frame's records."""
+    by_frame = {fd.frame: fd for fd in frames}
+    for t in range(1, max(by_frame, default=0) + 1):
+        fd = by_frame.get(t)
+        if fd is None:
+            fd = FrameDetections(t, ())
+        yield tracker.associate_frame(fd, camera(fd))
+
+
+def camera_source(cfg: RunConfig, affines: Affines) -> Camera:
+    """A fresh camera-motion source for one run: lookup in the parsed
+    sidecar `affines` when the run has one, else online estimation when DMP
+    is on, else no motion."""
+    if affines is not None:
+        return lambda fd: affines.get(fd.frame)
+    if cfg.use_dmp:
+        log.info("no affine sidecar given, estimating camera motion online")
+        return OnlineAffineEstimator(cfg.theta_high, cfg.seed).step
+    return lambda fd: None
+
+
+def _load(cfg: RunConfig) -> tuple[list[FrameDetections], Affines]:
+    """The run's detections and, when it names one, its affine sidecar."""
     frames = parse_detections(
         cfg.detections,
         embeddings_path=cfg.embeddings,
         embedding_dim=cfg.embedding_dim if cfg.embeddings else None,
         min_score=cfg.theta_low,
     )
-    affines: Optional[dict[int, AffineTransform]] = None
-    estimator: Optional[OnlineAffineEstimator] = None
-    if cfg.affines is not None:
-        affines = parse_affines(cfg.affines)
-    elif cfg.use_dmp:
-        estimator = OnlineAffineEstimator(cfg.theta_high, cfg.seed)
-        log.info("no affine sidecar given, estimating camera motion online")
+    affines = parse_affines(cfg.affines) if cfg.affines is not None else None
+    return frames, affines
 
+
+def _track(
+    cfg: RunConfig, frames: Sequence[FrameDetections], affines: Affines
+) -> RunSummary:
+    """Run a fresh tracker over loaded inputs and write cfg.output."""
     tracker = Tracker(cfg.tracker_config())
-    by_frame = {fd.frame: fd for fd in frames}
-    last = max(by_frame) if by_frame else 0
-    records: list[TrackRecord] = []
+    camera = camera_source(cfg, affines)
     start = time.perf_counter()
-    for t in range(1, last + 1):
-        fd = by_frame.get(t)
-        if fd is None:
-            fd = FrameDetections(t, ())
-        if affines is not None:
-            m = affines.get(t)
-        elif estimator is not None:
-            m = estimator.step(fd)
-        else:
-            m = None
-        records.extend(tracker.associate_frame(fd, m))
+    records = [r for out in track_frames(frames, camera, tracker) for r in out]
     wall = time.perf_counter() - start
     write_results(records, cfg.output)
-    summary = RunSummary(last, tracker.next_id - 1, len(records), wall, tracker)
+    summary = RunSummary(tracker.last_frame, tracker.next_id - 1, len(records), wall,
+                         tracker)
     log.info("tracked %d frames, %d tracks, %d records in %.3fs",
              summary.frames, summary.tracks_created, summary.records, wall)
     return summary
+
+
+def run_tracking(cfg: RunConfig) -> RunSummary:
+    """Track a detection file end to end and write the results file."""
+    if cfg.detections is None or cfg.output is None:
+        raise ValueError("run config needs detections and output paths")
+    return _track(cfg, *_load(cfg))
 
 
 ABLATION_CELLS = ("baseline", "dmp", "afs", "full")
@@ -112,8 +141,6 @@ ABLATION_CELLS = ("baseline", "dmp", "afs", "full")
 
 def _cell_config(label: str, base: RunConfig) -> RunConfig:
     """Toggle layout of one ablation cell on top of a full-featured config."""
-    import dataclasses
-
     if label == "baseline":
         return dataclasses.replace(base, use_dmp=False, use_afs=False, w_r=0.0)
     if label == "dmp":
@@ -130,26 +157,28 @@ def run_ablation(
     out_dir: str,
     cells: Sequence[str] = ABLATION_CELLS,
 ) -> list[tuple[str, EvalReport]]:
-    """Generate the scenario, run one tracking pass per cell, evaluate each
-    against ground truth, and write table + CSV twins into out_dir."""
+    """Generate the scenario, parse it once, run one tracking pass per cell,
+    evaluate each against ground truth, and write table + CSV twins into
+    out_dir. No cell changes theta_low, so the parsed frames serve all."""
     for c in cells:
         if c not in ABLATION_CELLS:
             raise ValueError(f"unknown ablation cell {c!r}")
     os.makedirs(out_dir, exist_ok=True)
     paths = generate_scenario(scenario, os.path.join(out_dir, "data"))
+    base = RunConfig(
+        detections=paths.detections,
+        embeddings=paths.embeddings,
+        affines=paths.affines,
+        embedding_dim=scenario.embedding_dim,
+        seed=scenario.seed,
+    )
+    frames, affines = _load(base)
     gt = parse_mot_lines(paths.gt)[0]
     rows: list[tuple[str, EvalReport]] = []
     for label in cells:
         out = os.path.join(out_dir, f"results_{label}.txt")
-        cfg = _cell_config(label, RunConfig(
-            detections=paths.detections,
-            embeddings=paths.embeddings,
-            affines=paths.affines,
-            output=out,
-            embedding_dim=scenario.embedding_dim,
-            seed=scenario.seed,
-        ))
-        run_tracking(cfg)
+        cfg = _cell_config(label, dataclasses.replace(base, output=out))
+        _track(cfg, frames, affines)
         rows.append((label, evaluate(gt, parse_mot_lines(out)[0])))
     with open(os.path.join(out_dir, "ablation.txt"), "w", encoding="utf-8") as fh:
         fh.write(report_table(rows) + "\n")

@@ -17,11 +17,10 @@ a config writes byte-identical files.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 

@@ -7,19 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_track, unit_vector
+from conftest import (
+    make_track,
+    reference_appearance_cost_matrix,
+    track_table,
+    unit_vector,
+)
 from drone_assoc.appearance import (
     BankEntry,
     KeyFeatureBank,
     _gallery_rows,
     adaptive_alpha,
-    appearance_cost,
     appearance_cost_matrix,
     blend_feature,
+    gallery_cost_matrix,
     maybe_insert_key,
     update_local_feature,
 )
-from drone_assoc.core import BoundingBox
+from drone_assoc.association import fused_cost_matrix
+from drone_assoc.core import BoundingBox, TrackerConfig
 
 
 def reference_costs(track, feats: np.ndarray) -> np.ndarray:
@@ -196,6 +202,16 @@ class TestKeyFeatureBank:
                 assert got.last_used == used
 
 
+def gallery_costs(tracks, feats) -> np.ndarray:
+    """gallery_cost_matrix over the table rows of `tracks`, checked against
+    reference_appearance_cost_matrix."""
+    feats = np.asarray(feats, dtype=np.float64)
+    table = track_table(tracks)
+    block = gallery_cost_matrix(table.gallery, table.gallery_mask(), feats)
+    assert np.array_equal(block, reference_appearance_cost_matrix(tracks, feats))
+    return block
+
+
 class TestAppearanceCost:
     def test_best_match_comes_from_bank_or_local(self, rng):
         local = np.zeros(4)
@@ -203,21 +219,26 @@ class TestAppearanceCost:
         key = np.zeros(4)
         key[1] = 1.0
         t = make_track(local_feature=local, bank_features=(key,))
-        probe = np.array([0.0, 0.8, 0.6, 0.0])  # closer to the key feature
-        assert appearance_cost(t, probe) == pytest.approx(1.0 - 0.8, abs=1e-15)
+        probe = np.array([[0.0, 0.8, 0.6, 0.0]])  # closer to the key feature
+        assert gallery_costs([t], probe)[0, 0] == pytest.approx(1.0 - 0.8, abs=1e-15)
 
     def test_missing_detection_feature_is_neutral(self):
-        t = make_track(local_feature=np.array([1.0, 0.0]))
-        assert appearance_cost(t, None) == 0.0
+        # a frame without embeddings adds no appearance term to the fused cost
+        t = make_track(bbox=BoundingBox(0.0, 0.0, 10.0, 10.0),
+                       local_feature=np.array([1.0, 0.0]))
+        args = (track_table([t]), np.array([[0.0, 0.0, 10.0, 10.0]]),
+                np.array([[0.0, 0.0, 10.0, 5.0]]), np.array([t.class_id]))
+        cost, ious = fused_cost_matrix(*args, None, np.zeros((1, 3)), TrackerConfig())
+        assert cost[0, 0] == 1.0 - ious[0, 0]
 
     def test_featureless_track_is_neutral(self, rng):
         t = make_track()
         assert t.local_feature is None and not t.key_bank.entries
-        assert appearance_cost(t, unit_vector(rng, 4)) == 0.0
+        assert gallery_costs([t], unit_vector(rng, 4)[None])[0, 0] == 0.0
 
     def test_clamped_for_opposed_features(self):
         t = make_track(local_feature=np.array([1.0, 0.0]))
-        assert appearance_cost(t, np.array([-1.0, 0.0])) == 1.0
+        assert gallery_costs([t], np.array([[-1.0, 0.0]]))[0, 0] == 1.0
 
     def test_costs_vector_matches_scalar(self, rng):
         t = make_track(
@@ -226,13 +247,15 @@ class TestAppearanceCost:
         )
         feats = np.stack([unit_vector(rng, 8) for _ in range(5)])
         expected = reference_costs(t, feats)
+        got = gallery_costs([t], feats)[0]
         for i in range(5):
-            assert appearance_cost(t, feats[i]) == pytest.approx(expected[i], abs=1e-12)
+            assert got[i] == pytest.approx(expected[i], abs=1e-12)
 
     def test_costs_featureless_track_all_zero(self, rng):
         t = make_track()
         feats = np.stack([unit_vector(rng, 8) for _ in range(4)])
         assert np.array_equal(appearance_cost_matrix([t], feats), np.zeros((1, 4)))
+        assert np.array_equal(gallery_costs([t], feats), np.zeros((1, 4)))
 
 
 class TestAppearanceCostMatrix:

@@ -5,7 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import det, frame_detections, make_track, track_table
+from conftest import (
+    det,
+    frame_detections,
+    make_track,
+    reference_lifecycle_step,
+    track_table,
+)
 from drone_assoc.association import (
     AssignmentResult,
     FrameOrderError,
@@ -13,7 +19,7 @@ from drone_assoc.association import (
     Tracker,
     fused_cost_matrix,
     iou_cost_matrix,
-    lifecycle_step,
+    lifecycle,
     linear_assignment,
 )
 from drone_assoc.core import BoundingBox, FrameDetections, TrackState, TrackerConfig
@@ -232,10 +238,17 @@ class TestLifecycleStep:
     cfg = TrackerConfig()
 
     def step(self, state, matched, hits=1, lost_age=0):
+        """One track advanced by lifecycle as a one-row table, checked
+        against reference_lifecycle_step."""
         t = make_track(state=state)
         t.consecutive_hits = hits
         t.lost_age = lost_age
-        return lifecycle_step(t, matched, self.cfg)
+        table = track_table([t])
+        lifecycle(table.states, table.hits, table.lost_age, np.array([matched]), self.cfg)
+        got, want = table[0], reference_lifecycle_step(t, matched, self.cfg)
+        assert (got.state, got.consecutive_hits, got.lost_age) == \
+            (want.state, want.consecutive_hits, want.lost_age)
+        return got
 
     def test_tentative_needs_three_hits(self):
         t = self.step(TrackState.TENTATIVE, True, hits=1)
@@ -264,6 +277,22 @@ class TestLifecycleStep:
         assert t.state is TrackState.LOST and t.lost_age == self.cfg.max_lost_age
         t = self.step(TrackState.LOST, False, lost_age=self.cfg.max_lost_age)
         assert t.state is TrackState.REMOVED
+
+    def test_mixed_rows_advance_as_one_batch(self):
+        tracks = []
+        for state, matched, hits, lost_age in itertools.product(
+                (TrackState.TENTATIVE, TrackState.CONFIRMED, TrackState.LOST),
+                (True, False), (1, 2, 5), (0, 1, self.cfg.max_lost_age)):
+            t = make_track(track_id=len(tracks) + 1, state=state)
+            t.consecutive_hits, t.lost_age = hits, lost_age
+            tracks.append((t, matched))
+        table = track_table([t for t, _ in tracks])
+        matched = np.array([m for _, m in tracks])
+        lifecycle(table.states, table.hits, table.lost_age, matched, self.cfg)
+        for got, (t, m) in zip(table, tracks):
+            want = reference_lifecycle_step(t, m, self.cfg)
+            assert (got.state, got.consecutive_hits, got.lost_age) == \
+                (want.state, want.consecutive_hits, want.lost_age)
 
 
 class BasisEmbeddings:

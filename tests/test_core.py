@@ -15,7 +15,6 @@ from drone_assoc.core import (
     ZeroNormError,
     box_centers,
     boxes_array,
-    iou,
     iou_matrix,
     normalize,
 )
@@ -102,38 +101,48 @@ class TestBoundingBox:
         assert [tuple(row) for row in out.tolist()] == [b.center() for b in bs]
 
 
+def pair_iou(a: BoundingBox, b: BoundingBox) -> float:
+    """The 1x1 iou_matrix of a pair, checked against reference_iou."""
+    v = float(iou_matrix(a.as_array(), b.as_array())[0, 0])
+    assert v == pytest.approx(reference_iou(a, b), abs=1e-12)
+    return v
+
+
 class TestIou:
     def test_half_offset_squares(self):
         a = BoundingBox(0.0, 0.0, 10.0, 10.0)
         b = BoundingBox(5.0, 0.0, 10.0, 10.0)
         # inter 50, union 150
-        assert iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert pair_iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_disjoint_is_zero(self):
         a = BoundingBox(0.0, 0.0, 10.0, 10.0)
         b = BoundingBox(20.0, 20.0, 5.0, 5.0)
-        assert iou(a, b) == 0.0
+        assert pair_iou(a, b) == 0.0
 
     def test_touching_edges_is_zero(self):
         a = BoundingBox(0.0, 0.0, 10.0, 10.0)
         b = BoundingBox(10.0, 0.0, 10.0, 10.0)
-        assert iou(a, b) == 0.0
+        assert pair_iou(a, b) == 0.0
 
     def test_identical_is_one(self):
         a = BoundingBox(3.0, -2.0, 7.0, 4.0)
-        assert iou(a, a) == 1.0
+        assert pair_iou(a, a) == 1.0
 
     def test_containment(self):
         outer = BoundingBox(0.0, 0.0, 10.0, 10.0)
         inner = BoundingBox(2.5, 2.5, 5.0, 5.0)
-        assert iou(outer, inner) == pytest.approx(0.25, abs=1e-15)
+        assert pair_iou(outer, inner) == pytest.approx(0.25, abs=1e-15)
 
-    @given(boxes, boxes)
+    @given(st.lists(boxes, min_size=1, max_size=6),
+           st.lists(boxes, min_size=1, max_size=6))
     @settings(max_examples=200)
-    def test_symmetric_and_bounded(self, a, b):
-        v = iou(a, b)
-        assert 0.0 <= v <= 1.0
-        assert v == iou(b, a)
+    def test_symmetric_and_bounded(self, lhs, rhs):
+        a = boxes_array(lhs)
+        b = boxes_array(rhs)
+        mat = iou_matrix(a, b)
+        assert np.all((0.0 <= mat) & (mat <= 1.0))
+        assert np.array_equal(mat, iou_matrix(b, a).T)
 
     @given(st.lists(boxes, min_size=1, max_size=6),
            st.lists(boxes, min_size=1, max_size=6))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import embedding_dict, mot_table
-from drone_assoc.core import BoundingBox
+from drone_assoc.core import BoundingBox, ConfigError
 from drone_assoc.mot_io import (
     FormatError,
     MotLine,
@@ -385,6 +385,51 @@ class TestRunConfig:
     def test_bad_number_rejected(self):
         with pytest.raises(FormatError):
             run_config_from_dict({"w_a": "heavy"})
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("detections", "det.txt", "det.txt"),
+        ("embeddings", "none", None),
+        ("affines", "", None),
+        ("output", None, None),
+        ("affines", "None", "None"),  # only the lower-case word means no file
+        ("output", "nan", "nan"),
+        ("use_afs", "true", True),
+        ("use_afs", " False ", False),
+        ("use_dmp", "0", False),
+        ("use_dmp", True, True),
+        ("use_afs", 0, False),
+        ("embedding_dim", "32", 32),
+        ("key_bank_capacity", 4, 4),
+        ("confirm_hits", "2", 2),
+        ("max_lost_age", "0", 0),
+        ("theta_high", "0.7", 0.7),
+        ("radius_R", "1e2", 100.0),
+        ("iou_gate", 0, 0.0),
+    ])
+    def test_accepted_value(self, key, value, expected):
+        got = getattr(run_config_from_dict({key: value}), key)
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("key, value, error", [
+        ("use_afs", "yes", FormatError),
+        ("use_dmp", "", FormatError),
+        ("use_afs", "nan", FormatError),
+        ("embedding_dim", "none", FormatError),
+        ("embedding_dim", "", FormatError),
+        ("embedding_dim", "nan", FormatError),
+        ("seed", "1.5", FormatError),
+        ("confirm_hits", None, FormatError),
+        ("max_lost_age", "nan", FormatError),
+        ("theta_low", None, FormatError),
+        ("theta_high", "nan", ConfigError),
+        ("theta_low", "nan", ConfigError),
+        ("alpha_f", "nan", ConfigError),
+        ("iou_gate", "nan", ConfigError),
+        ("key_bank_capacity", "0", ConfigError),
+    ])
+    def test_rejected_value(self, key, value, error):
+        with pytest.raises(error):
+            run_config_from_dict({key: value})
 
     @pytest.mark.parametrize("name", ["w_a", "w_r", "radius_R", "novelty_threshold"])
     def test_nan_value_fails_tracker_config(self, name):

@@ -26,6 +26,7 @@ from drone_assoc.motion import (
     _draw_picks,
     _fit_affine_lstsq,
     _fit_minimal_models,
+    _multi_warp,
     estimate_affine,
     frame_descriptors,
     kalman_init,
@@ -34,11 +35,9 @@ from drone_assoc.motion import (
     multi_init,
     multi_predict,
     multi_update,
-    predict_state,
     rotation_cost,
     rotation_descriptor,
     states_to_xywh,
-    warp_motion_state,
 )
 
 coord = st.floats(-500, 500, allow_nan=False, allow_infinity=False)
@@ -216,53 +215,73 @@ class TestAffineTransform:
             AffineTransform(np.array([[np.nan, 0, 0], [0, 1, 0]]))
 
 
+def random_states(rng, n: int = 6) -> tuple[np.ndarray, np.ndarray]:
+    """n random filter states stacked as (n, 8) means and (n, 8, 8) covs."""
+    states = [random_motion_state(rng) for _ in range(n)]
+    return np.stack([s.mean for s in states]), np.stack([s.covariance for s in states])
+
+
+def warp(means, covs, m: AffineTransform) -> tuple[np.ndarray, np.ndarray]:
+    """_multi_warp of a stack of states, each row checked against
+    textbook_warp."""
+    out_means, out_covs = _multi_warp(means, covs, m)
+    for k in range(means.shape[0]):
+        mean, cov = textbook_warp(means[k], covs[k], m)
+        assert np.allclose(out_means[k], mean, rtol=0, atol=1e-9)
+        assert np.allclose(out_covs[k], cov, rtol=0, atol=1e-9)
+    return out_means, out_covs
+
+
 class TestWarp:
     def test_identity_warp_is_noop(self, rng):
-        s = random_motion_state(rng)
-        w = warp_motion_state(s, AffineTransform.identity())
-        assert np.allclose(w.mean, s.mean, atol=1e-12)
-        assert np.allclose(w.covariance, s.covariance, atol=1e-12)
+        means, covs = random_states(rng)
+        w_means, w_covs = warp(means, covs, AffineTransform.identity())
+        assert np.allclose(w_means, means, atol=1e-12)
+        assert np.allclose(w_covs, covs, atol=1e-12)
 
     def test_translation_moves_position_only(self, rng):
-        s = random_motion_state(rng)
+        means, covs = random_states(rng)
         m = AffineTransform(np.array([[1.0, 0.0, 30.0], [0.0, 1.0, -10.0]]))
-        w = warp_motion_state(s, m)
-        assert np.allclose(w.mean[:2], s.mean[:2] + [30.0, -10.0], atol=1e-12)
-        assert np.allclose(w.mean[2:], s.mean[2:], atol=1e-12)
+        w_means, _ = warp(means, covs, m)
+        assert np.allclose(w_means[:, :2], means[:, :2] + [30.0, -10.0], atol=1e-12)
+        assert np.allclose(w_means[:, 2:], means[:, 2:], atol=1e-12)
 
     def test_quarter_turn_swaps_axes(self):
         s = kalman_init(BoundingBox(0.0, 0.0, 10.0, 10.0))
-        s = MotionState(np.array([10.0, 0.0, 1.0, 10.0, 3.0, 0.0, 0.0, 0.0]),
-                        s.covariance)
-        w = warp_motion_state(s, rotation_affine(math.pi / 2))
+        means = np.array([[10.0, 0.0, 1.0, 10.0, 3.0, 0.0, 0.0, 0.0]])
+        w_means, _ = warp(means, s.covariance[None], rotation_affine(math.pi / 2))
         # (x, y) -> (-y, x) for both position and velocity
-        assert np.allclose(w.mean[:2], [0.0, 10.0], atol=1e-12)
-        assert np.allclose(w.mean[4:6], [0.0, 3.0], atol=1e-12)
-        assert w.mean[3] == pytest.approx(10.0)
+        assert np.allclose(w_means[0, :2], [0.0, 10.0], atol=1e-12)
+        assert np.allclose(w_means[0, 4:6], [0.0, 3.0], atol=1e-12)
+        assert w_means[0, 3] == pytest.approx(10.0)
 
     def test_uniform_scale_rescales_height(self, rng):
-        s = random_motion_state(rng)
+        means, covs = random_states(rng)
         m = AffineTransform(np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
-        w = warp_motion_state(s, m)
-        assert w.mean[3] == pytest.approx(2.0 * s.mean[3])
-        assert w.mean[7] == pytest.approx(2.0 * s.mean[7])
-        assert w.mean[2] == pytest.approx(s.mean[2])  # aspect is scale-free
+        w_means, _ = warp(means, covs, m)
+        assert np.allclose(w_means[:, 3], 2.0 * means[:, 3])
+        assert np.allclose(w_means[:, 7], 2.0 * means[:, 7])
+        assert np.allclose(w_means[:, 2], means[:, 2])  # aspect is scale-free
 
     def test_warp_then_inverse_restores_state(self, rng):
-        for _ in range(25):
-            s = random_motion_state(rng)
+        for _ in range(5):
+            means, covs = random_states(rng, 5)
             m = rotation_affine(rng.uniform(-3, 3), *rng.uniform(-100, 100, 2))
-            w = warp_motion_state(warp_motion_state(s, m), m.inverse())
-            assert np.allclose(w.mean, s.mean, atol=1e-6)
-            assert np.allclose(w.covariance, s.covariance, atol=1e-6)
+            w_means, w_covs = warp(*warp(means, covs, m), m.inverse())
+            assert np.allclose(w_means, means, atol=1e-6)
+            assert np.allclose(w_covs, covs, atol=1e-6)
 
     def test_predict_state_compensates_before_predicting(self, rng):
-        s = random_motion_state(rng)
+        means, covs = random_states(rng)
         m = rotation_affine(0.4, 12.0, -7.0)
-        expected = kalman_predict(warp_motion_state(s, m))
-        got = predict_state(s, m)
-        assert np.allclose(got.mean, expected.mean, atol=1e-12)
-        assert np.allclose(got.covariance, expected.covariance, atol=1e-12)
+        got = multi_predict(means, covs, m)
+        expected = multi_predict(*warp(means, covs, m), None)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+        for k in range(means.shape[0]):
+            mean, cov = textbook_predict(*textbook_warp(means[k], covs[k], m))
+            assert np.allclose(got[0][k], mean, rtol=0, atol=1e-9)
+            assert np.allclose(got[1][k], cov, rtol=0, atol=1e-9)
 
 
 class TestEstimateAffine:

@@ -6,16 +6,22 @@ import numpy as np
 import pytest
 
 from conftest import det, frame_detections, grid_error, reference_estimate_affine
+from drone_assoc import pipeline
+from drone_assoc.association import Tracker
+from drone_assoc.core import FrameDetections
+from drone_assoc.metrics import evaluate, report_csv, report_table
 from drone_assoc.motion import AffineEstimationError
-from drone_assoc.mot_io import RunConfig, parse_mot_lines
+from drone_assoc.mot_io import RunConfig, parse_affines, parse_detections, parse_mot_lines
 from drone_assoc.pipeline import (
     ABLATION_CELLS,
     OnlineAffineEstimator,
     _cell_config,
+    camera_source,
     run_ablation,
     run_tracking,
+    track_frames,
 )
-from drone_assoc.simulator import ScenarioConfig, generate_scenario
+from drone_assoc.simulator import ScenarioConfig, generate_scenario, rotate, translate
 
 
 def frame_of(frame, centers, score=0.9):
@@ -129,15 +135,71 @@ class TestOnlineAffineAccuracy:
             assert again is None or np.array_equal(again.m, m.m)
 
 
-class TestRunTracking:
-    def scenario_inputs(self, tmp_path):
-        cfg = ScenarioConfig(
-            seed=5, n_objects=5, n_frames=20, world_extent=400.0,
-            object_speed_range=(0.5, 1.5), detection_noise_sigma=0.5,
-            miss_prob=0.02, false_positive_rate=0.2, embedding_dim=8,
-        )
-        return generate_scenario(cfg, str(tmp_path / "data"))
+def scenario_inputs(tmp_path):
+    cfg = ScenarioConfig(
+        seed=5, n_objects=5, n_frames=20, world_extent=400.0,
+        object_speed_range=(0.5, 1.5), detection_noise_sigma=0.5,
+        miss_prob=0.02, false_positive_rate=0.2, embedding_dim=8,
+    )
+    return generate_scenario(cfg, str(tmp_path / "data"))
 
+
+class TestTrackFrames:
+    GAPS = (1, 6, 7, 13)
+
+    @pytest.mark.parametrize("source", ["sidecar", "online", "none"])
+    def test_yields_the_records_of_a_hand_driven_loop(self, tmp_path, source):
+        paths = generate_scenario(ScenarioConfig(
+            seed=5, n_objects=8, n_frames=20, world_extent=400.0,
+            camera_script=(translate(8.0, -3.0, 10), rotate(0.03, 10)),
+            detection_noise_sigma=0.5, miss_prob=0.02, false_positive_rate=0.2,
+            embedding_dim=8,
+        ), str(tmp_path / "data"))
+        frames = [fd for fd in parse_detections(paths.detections, paths.embeddings, 8, 0.1)
+                  if fd.frame not in self.GAPS]
+        cfg = RunConfig(use_dmp=source != "none", seed=3)
+        affines = parse_affines(paths.affines) if source == "sidecar" else None
+
+        tracker = Tracker(cfg.tracker_config())
+        estimator = OnlineAffineEstimator(cfg.theta_high, cfg.seed)
+        by_frame = {fd.frame: fd for fd in frames}
+        want = []
+        for t in range(1, 21):
+            fd = by_frame.get(t, FrameDetections(t, ()))
+            m = (affines.get(t) if source == "sidecar"
+                 else estimator.step(fd) if source == "online" else None)
+            want.append(tracker.associate_frame(fd, m))
+
+        source_camera = camera_source(cfg, affines)
+        seen = []
+
+        def camera(fd):
+            seen.append(fd.frame)
+            return source_camera(fd)
+
+        got = list(track_frames(frames, camera, Tracker(cfg.tracker_config())))
+        assert seen == list(range(1, 21))
+        assert got == want
+        assert sum(map(len, got)) > 0
+        assert all(got[t - 1] == [] for t in self.GAPS)
+
+    def test_camera_source_follows_the_run_config(self, tmp_path):
+        paths = scenario_inputs(tmp_path)
+        affines = parse_affines(paths.affines)
+        fd = FrameDetections(4, ())
+        assert camera_source(RunConfig(), affines)(fd) is affines[4]
+        assert camera_source(RunConfig(use_dmp=False), affines)(fd) is affines[4]
+        online = camera_source(RunConfig(), None)
+        assert isinstance(online.__self__, OnlineAffineEstimator)
+        assert camera_source(RunConfig(use_dmp=False), None)(fd) is None
+
+    def test_empty_input_yields_nothing(self):
+        tracker = Tracker()
+        assert list(track_frames([], lambda fd: None, tracker)) == []
+        assert tracker.last_frame == 0
+
+
+class TestRunTracking:
     def test_missing_paths_rejected(self):
         with pytest.raises(ValueError):
             run_tracking(RunConfig(detections="det.txt", output=None))
@@ -145,7 +207,7 @@ class TestRunTracking:
             run_tracking(RunConfig(detections=None, output="out.txt"))
 
     def test_end_to_end_writes_sorted_results(self, tmp_path):
-        paths = self.scenario_inputs(tmp_path)
+        paths = scenario_inputs(tmp_path)
         out = str(tmp_path / "results.txt")
         summary = run_tracking(RunConfig(
             detections=paths.detections, embeddings=paths.embeddings,
@@ -162,7 +224,7 @@ class TestRunTracking:
         assert keys == sorted(keys)
 
     def test_runs_without_affine_sidecar(self, tmp_path):
-        paths = self.scenario_inputs(tmp_path)
+        paths = scenario_inputs(tmp_path)
         out = str(tmp_path / "results.txt")
         summary = run_tracking(RunConfig(
             detections=paths.detections, embeddings=paths.embeddings,
@@ -187,6 +249,14 @@ class TestRunTracking:
 
 
 class TestAblation:
+    SCENARIO = ScenarioConfig(
+        seed=5, n_objects=6, n_frames=15, world_extent=300.0,
+        object_speed_range=(0.5, 1.0),
+        camera_script=(translate(6.0, 2.0, 8), rotate(0.03, 7)),
+        detection_noise_sigma=0.5, miss_prob=0.05, false_positive_rate=0.3,
+        embedding_dim=8,
+    )
+
     def test_unknown_cell_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_ablation(ScenarioConfig(n_objects=2, n_frames=5),
@@ -227,3 +297,52 @@ class TestAblation:
         csv = (out_dir / "ablation.csv").read_text()
         assert csv.startswith("label,mota,")
         assert csv.splitlines()[1].startswith("full,")
+
+    def test_matches_one_run_tracking_per_cell(self, tmp_path):
+        """The ablation as it was: one run_tracking per cell over the
+        generated files, evaluated from the results files."""
+        out_dir = tmp_path / "abl"
+        run_ablation(self.SCENARIO, str(out_dir))
+        data = out_dir / "data"
+        gt = parse_mot_lines(str(data / "gt.txt"))[0]
+        rows = []
+        for label in ABLATION_CELLS:
+            out = str(tmp_path / f"ref_{label}.txt")
+            run_tracking(_cell_config(label, RunConfig(
+                detections=str(data / "det.txt"),
+                embeddings=str(data / "embeddings.bin"),
+                affines=str(data / "affines.csv"),
+                output=out,
+                embedding_dim=self.SCENARIO.embedding_dim,
+                seed=self.SCENARIO.seed,
+            )))
+            with open(out, "rb") as fh:
+                assert (out_dir / f"results_{label}.txt").read_bytes() == fh.read(), label
+            rows.append((label, evaluate(gt, parse_mot_lines(out)[0])))
+        assert (out_dir / "ablation.txt").read_text() == report_table(rows) + "\n"
+        assert (out_dir / "ablation.csv").read_text() == report_csv(rows)
+
+    def test_parses_the_detections_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return parse_detections(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "parse_detections", counted)
+        run_ablation(self.SCENARIO, str(tmp_path / "abl"))
+        assert len(calls) == 1
+
+    def test_cells_leave_the_shared_frames_unwritten(self, tmp_path, monkeypatch):
+        def read_only(*args, **kwargs):
+            frames = parse_detections(*args, **kwargs)
+            for fd in frames:
+                for a in (fd.boxes, fd.scores, fd.classes, fd.embeddings):
+                    a.setflags(write=False)
+            return frames
+
+        monkeypatch.setattr(pipeline, "parse_detections", read_only)
+        rows = run_ablation(self.SCENARIO, str(tmp_path / "abl"), cells=("dmp", "full"))
+        assert [label for label, _ in rows] == ["dmp", "full"]
+        for label in ("dmp", "full"):
+            assert (tmp_path / "abl" / f"results_{label}.txt").stat().st_size > 0

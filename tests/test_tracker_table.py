@@ -21,9 +21,9 @@ from drone_assoc.appearance import (
 )
 from drone_assoc.association import FrameStats, Tracker
 from drone_assoc.core import FrameDetections, TrackerConfig
-from drone_assoc.mot_io import parse_affines, parse_detections
+from drone_assoc.mot_io import RunConfig, parse_affines, parse_detections
 from drone_assoc.motion import AffineTransform
-from drone_assoc.pipeline import OnlineAffineEstimator
+from drone_assoc.pipeline import camera_source, track_frames
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -296,17 +296,12 @@ def test_last_stats_totals_equal_the_traced_counts_of_one_benchmark_pass(
         sys.path.remove(PERFBENCH)
     cfg = workloads.scenario(scene, "full", 1901)
     paths = sim.generate_scenario(cfg, str(tmp_path))
-    frames = {fd.frame: fd for fd in parse_detections(
-        paths.detections, embeddings_path=paths.embeddings,
-        embedding_dim=cfg.embedding_dim, min_score=0.1)}
+    frames = parse_detections(paths.detections, embeddings_path=paths.embeddings,
+                              embedding_dim=cfg.embedding_dim, min_score=0.1)
     affines = parse_affines(paths.affines) if scene == "crowd" else None
-    estimator = OnlineAffineEstimator(0.6, 0)
     tracker = Tracker()
     totals = dict.fromkeys(counts, 0)
-    for t in range(1, cfg.n_frames + 1):
-        fd = frames.get(t, FrameDetections(t))
-        m = affines.get(t) if affines is not None else estimator.step(fd)
-        tracker.associate_frame(fd, m)
+    for _ in track_frames(frames, camera_source(RunConfig(), affines), tracker):
         for key in totals:
             totals[key] += getattr(tracker.last_stats, key)
     assert totals == counts
