@@ -4,12 +4,18 @@ Detections and ground truth use MOT-style CSV rows
 ``frame,id,x,y,w,h,score,class,visibility`` (first 9 columns read, extras
 ignored, ``#`` lines and blanks skipped). parse_mot_lines reads a file into
 a MotTable: one (R, 9) float64 block in file order, with int64 frame, id and
-class columns. Embeddings ride in a binary sidecar keyed by
-(frame, ordinal-within-frame); a CSV fallback with rows
-``frame,ordinal,v0..v{D-1}`` is accepted. parse_embeddings loads either
-into the (count, 2) keys and one (count, D) block of unit rows.
-parse_detections joins the two and slices them into one array
-FrameDetections per frame. Affine sidecars are CSV rows
+class columns. A well-formed file is converted in one np.loadtxt call; a
+file that call rejects, with a '#' after a field, or with a row a rule
+charges is read line by line, which names the bad rows.
+
+Embeddings ride in a binary sidecar keyed by (frame, ordinal-within-frame);
+a CSV fallback with rows ``frame,ordinal,v0..v{D-1}`` is accepted. One
+reader serves both: a first pass over fixed-size chunks of records
+collects the keys and checks every norm, and a second widens to float64
+only the records asked for and scatters their unit rows into the block it
+returns. parse_embeddings asks for every record; parse_detections joins the
+keys to its detections, asks only for the kept ones, and slices the block
+into one array FrameDetections per frame. Affine sidecars are CSV rows
 ``frame,a,b,tx,c,d,ty``. Results are written as
 ``frame,id,x,y,w,h,score,class,-1,-1`` sorted by (frame, id).
 
@@ -25,9 +31,10 @@ import logging
 import os
 import struct
 import typing
+import warnings
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -111,14 +118,73 @@ class IngestStats:
 def parse_mot_lines(path: str) -> tuple[MotTable, IngestStats]:
     """Read a MOT CSV file leniently; fatal when >10% of rows are malformed.
 
-    One pass over the lines splits and converts each row with `float`, and
-    diagnoses short and non-numeric rows. The remaining rules run as masks
+    A file is converted in one np.loadtxt call when numpy's reader takes it
+    and each '#' in it opens a comment line. The rules then run as masks
     over the converted block, each row charged to the first rule it breaks:
     a non-finite or non-int64 frame, id or class, a non-finite box field or
     score, frame < 1 (all malformed), then a non-positive extent (skipped).
-    Every charged row is logged as `path:line`, in line order. Scores
-    outside [0, 1] are clamped and counted.
+    A file the bulk read rejects, or with a row a rule charges, is read
+    again line by line, which names each charged row as `path:line`, in line
+    order. Scores outside [0, 1] are clamped and counted.
     """
+    rows = _bulk_rows(path)
+    if rows is not None:
+        ints, rules = _rule_masks(rows)
+        if not any(broken.any() for broken, _, _ in rules):
+            return _clamped_table(path, rows, ints, IngestStats(lines=rows.shape[0]))
+    return _parse_line_by_line(path)
+
+
+def _bulk_rows(path: str) -> Optional[np.ndarray]:
+    """The file's rows as one (R, 9) block from numpy's C reader, or None
+    when it rejects the file or a '#' follows a field. loadtxt cuts a line
+    at any '#', where the line pass reads a '#' after a field as part of
+    the field. Every value the reader does convert, float() converts to the
+    same bits: both parse with the interpreter's string-to-double."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise FormatError(f"cannot read {path}: {e}") from e
+    pos = text.find("#")
+    while pos >= 0:
+        if text[text.rfind("\n", 0, pos) + 1:pos].strip():
+            return None
+        end = text.find("\n", pos)
+        pos = -1 if end < 0 else text.find("#", end)
+    del text
+    try:
+        with warnings.catch_warnings():  # a file of comments alone holds no data
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(path, delimiter=",", comments="#", usecols=range(9),
+                              ndmin=2, encoding="utf-8")
+    except ValueError:
+        return None
+
+
+def _rule_masks(rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The truncated frame, id and class columns of the block, and the rules
+    as (rows that break it, message, malformed or skipped), in the order a
+    row is charged."""
+    # int(float(v)) truncates, and its zero has no sign
+    ints = np.trunc(rows[:, _INT_COLUMNS]) + 0.0
+    return ints, (
+        # int(float(v)) cannot convert these at all
+        (~np.isfinite(ints).all(axis=1), "%s:%d: non-numeric field", True),
+        (~((ints >= -_INT64_BOUND) & (ints < _INT64_BOUND)).all(axis=1),
+         "%s:%d: frame, id or class outside the int64 range", True),
+        (~np.isfinite(rows[:, 2:7]).all(axis=1),
+         "%s:%d: non-finite box or score", True),
+        (ints[:, 0] < 1, "%s:%d: frame indices are 1-based", True),
+        ((rows[:, 4] <= 0) | (rows[:, 5] <= 0),
+         "%s:%d: skipping box with non-positive extent", False),
+    )
+
+
+def _parse_line_by_line(path: str) -> tuple[MotTable, IngestStats]:
+    """One pass over the lines splits and converts each row with `float`,
+    and diagnoses short and non-numeric rows; the rule masks then charge
+    the rest by line."""
     stats = IngestStats()
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -153,19 +219,7 @@ def parse_mot_lines(path: str) -> tuple[MotTable, IngestStats]:
     stats.malformed = len(notes)
 
     rows = np.array(values, dtype=np.float64).reshape(-1, 9)
-    # int(float(v)) truncates, and its zero has no sign
-    ints = np.trunc(rows[:, _INT_COLUMNS]) + 0.0
-    rules = (
-        # int(float(v)) cannot convert these at all
-        (~np.isfinite(ints).all(axis=1), "%s:%d: non-numeric field", True),
-        (~((ints >= -_INT64_BOUND) & (ints < _INT64_BOUND)).all(axis=1),
-         "%s:%d: frame, id or class outside the int64 range", True),
-        (~np.isfinite(rows[:, 2:7]).all(axis=1),
-         "%s:%d: non-finite box or score", True),
-        (ints[:, 0] < 1, "%s:%d: frame indices are 1-based", True),
-        ((rows[:, 4] <= 0) | (rows[:, 5] <= 0),
-         "%s:%d: skipping box with non-positive extent", False),
-    )
+    ints, rules = _rule_masks(rows)
     keep = np.ones(rows.shape[0], dtype=bool)
     lines_of = np.array(linenos, dtype=np.int64)
     for broken, message, malformed in rules:
@@ -186,8 +240,14 @@ def parse_mot_lines(path: str) -> tuple[MotTable, IngestStats]:
             f"{path}: {stats.malformed} of {stats.lines} rows malformed "
             f"(limit {MALFORMED_FATAL_RATIO:.0%})"
         )
-    rows = rows[keep]
-    rows[:, _INT_COLUMNS] = ints[keep]
+    return _clamped_table(path, rows[keep], ints[keep], stats)
+
+
+def _clamped_table(path: str, rows: np.ndarray, ints: np.ndarray,
+                   stats: IngestStats) -> tuple[MotTable, IngestStats]:
+    """The kept rows, with the truncated integer columns written back and
+    the scores clamped to [0, 1]."""
+    rows[:, _INT_COLUMNS] = ints
     scores = rows[:, 6]
     low, high = scores < 0.0, scores > 1.0
     stats.clamped_scores = int(low.sum() + high.sum())
@@ -211,12 +271,12 @@ def parse_detections(
     its file order. When an embedding sidecar is given, vectors are attached
     by (frame, ordinal) before the min_score filter runs, so sidecar
     ordinals and file rows stay aligned. A detection without an embedding is
-    fatal.
+    fatal. Only the kept detections' vectors are widened to float64.
     """
     table, stats = parse_mot_lines(path)
-    emb = None
+    sidecar = None
     if embeddings_path is not None:
-        emb = parse_embeddings(embeddings_path, embedding_dim)
+        sidecar = _open_sidecar(embeddings_path, embedding_dim)
 
     order = np.argsort(table.frames, kind="stable")
     frames = table.frames[order]
@@ -225,15 +285,15 @@ def parse_detections(
     starts = np.flatnonzero(first)
     ordinals = np.arange(frames.shape[0]) - starts[np.cumsum(first) - 1]
     emb_rows = None
-    if emb is not None:
-        emb_rows = _embedding_rows(embeddings_path, emb.keys, frames, ordinals)
+    if sidecar is not None:
+        emb_rows = _embedding_rows(embeddings_path, sidecar.keys, frames, ordinals)
 
     dropped = table.scores[order] < min_score
     stats.dropped_low_score = int(dropped.sum())
     kept = ~dropped
     rows = table.rows[order[kept]]  # the one gather of the detections
-    vectors = None if emb is None else emb.vectors[emb_rows[kept]]
-    del emb
+    del table, order
+    vectors = None if sidecar is None else _unit_rows(sidecar, emb_rows[kept])
     keys = frames[starts]
     lo = np.searchsorted(frames[kept], keys)
     hi = np.append(lo[1:], rows.shape[0])
@@ -290,22 +350,90 @@ def parse_embeddings(path: str, expected_dim: Optional[int] = None) -> Embedding
     Duplicate keys and zero-length or non-finite vectors are fatal; the
     error names the first bad record in file order.
     """
+    sidecar = _open_sidecar(path, expected_dim)
+    return Embeddings(sidecar.keys, _unit_rows(sidecar, np.arange(sidecar.keys.shape[0])))
+
+
+# records a sidecar pass holds at a time, as stored and widened to float64
+SIDECAR_CHUNK_RECORDS = 1024
+
+# one run of consecutive sidecar records: the index of its first record,
+# its (n, 2) keys and its (n, D) vectors as stored
+_Chunk = tuple[int, np.ndarray, np.ndarray]
+
+
+class _Sidecar(NamedTuple):
+    """A sidecar that passed the first pass: its (count, 2) int64 keys in
+    file order, the vector width, and chunks(), which reads the records
+    again as runs of at most SIDECAR_CHUNK_RECORDS."""
+
+    keys: np.ndarray
+    dim: int
+    chunks: Callable[[], Iterator[_Chunk]]
+
+
+def _open_sidecar(path: str, expected_dim: Optional[int]) -> _Sidecar:
+    """The first pass over a sidecar (binary or CSV): collect the keys and
+    check every vector's norm, one chunk at a time.
+
+    Duplicate keys and zero-length or non-finite vectors are fatal; the
+    error names the first bad record in file order (a record that is both
+    counts as a duplicate)."""
     try:
         with open(path, "rb") as fh:
-            head = fh.read(4)
-            mode = "binary" if head == EMBEDDING_MAGIC else "csv"
+            binary = fh.read(4) == EMBEDDING_MAGIC
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from e
-    loader = _parse_embeddings_binary if mode == "binary" else _parse_embeddings_csv
-    return loader(path, expected_dim)
+    loader = _binary_sidecar if binary else _csv_sidecar
+    count, dim, chunks, linenos, broken = loader(path, expected_dim)
+    keys = np.empty((count, 2), dtype=np.int64)
+    bad: Optional[tuple[int, ZeroNormError]] = None
+    for start, chunk_keys, vectors in chunks():
+        keys[start:start + len(chunk_keys)] = chunk_keys
+        if bad is None:
+            try:
+                normalize_rows(vectors.astype(np.float64))
+            except ZeroNormError as e:
+                bad = (start + e.row, e)
+    dup = _first_duplicate(keys)
+    if bad is not None and (dup is None or bad[0] < dup):
+        i, e = bad
+        where = (f"{path}:{linenos[i]}" if linenos is not None else
+                 f"{path}: embedding for frame {keys[i, 0]} ordinal {keys[i, 1]}")
+        raise FormatError(f"{where}: {e}") from e
+    if dup is not None:
+        key = tuple(keys[dup].tolist())
+        raise FormatError(f"{path}: duplicate embedding for {key}")
+    if broken is not None:
+        raise broken
+    return _Sidecar(keys, dim, chunks)
 
 
-def _parse_embeddings_binary(path: str, expected_dim: Optional[int]) -> Embeddings:
+def _unit_rows(sidecar: _Sidecar, records: np.ndarray) -> np.ndarray:
+    """The second pass: a (len(records), D) float64 block whose row i is
+    record records[i] unit-normalized. Each chunk widens only the records
+    it holds that are asked for, and scatters them into the block."""
+    out = np.empty((records.shape[0], sidecar.dim), dtype=np.float64)
+    order = np.argsort(records, kind="stable")
+    wanted = records[order]
+    for start, _, vectors in sidecar.chunks():
+        lo, hi = np.searchsorted(wanted, [start, start + len(vectors)]).tolist()
+        if lo < hi:
+            out[order[lo:hi]] = normalize_rows(
+                vectors[wanted[lo:hi] - start].astype(np.float64, copy=False))
+    return out
+
+
+def _binary_sidecar(path: str, expected_dim: Optional[int]):
+    """(count, dim, chunks, None, None) of a binary sidecar, after its
+    header and its size are checked; chunks() reads the records with
+    readinto into one reused buffer."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16:
+        header = fh.read(16)
+        size = os.fstat(fh.fileno()).st_size
+    if len(header) < 16:
         raise FormatError(f"{path}: truncated embedding header")
-    magic, version, dim, count = struct.unpack("<4sIII", blob[:16])
+    magic, version, dim, count = struct.unpack("<4sIII", header)
     if magic != EMBEDDING_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != EMBEDDING_VERSION:
@@ -313,26 +441,33 @@ def _parse_embeddings_binary(path: str, expected_dim: Optional[int]) -> Embeddin
     if expected_dim is not None and dim != expected_dim:
         raise FormatError(f"{path}: embedding dim {dim}, expected {expected_dim}")
     rec = np.dtype([("frame", "<u4"), ("ordinal", "<u4"), ("vec", "<f4", (dim,))])
-    payload = memoryview(blob)[16:]
-    if len(payload) != count * rec.itemsize:
+    if size - 16 != count * rec.itemsize:
         raise FormatError(
             f"{path}: expected {count} records ({count * rec.itemsize} bytes), "
-            f"found {len(payload)} bytes"
+            f"found {size - 16} bytes"
         )
-    records = np.frombuffer(payload, dtype=rec)
-    keys = np.column_stack([records["frame"], records["ordinal"]]).astype(np.int64)
-    vectors = records["vec"].astype(np.float64)
-    del records, payload, blob
-    return _checked_embeddings(
-        path, keys, vectors,
-        lambda i: f"{path}: embedding for frame {keys[i, 0]} ordinal {keys[i, 1]}",
-    )
+
+    def chunks() -> Iterator[_Chunk]:
+        raw = bytearray(min(count, SIDECAR_CHUNK_RECORDS) * rec.itemsize)
+        view = memoryview(raw)
+        with open(path, "rb") as fh:
+            fh.seek(16)
+            for start in range(0, count, SIDECAR_CHUNK_RECORDS):
+                n = min(SIDECAR_CHUNK_RECORDS, count - start)
+                if fh.readinto(view[:n * rec.itemsize]) != n * rec.itemsize:
+                    raise FormatError(f"{path}: file shrank while it was read")
+                records = np.frombuffer(raw, dtype=rec, count=n)
+                yield start, np.stack([records["frame"], records["ordinal"]], axis=1), \
+                    records["vec"]
+
+    return count, dim, chunks, None, None
 
 
-def _parse_embeddings_csv(path: str, expected_dim: Optional[int]) -> Embeddings:
-    """One pass over the lines; the first structurally broken line ends it,
-    and its error is raised unless an earlier record is a duplicate or has a
-    bad norm."""
+def _csv_sidecar(path: str, expected_dim: Optional[int]):
+    """(count, dim, chunks, line numbers, broken) of a CSV sidecar, read in
+    one pass over its lines. The first structurally broken line ends the
+    pass; its error is raised unless an earlier record is a duplicate or
+    has a bad norm."""
     keys: list[tuple[int, int]] = []
     values: list[list[float]] = []
     linenos: list[int] = []
@@ -368,33 +503,15 @@ def _parse_embeddings_csv(path: str, expected_dim: Optional[int]) -> Embeddings:
             keys.append(key)
             values.append(vec)
             linenos.append(lineno)
-    emb = _checked_embeddings(
-        path,
-        np.array(keys, dtype=np.int64).reshape(-1, 2),
-        np.array(values, dtype=np.float64).reshape(len(values), dim or 0),
-        lambda i: f"{path}:{linenos[i]}",
-    )
-    if broken is not None:
-        raise broken
-    return emb
+    key_block = np.array(keys, dtype=np.int64).reshape(-1, 2)
+    block = np.array(values, dtype=np.float64).reshape(len(values), dim or 0)
 
+    def chunks() -> Iterator[_Chunk]:
+        for start in range(0, len(block), SIDECAR_CHUNK_RECORDS):
+            stop = start + SIDECAR_CHUNK_RECORDS
+            yield start, key_block[start:stop], block[start:stop]
 
-def _checked_embeddings(
-    path: str, keys: np.ndarray, vectors: np.ndarray, where: Callable[[int], str]
-) -> Embeddings:
-    """Normalize the rows in place; raise for the first duplicate key or
-    bad vector in file order, whichever comes first (a record that is both
-    counts as a duplicate). `where(i)` names record i in errors."""
-    dup = _first_duplicate(keys)
-    try:
-        normalize_rows(vectors)
-    except ZeroNormError as e:
-        if dup is None or e.row < dup:
-            raise FormatError(f"{where(e.row)}: {e}") from e
-    if dup is not None:
-        key = tuple(keys[dup].tolist())
-        raise FormatError(f"{path}: duplicate embedding for {key}")
-    return Embeddings(keys, vectors)
+    return len(block), dim or 0, chunks, linenos, broken
 
 
 def _first_duplicate(keys: np.ndarray) -> Optional[int]:
@@ -539,7 +656,9 @@ class RunConfig(TrackerConfig):
 
 
 def _path(value) -> Optional[str]:
-    return None if value in (None, "", "none") else str(value)
+    if value is None or str(value).lower() in ("", "none"):
+        return None
+    return str(value)
 
 
 def _flag(value) -> bool:
@@ -552,7 +671,7 @@ def _flag(value) -> bool:
 
 
 # each setting's coercion, picked by the type RunConfig declares for it with
-# Optional unwrapped; only a path reads "none" or "" as no value
+# Optional unwrapped; only a path reads "none" (in any case) or "" as no value
 _COERCIONS = {
     name: {str: _path, bool: _flag, int: int, float: float}[
         next((a for a in typing.get_args(hint) if a is not type(None)), hint)]

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from drone_assoc.cli import main
-from drone_assoc.simulator import ScenarioConfig, generate_scenario, save_scenario_config
+from drone_assoc.simulator import (
+    ScenarioConfig,
+    generate_scenario,
+    save_scenario_config,
+    translate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +94,26 @@ class TestTrackCommand:
                      "--embeddings", paths.embeddings,
                      "--output", str(tmp_path / "r.txt")])
         assert code == 1
+
+    @pytest.mark.parametrize("word", ["None", "NONE", "none"])
+    def test_config_path_none_means_no_sidecar(self, tmp_path, word):
+        """`affines = None` runs online camera motion, as when the key is
+        absent, not a sidecar file named None."""
+        paths = generate_scenario(ScenarioConfig(
+            seed=3, n_objects=8, n_frames=30, world_extent=400.0,
+            object_speed_range=(0.5, 1.0), detection_noise_sigma=0.5,
+            camera_script=(translate(12.0, 5.0, 30),), embedding_dim=8,
+        ), str(tmp_path / "data"))
+        outputs = []
+        for name, extra in (("absent", ""), ("word", f"affines = {word}\n")):
+            cfg_path = tmp_path / f"{name}.cfg"
+            out = tmp_path / f"{name}.txt"
+            cfg_path.write_text(f"detections = {paths.detections}\n"
+                                f"embeddings = {paths.embeddings}\n"
+                                f"output = {out}\n{extra}")
+            assert main(["track", "--config", str(cfg_path)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] and outputs[1] == outputs[0]
 
     def test_toggles_accepted(self, tiny_scenario, tmp_path):
         _, paths = tiny_scenario

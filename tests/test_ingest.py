@@ -4,7 +4,9 @@ normalization, and the (frame, ordinal) join of detections and sidecar."""
 
 import logging
 import os
+import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mot_table, reference_normalize, reference_parse_mot_lines
+from drone_assoc import mot_io
 from drone_assoc.core import ZeroNormError, normalize, normalize_rows
 from drone_assoc.mot_io import (
     FormatError,
+    IngestStats,
+    SIDECAR_CHUNK_RECORDS,
     MotTable,
     parse_detections,
     parse_embeddings,
@@ -52,7 +57,7 @@ def logged(fn, path):
 
 ODD_FIELDS = ["nan", "-nan", "inf", "-inf", "1e300", "-1e300", "9.3e18", "-9.3e18",
               "9223372036854775807", "abc", "", " ", "0", "-0.0", "0.5", "1.7",
-              "-2", " 3 ", "1e400"]
+              "-2", " 3 ", "1e400", "3_5", "\u0663", "0.5 # note", "1#", "0x10"]
 
 good_rows = st.tuples(
     st.integers(1, 6).map(str),
@@ -138,6 +143,154 @@ class TestMotParserLockstep:
         assert err == f"{path}: 2 of 3 rows malformed (limit 10%)"
         assert [m for _, m in log] == [f"{path}:2: expected >=8 columns, got 1",
                                        f"{path}:3: non-numeric field"]
+
+
+# -- rows whose reading hangs on how a line is split and converted ---------------
+
+# twenty good rows; each hazard row goes in after the tenth, as line 11
+HAZARD_GOOD = [f"{k // 4 + 1},{k % 4 + 1},{float(k)!r},2.5,10.0,12.0,0.75,1,0.5"
+               for k in range(20)]
+GOOD_ROWS = [[k // 4 + 1, k % 4 + 1, float(k), 2.5, 10.0, 12.0, 0.75, 1, 0.5]
+             for k in range(20)]
+
+
+def hazard_file(tmp_path, hazard, newline="\n"):
+    path = str(tmp_path / "det.txt")
+    lines = HAZARD_GOOD[:10] + [hazard] + HAZARD_GOOD[10:]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(newline.join(lines) + newline)
+    return path
+
+
+class TestIngestHazards:
+    """Each hazard sits among good rows; the rows, IngestStats and warning
+    lines are pinned."""
+
+    def parse(self, path):
+        result, err, log = logged(parse_mot_lines, path)
+        assert err is None
+        table, stats = result
+        return table.rows.tolist(), stats, [m for _, m in log]
+
+    @pytest.mark.parametrize("hazard", [
+        "1,2,3.5,4,5,6,0.9,1,1.0 # note",   # a comment would end the row early
+        "1,2,3.5,4,5,6,0.9,1,1.0# note",
+        "1,2,3.5,4,5,6,0.9,1#,1.0",
+    ])
+    def test_mid_line_hash_is_a_malformed_row(self, tmp_path, hazard):
+        path = hazard_file(tmp_path, hazard)
+        rows, stats, log = self.parse(path)
+        assert rows == GOOD_ROWS
+        assert stats == IngestStats(lines=21, malformed=1)
+        assert log == [f"{path}:11: non-numeric field"]
+
+    def test_hash_past_the_ninth_column_is_ignored(self, tmp_path):
+        path = hazard_file(tmp_path, "1,2,3.5,4,5,6,0.9,1,1.0,a # note")
+        rows, stats, log = self.parse(path)
+        assert rows == GOOD_ROWS[:10] + [[1, 2, 3.5, 4, 5, 6, 0.9, 1, 1.0]] + GOOD_ROWS[10:]
+        assert stats == IngestStats(lines=21)
+        assert log == []
+
+    def test_comment_lines_with_hashes_inside_are_skipped(self, tmp_path):
+        path = str(tmp_path / "det.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("# header # with a second hash\n")
+            fh.write("\n".join(HAZARD_GOOD[:10] + ["  \t# indented # comment"]
+                               + HAZARD_GOOD[10:]) + "\n#\n")
+        rows, stats, log = self.parse(path)
+        assert rows == GOOD_ROWS
+        assert stats == IngestStats(lines=20)
+        assert log == []
+
+    @pytest.mark.parametrize("hazard, x", [
+        ("1,2,3_5,4,5,6,0.9,1,1.0", 35.0),          # float() takes underscores
+        ("1,2,٣,4,5,6,0.9,1,1.0", 3.0),        # and Unicode digits
+        ("1,2,٣.٥,4,5,6,0.9,1,1.0", 3.5),
+    ])
+    def test_float_spellings_are_kept(self, tmp_path, hazard, x):
+        path = hazard_file(tmp_path, hazard)
+        rows, stats, log = self.parse(path)
+        assert rows == GOOD_ROWS[:10] + [[1, 2, x, 4, 5, 6, 0.9, 1, 1.0]] + GOOD_ROWS[10:]
+        assert stats == IngestStats(lines=21)
+        assert log == []
+
+    @pytest.mark.parametrize("hazard", [
+        "1,2,3.5,4,5,6,0.9,1,",       # empty visibility
+        "1,2,3.5,4,5,6,0.9,1",        # 8 columns
+        "1,2,3.5,4,5,6,0.9,1, ",      # the line is stripped before it is split
+    ])
+    def test_missing_visibility_defaults_to_one(self, tmp_path, hazard):
+        path = hazard_file(tmp_path, hazard)
+        rows, stats, log = self.parse(path)
+        assert rows == GOOD_ROWS[:10] + [[1, 2, 3.5, 4, 5, 6, 0.9, 1, 1.0]] + GOOD_ROWS[10:]
+        assert stats == IngestStats(lines=21)
+        assert log == []
+
+    def test_blank_field_is_non_numeric(self, tmp_path):
+        path = hazard_file(tmp_path, "1,2, ,4,5,6,0.9,1,1.0")
+        rows, stats, log = self.parse(path)
+        assert rows == GOOD_ROWS
+        assert stats == IngestStats(lines=21, malformed=1)
+        assert log == [f"{path}:11: non-numeric field"]
+
+    def test_mixed_nine_and_ten_column_rows(self, tmp_path):
+        path = str(tmp_path / "det.txt")
+        lines = [row + (",-1" if k % 3 == 0 else "") + (",x,7" if k % 5 == 0 else "")
+                 for k, row in enumerate(HAZARD_GOOD)]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        rows, stats, log = self.parse(path)
+        assert rows == GOOD_ROWS
+        assert stats == IngestStats(lines=20)
+        assert log == []
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\t\n", "\t\r\n", " \n", "\r"])
+    def test_line_endings(self, tmp_path, newline):
+        path = hazard_file(tmp_path, "1,2,3.5,4,5,6,0.9,1,1.0", newline=newline)
+        rows, stats, log = self.parse(path)
+        assert rows == GOOD_ROWS[:10] + [[1, 2, 3.5, 4, 5, 6, 0.9, 1, 1.0]] + GOOD_ROWS[10:]
+        assert stats == IngestStats(lines=21)
+        assert log == []
+
+    def test_crlf_malformed_row_is_named_by_its_line(self, tmp_path):
+        path = hazard_file(tmp_path, "1,2,x,4,5,6,0.9,1,1.0", newline="\r\n")
+        rows, stats, log = self.parse(path)
+        assert rows == GOOD_ROWS
+        assert stats == IngestStats(lines=21, malformed=1)
+        assert log == [f"{path}:11: non-numeric field"]
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n", "#a\n  # b\n\n"])
+    def test_file_without_rows(self, tmp_path, text):
+        path = tmp_path / "det.txt"
+        path.write_text(text, encoding="utf-8")
+        rows, stats, log = self.parse(str(path))
+        assert rows == []
+        assert stats == IngestStats()
+        assert log == []
+
+
+class TestLinePassDispatch:
+    """The per-line pass runs only for a file the bulk read rejects or with
+    a row a rule charges; clamping a score charges no row."""
+
+    @pytest.mark.parametrize("hazard, line_pass", [
+        ("1,2,3.5,4,5,6,1.5,1,1.0,-1", False),  # clamped score, ten columns
+        ("1,2,3.5,4,5,6,0.9,1,1.0 # note", True),
+        ("1,2,3_5,4,5,6,0.9,1,1.0", True),
+        ("1,2,3.5,4,5,6,0.9,1", True),
+        ("1,2,3.5,4,0,6,0.9,1,1.0", True),        # skipped: no extent
+        ("0,2,3.5,4,5,6,0.9,1,1.0", True),        # frame below 1
+        ("1,2,nan,4,5,6,0.9,1,1.0", True),
+    ])
+    def test_line_pass_runs_only_when_needed(self, tmp_path, monkeypatch, hazard, line_pass):
+        calls = []
+        line_by_line = mot_io._parse_line_by_line
+        monkeypatch.setattr(mot_io, "_parse_line_by_line",
+                            lambda path: calls.append(path) or line_by_line(path))
+        path = hazard_file(tmp_path, hazard, newline="\r\n")
+        table, stats = parse_mot_lines(path)
+        assert calls == ([path] if line_pass else [])
+        assert stats.lines == 21 and len(table) == 21 - stats.malformed - stats.skipped_empty_box
 
 
 class TestInt64Fields:
@@ -358,3 +511,134 @@ class TestEmbeddingJoin:
         frames = parse_detections(str(det), min_score=0.1)
         assert [(fd.frame, len(fd)) for fd in frames] == [(1, 0), (2, 1)]
         assert frames[0].boxes.shape == (0, 4) and frames[0].embeddings is None
+
+
+# -- the chunked sidecar reader ----------------------------------------------
+
+CHUNK = SIDECAR_CHUNK_RECORDS
+
+
+def reference_unit_rows(path):
+    """{(frame, ordinal): unit row} of a binary sidecar, with the whole file
+    widened to float64 and normalized in one normalize_rows call."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    _, _, dim, _ = struct.unpack("<4sIII", blob[:16])
+    rec = np.dtype([("frame", "<u4"), ("ordinal", "<u4"), ("vec", "<f4", (dim,))])
+    records = np.frombuffer(blob, dtype=rec, offset=16)
+    block = normalize_rows(records["vec"].astype(np.float64))
+    keys = zip(records["frame"].tolist(), records["ordinal"].tolist())
+    return dict(zip(keys, block))
+
+
+def detection_scene(tmp_path, count, dim=16, seed=0, per_frame=7):
+    """A detection file of `count` rows, `per_frame` to a frame and the
+    frames interleaved, and an unsorted binary sidecar with one record per
+    row; scores run from 0 to 1, so a min_score drops a share of rows."""
+    g = np.random.default_rng(seed)
+    frames = [k // per_frame + 1 for k in range(count)]
+    g.shuffle(frames)
+    seen: dict[int, int] = {}
+    keys, lines = [], []
+    for k, frame in enumerate(frames):
+        keys.append((frame, seen.setdefault(frame, 0)))
+        seen[frame] += 1
+        lines.append(f"{frame},-1,{float(k)!r},0.0,10.0,10.0,{k / count!r},1,1.0")
+    det = tmp_path / "det.txt"
+    det.write_text("# scene\n" + "\n".join(lines) + "\n")
+    vectors = g.normal(size=(count, dim)) * g.uniform(1e-3, 1e3, (count, 1))
+    order = g.permutation(count)
+    emb = str(tmp_path / "e.bin")
+    write_embeddings(emb, [(*keys[i], vectors[i]) for i in order], dim)
+    return str(det), emb, keys
+
+
+class TestChunkedSidecar:
+    @pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("min_score", [0.0, 0.35])
+    def test_block_equals_the_whole_file_normalized_then_gathered(
+            self, tmp_path, count, min_score):
+        det, emb, keys = detection_scene(tmp_path, count, seed=count)
+        ref = reference_unit_rows(emb)
+        frames = parse_detections(det, emb, 16, min_score=min_score)
+        got = np.concatenate([fd.embeddings for fd in frames])
+        # x holds each row's file index, which names its (frame, ordinal)
+        want = [ref[keys[int(x)]] for fd in frames for x in fd.boxes[:, 0]]
+        assert len(want) == sum(k / count >= min_score for k in range(count))
+        assert same_bits(got, np.array(want).reshape(-1, 16))
+        assert all(fd.embeddings.base is frames[0].embeddings.base for fd in frames)
+
+    @pytest.mark.parametrize("count", [0, CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_parse_embeddings_reads_every_record_in_file_order(self, tmp_path, count):
+        g = np.random.default_rng(count)
+        records = [(k // 5 + 1, k % 5, g.normal(size=8)) for k in range(count)]
+        g.shuffle(records)
+        path = str(tmp_path / "e.bin")
+        write_embeddings(path, records, 8)
+        ref = reference_unit_rows(path)
+        emb = parse_embeddings(path)
+        assert emb.keys.tolist() == [[f, o] for f, o, _ in records]
+        want = np.array([ref[(f, o)] for f, o, _ in records]).reshape(-1, 8)
+        assert same_bits(emb.vectors, want)
+        assert emb.vectors.dtype == np.float64 and emb.vectors.flags.c_contiguous
+
+    def test_peak_memory_stays_near_the_returned_blocks(self, tmp_path):
+        """The traced peak of a parse stays under 1.3x the blocks it hands
+        back: no whole-file copy and no second float64 block."""
+        count, dim = 20_000, 64
+        g = np.random.default_rng(5)
+        det = tmp_path / "det.txt"
+        det.write_text("".join(f"{k // 100 + 1},-1,{k}.5,3.0,10.0,12.0,0.8,1,1.0\n"
+                               for k in range(count)))
+        emb = str(tmp_path / "e.bin")
+        vectors = g.normal(size=(count, dim)).astype(np.float32)
+        write_embeddings(emb, [(k // 100 + 1, k % 100, vectors[k]) for k in range(count)],
+                         dim)
+        tracemalloc.start()
+        try:
+            frames = parse_detections(str(det), emb, dim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = count * (9 + 1 + dim) * 8  # rows, classes, embeddings
+        assert sum(len(fd) for fd in frames) == count
+        assert peak < 1.3 * returned, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("case, want", [
+        # {record index: vector or key change}, the error the parse raises
+        ({CHUNK + 4: "zero"},
+         ": embedding for frame {0} ordinal {1}: cannot normalize a zero-length "
+         "embedding"),
+        ({CHUNK - 1: "zero", CHUNK + 4: "nan"},
+         ": embedding for frame {0} ordinal {1}: cannot normalize a zero-length "
+         "embedding"),
+        ({CHUNK + 4: "nan", CHUNK + 9: "zero"},
+         ": embedding for frame {0} ordinal {1}: cannot normalize a non-finite "
+         "embedding"),
+        ({CHUNK + 4: "dup"}, ": duplicate embedding for ({0}, {1})"),
+        ({CHUNK + 4: "dup", CHUNK + 9: "inf"}, ": duplicate embedding for ({0}, {1})"),
+        ({CHUNK + 4: "inf", 2 * CHUNK: "dup"},
+         ": embedding for frame {0} ordinal {1}: cannot normalize a non-finite "
+         "embedding"),
+    ])
+    def test_first_bad_record_across_chunks_is_named(self, tmp_path, case, want):
+        count = 2 * CHUNK + 5
+        keys = [(k // 7 + 1, k % 7) for k in range(count)]
+        det = tmp_path / "det.txt"
+        det.write_text("".join(f"{f},-1,0.0,0.0,10.0,10.0,0.9,1,1.0\n" for f, _ in keys))
+        vectors = np.random.default_rng(1).normal(size=(count, 4))
+        record_keys = list(keys)
+        for i, change in case.items():
+            if change == "dup":
+                record_keys[i] = keys[3]
+            else:
+                vectors[i] = {"zero": 0.0, "nan": np.nan, "inf": np.inf}[change]
+        emb = str(tmp_path / "e.bin")
+        write_embeddings(emb, [(*k, v) for k, v in zip(record_keys, vectors)], 4)
+        first = min(case)
+        with pytest.raises(FormatError) as exc:
+            parse_detections(str(det), emb, 4)
+        assert str(exc.value) == emb + want.format(*record_keys[first])
+        with pytest.raises(FormatError) as exc_all:
+            parse_embeddings(emb)
+        assert str(exc_all.value) == str(exc.value)

@@ -391,7 +391,9 @@ class TestRunConfig:
         ("embeddings", "none", None),
         ("affines", "", None),
         ("output", None, None),
-        ("affines", "None", "None"),  # only the lower-case word means no file
+        ("affines", "None", None),  # the word means no file in any case
+        ("embeddings", "NONE", None),
+        ("output", "none.txt", "none.txt"),
         ("output", "nan", "nan"),
         ("use_afs", "true", True),
         ("use_afs", " False ", False),
