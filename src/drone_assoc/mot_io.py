@@ -292,7 +292,7 @@ def parse_detections(
     stats.dropped_low_score = int(dropped.sum())
     kept = ~dropped
     rows = table.rows[order[kept]]  # the one gather of the detections
-    del table, order
+    del table, order  # freed before the embedding block is filled
     vectors = None if sidecar is None else _unit_rows(sidecar, emb_rows[kept])
     keys = frames[starts]
     lo = np.searchsorted(frames[kept], keys)
