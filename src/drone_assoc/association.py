@@ -93,7 +93,8 @@ class FrameStats:
     """What the tracker did with one frame. Gallery rows are the stored
     features scored against the frame's embeddings (0 when no appearance
     term ran); bank inserts and refreshes count the key-bank offers of
-    matched and spawned tracks."""
+    matched and spawned tracks. stage1_ious holds the IoU of each stage-1
+    match's predicted box and detection, in match order."""
 
     frame: int
     stage1_matches: int
@@ -104,6 +105,7 @@ class FrameStats:
     gallery_rows: int
     bank_inserts: int
     bank_refreshes: int
+    stage1_ious: tuple[float, ...]
 
 
 def linear_assignment(cost: np.ndarray) -> AssignmentResult:
@@ -299,8 +301,6 @@ class Tracker:
         self.next_id = 1
         self.last_frame = 0
         self._first_frame: Optional[int] = None
-        # (frame, IoU of predicted box vs matched detection) per stage-1 match
-        self.stage1_match_ious: list[tuple[int, float]] = []
         self.last_stats: Optional[FrameStats] = None
 
     def associate_frame(
@@ -341,8 +341,6 @@ class Tracker:
                         if cfg.w_a > 0 and emb is not None and cost.size else 0)
         stage1 = linear_assignment(cost)
         rows1, cols1 = stage1.matches.T
-        self.stage1_match_ious.extend(
-            (frame, iou) for iou in ious[rows1, cols1].tolist())
 
         free = stage1.unmatched_rows
         leftover = free[t.states[free] != LOST]
@@ -391,6 +389,7 @@ class Tracker:
         self.last_stats = FrameStats(
             frame, rows1.size, rows2.size, spawn.size, n_removed, len(t),
             gallery_rows, n_inserts, inserted.size - n_inserts,
+            tuple(ious[rows1, cols1].tolist()),
         )
         log.debug("frame %d: %d dets, %d live tracks, %d emitted",
                   frame, kept.shape[0], len(t), len(records))

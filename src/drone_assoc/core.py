@@ -8,8 +8,8 @@ A frame's detections are columns, not objects: FrameDetections holds an
 (M, 4) box block, (M,) scores and classes, and an (M, D) embedding block or
 None, in file order. The tracker splits and gathers them with masks.
 normalize_rows scales a whole embedding block in place, for loading and for
-the tracker's feature blend; normalize is the single-vector form, with the
-same arithmetic. Track is a snapshot of one row of the tracker's table.
+the tracker's feature blend; normalize is its one-row call on a copy. Track
+is a snapshot of one row of the tracker's table.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ import numpy as np
 if TYPE_CHECKING:
     from .appearance import KeyFeatureBank
     from .motion import MotionState
-
-DEFAULT_EMBEDDING_DIM = 128
-
 
 class ZeroNormError(ValueError):
     """Raised when a zero-length or non-finite vector is asked to be
@@ -43,23 +40,20 @@ def _norm_error(n: float) -> ZeroNormError:
 
 
 def normalize(values: np.ndarray) -> np.ndarray:
-    """Return `values` scaled to unit L2 norm as a float64 array."""
-    v = np.asarray(values, dtype=np.float64)
-    flat = v.ravel(order="K")
-    n = math.sqrt(float(flat.dot(flat)))  # np.linalg.norm's own arithmetic
-    if n < 1e-12 or not math.isfinite(n):
-        raise _norm_error(n)
-    return v / n
+    """Return a float64 copy of `values` scaled to unit L2 norm, in their
+    shape: the one-row call of normalize_rows."""
+    v = np.array(values, dtype=np.float64, order="C")
+    return normalize_rows(v.reshape(1, -1)).reshape(v.shape)
 
 
 def normalize_rows(block: np.ndarray) -> np.ndarray:
     """Scale every row of a C-contiguous float64 (N, D) block to unit L2
-    norm, in place, and return it; each row equals normalize(row) bit for bit.
+    norm, in place, and return it.
 
-    The stacked (1, D) @ (D, 1) products run the same dot kernel as
-    normalize's `flat.dot(flat)`, row by row. A zero-length or non-finite
-    row raises ZeroNormError with `row` set to the first such index; the
-    block is left untouched then.
+    The stacked (1, D) @ (D, 1) products run the same dot kernel as a
+    vector's own `v.dot(v)`, row by row. A zero-length or non-finite row
+    raises ZeroNormError with `row` set to the first such index; the block
+    is left untouched then.
     """
     norms = np.sqrt((block[:, None, :] @ block[:, :, None]).reshape(-1))
     bad = ~(norms >= 1e-12) | ~np.isfinite(norms)

@@ -1,22 +1,26 @@
 """File formats.
 
+Every text input is streamed through one line reader, _text_lines: UTF-8,
+lines ending at LF, CR or CRLF and numbered from 1, blanks and lines that
+start with ``#`` skipped. An unreadable path, or a byte that is not UTF-8
+on any line, is a FormatError naming the file and the line.
+
 Detections and ground truth use MOT-style CSV rows
 ``frame,id,x,y,w,h,score,class,visibility`` (first 9 columns read, extras
-ignored, ``#`` lines and blanks skipped). parse_mot_lines reads a file into
-a MotTable: one (R, 9) float64 block in file order, with int64 frame, id and
-class columns. A well-formed file is converted in one np.loadtxt call; a
-file that call rejects, with a '#' after a field, or with a row a rule
-charges is read line by line, which names the bad rows.
+ignored). parse_mot_lines reads a file into a MotTable: one (R, 9) float64
+block in file order, with int64 frame, id and class columns. A well-formed
+file is converted in one np.loadtxt call; a file that call rejects, with a
+'#' after a field, or with a row a rule charges is read line by line, which
+names the bad rows.
 
 Embeddings ride in a binary sidecar keyed by (frame, ordinal-within-frame);
-a CSV fallback with rows ``frame,ordinal,v0..v{D-1}`` is accepted. One
-reader serves both: a first pass over fixed-size chunks of records
-collects the keys and checks every norm, and a second widens to float64
-only the records asked for and scatters their unit rows into the block it
-returns. parse_embeddings asks for every record; parse_detections joins the
-keys to its detections, asks only for the kept ones, and slices the block
-into one array FrameDetections per frame. Affine sidecars are CSV rows
-``frame,a,b,tx,c,d,ty``. Results are written as
+a CSV fallback with rows ``frame,ordinal,v0..v{D-1}`` is accepted. Either
+is read once, in chunks of records: one reader collects the keys,
+normalizes each chunk once, which checks every norm, and places the rows
+asked for in the block it returns. parse_embeddings asks for every record;
+parse_detections asks for its kept detections by (frame, ordinal) and
+slices the block into one array FrameDetections per frame. Affine sidecars
+are CSV rows ``frame,a,b,tx,c,d,ty``. Results are written as
 ``frame,id,x,y,w,h,score,class,-1,-1`` sorted by (frame, id).
 
 Frames are 1-based; ordinals are 0-based positions of a detection within
@@ -29,12 +33,15 @@ from __future__ import annotations
 import dataclasses
 import logging
 import os
+import re
 import struct
 import typing
 import warnings
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +68,48 @@ _INT64_BOUND = 2.0 ** 63
 
 class FormatError(ValueError):
     """Raised for unreadable or structurally broken input files."""
+
+
+@contextmanager
+def _opened(path: str, binary: bool = False) -> Iterator[IO]:
+    """`path` opened for reading, as bytes or as UTF-8 text with universal
+    newlines; an OSError, on opening or reading, is a FormatError naming
+    the file. A text byte that is not UTF-8 reads as a lone surrogate
+    (surrogateescape), for _check_utf8 to report."""
+    try:
+        with (open(path, "rb") if binary else
+              open(path, "r", encoding="utf-8", errors="surrogateescape")) as fh:
+            yield fh
+    except OSError as e:
+        raise FormatError(f"cannot read {path}: {e}") from e
+
+
+# what surrogateescape decodes a byte that is not UTF-8 to; UTF-8 text
+# itself never decodes to a surrogate
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def _check_utf8(path: str, text: str, lineno: int) -> None:
+    """Raise a FormatError naming the first byte of `text`, read through
+    _opened, that is not UTF-8, and its line; `text` starts on `lineno`."""
+    bad = None if text.isascii() else _UNDECODABLE.search(text)
+    if bad:
+        line = lineno + text.count("\n", 0, bad.start())
+        byte = ord(bad.group()) - 0xDC00
+        raise FormatError(f"{path}:{line}: byte 0x{byte:02x} is not UTF-8")
+
+
+def _text_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each line of a UTF-8 text file that
+    is neither blank nor a '#' comment, streamed. Lines end at LF, CR or
+    CRLF and are numbered from 1; a byte that is not UTF-8 is fatal on
+    any line."""
+    with _opened(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            _check_utf8(path, line, lineno)
+            line = line.strip()
+            if line and line[0] != "#":
+                yield lineno, line
 
 
 @dataclass(frozen=True)
@@ -141,11 +190,9 @@ def _bulk_rows(path: str) -> Optional[np.ndarray]:
     at any '#', where the line pass reads a '#' after a field as part of
     the field. Every value the reader does convert, float() converts to the
     same bits: both parse with the interpreter's string-to-double."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e}") from e
+    with _opened(path) as fh:
+        text = fh.read()
+    _check_utf8(path, text, 1)
     pos = text.find("#")
     while pos >= 0:
         if text[text.rfind("\n", 0, pos) + 1:pos].strip():
@@ -186,19 +233,11 @@ def _parse_line_by_line(path: str) -> tuple[MotTable, IngestStats]:
     and diagnoses short and non-numeric rows; the rule masks then charge
     the rest by line."""
     stats = IngestStats()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.readlines()
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e}") from e
     values: list[float] = []  # 9 per accepted line
     linenos: list[int] = []
     # (line, message, extra args) of each row the line pass rejects
     notes: list[tuple[int, str, tuple]] = []
-    for lineno, line in enumerate(raw, start=1):
-        line = line.strip()
-        if not line or line[0] == "#":
-            continue
+    for lineno, line in _text_lines(path):
         parts = line.split(",")
         if len(parts) != 9:
             if len(parts) < 8:
@@ -271,29 +310,26 @@ def parse_detections(
     its file order. When an embedding sidecar is given, vectors are attached
     by (frame, ordinal) before the min_score filter runs, so sidecar
     ordinals and file rows stay aligned. A detection without an embedding is
-    fatal. Only the kept detections' vectors are widened to float64.
+    fatal, kept or not. The sidecar is read in one pass, and the block the
+    frames slice holds only the kept detections' rows.
     """
     table, stats = parse_mot_lines(path)
-    sidecar = None
-    if embeddings_path is not None:
-        sidecar = _open_sidecar(embeddings_path, embedding_dim)
-
     order = np.argsort(table.frames, kind="stable")
     frames = table.frames[order]
     first = np.ones(frames.shape[0], dtype=bool)
     first[1:] = frames[1:] != frames[:-1]
     starts = np.flatnonzero(first)
     ordinals = np.arange(frames.shape[0]) - starts[np.cumsum(first) - 1]
-    emb_rows = None
-    if sidecar is not None:
-        emb_rows = _embedding_rows(embeddings_path, sidecar.keys, frames, ordinals)
 
     dropped = table.scores[order] < min_score
     stats.dropped_low_score = int(dropped.sum())
     kept = ~dropped
     rows = table.rows[order[kept]]  # the one gather of the detections
     del table, order  # freed before the embedding block is filled
-    vectors = None if sidecar is None else _unit_rows(sidecar, emb_rows[kept])
+    vectors = None
+    if embeddings_path is not None:
+        _, vectors = _read_sidecar(embeddings_path, embedding_dim,
+                                   np.stack([frames, ordinals], axis=1), kept)
     keys = frames[starts]
     lo = np.searchsorted(frames[kept], keys)
     hi = np.append(lo[1:], rows.shape[0])
@@ -307,33 +343,6 @@ def parse_detections(
         log.info("%s: dropped %d detections below score %g",
                  path, stats.dropped_low_score, min_score)
     return out
-
-
-def _embedding_rows(
-    path: str, keys: np.ndarray, frames: np.ndarray, ordinals: np.ndarray
-) -> np.ndarray:
-    """Sidecar row of each (frame, ordinal) pair, found by searchsorted over
-    the sidecar keys packed as frame << 32 | ordinal. Keys outside the u32
-    range of the binary format never match. A missing pair is fatal; the
-    error names the first one in (frame, ordinal) order."""
-    shift = np.uint64(32)
-    fits = ((keys >= 0) & (keys < 2 ** 32)).all(axis=1)
-    packed = (keys[fits, 0].astype(np.uint64) << shift) | keys[fits, 1].astype(np.uint64)
-    by_key = np.argsort(packed, kind="stable")
-    packed, row_of = packed[by_key], np.flatnonzero(fits)[by_key]
-    want_fits = frames < 2 ** 32
-    want = (np.where(want_fits, frames, 0).astype(np.uint64) << shift) \
-        | ordinals.astype(np.uint64)
-    pos = np.searchsorted(packed, want)
-    found = want_fits & (pos < packed.shape[0])
-    found[found] = packed[pos[found]] == want[found]
-    if not found.all():
-        i = int(np.argmin(found))
-        raise FormatError(
-            f"{path}: no embedding for frame {int(frames[i])} "
-            f"ordinal {int(ordinals[i])}"
-        )
-    return row_of[pos]
 
 
 class Embeddings(NamedTuple):
@@ -350,168 +359,168 @@ def parse_embeddings(path: str, expected_dim: Optional[int] = None) -> Embedding
     Duplicate keys and zero-length or non-finite vectors are fatal; the
     error names the first bad record in file order.
     """
-    sidecar = _open_sidecar(path, expected_dim)
-    return Embeddings(sidecar.keys, _unit_rows(sidecar, np.arange(sidecar.keys.shape[0])))
+    return Embeddings(*_read_sidecar(path, expected_dim))
 
 
 # records a sidecar pass holds at a time, as stored and widened to float64
 SIDECAR_CHUNK_RECORDS = 1024
 
-# one run of consecutive sidecar records: the index of its first record,
-# its (n, 2) keys and its (n, D) vectors as stored
-_Chunk = tuple[int, np.ndarray, np.ndarray]
+# a run of consecutive sidecar records: the index of its first record, its
+# (n, 2) int64 keys, its (n, D) vectors as stored and, for CSV, their lines
+_Chunk = tuple[int, np.ndarray, np.ndarray, Optional[list[int]]]
+
+_U32 = 2 ** 32
 
 
-class _Sidecar(NamedTuple):
-    """A sidecar that passed the first pass: its (count, 2) int64 keys in
-    file order, the vector width, and chunks(), which reads the records
-    again as runs of at most SIDECAR_CHUNK_RECORDS."""
+def _read_sidecar(
+    path: str,
+    expected_dim: Optional[int],
+    wanted: Optional[np.ndarray] = None,
+    keep: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one pass over a sidecar, binary or CSV: its keys in file order
+    and a block of unit rows. The normalize_rows call that checks a chunk
+    also makes the rows that are kept.
 
-    keys: np.ndarray
-    dim: int
-    chunks: Callable[[], Iterator[_Chunk]]
+    The block holds every record in file order, or with `wanted`, (n, 2)
+    (frame, ordinal) keys in ascending order that must all have a record,
+    the records of those that `keep` marks. Keys match packed as
+    frame << 32 | ordinal; one outside the binary u32 range never matches.
 
-
-def _open_sidecar(path: str, expected_dim: Optional[int]) -> _Sidecar:
-    """The first pass over a sidecar (binary or CSV): collect the keys and
-    check every vector's norm, one chunk at a time.
-
-    Duplicate keys and zero-length or non-finite vectors are fatal; the
-    error names the first bad record in file order (a record that is both
-    counts as a duplicate)."""
+    The first in file order of a duplicate key, a zero-length or non-finite
+    vector (a record that is both counts as a duplicate) and a broken record
+    is fatal; after those, the first wanted key that no record has."""
+    if wanted is not None:
+        fit = int(np.searchsorted(wanted[:, 0], _U32))  # frames are >= 1
+        want = _packed(wanted[:fit])
+        filled = np.zeros(wanted.shape[0], dtype=bool)
+        slot = np.cumsum(keep) - 1  # block row of each kept key
+    key_chunks = [np.empty((0, 2), dtype=np.int64)]
+    block = bad = broken = None
     try:
-        with open(path, "rb") as fh:
-            binary = fh.read(4) == EMBEDDING_MAGIC
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e}") from e
-    loader = _binary_sidecar if binary else _csv_sidecar
-    count, dim, chunks, linenos, broken = loader(path, expected_dim)
-    keys = np.empty((count, 2), dtype=np.int64)
-    bad: Optional[tuple[int, ZeroNormError]] = None
-    for start, chunk_keys, vectors in chunks():
-        keys[start:start + len(chunk_keys)] = chunk_keys
-        if bad is None:
+        for start, keys, vectors, linenos in _sidecar_chunks(path, expected_dim):
+            key_chunks.append(keys)
             try:
-                normalize_rows(vectors.astype(np.float64))
+                unit = normalize_rows(vectors.astype(np.float64, copy=False))
             except ZeroNormError as e:
-                bad = (start + e.row, e)
+                bad = (start + e.row, None if linenos is None else linenos[e.row], e)
+                break
+            if block is None:
+                block = np.empty((0 if wanted is None else int(keep.sum()), unit.shape[1]))
+            if wanted is None:  # no view of the block is out, so realloc may move it
+                block.resize((start + unit.shape[0], unit.shape[1]), refcheck=False)
+                block[start:] = unit
+                continue
+            fits = ((keys >= 0) & (keys < _U32)).all(axis=1)
+            packed = _packed(np.where(fits[:, None], keys, 0))
+            pos = np.searchsorted(want, packed)
+            hit = fits & (pos < want.shape[0])
+            hit[hit] = want[pos[hit]] == packed[hit]
+            records, pos = np.flatnonzero(hit), pos[hit]
+            filled[pos] = True
+            block[slot[pos[keep[pos]]]] = unit[records[keep[pos]]]
+    except FormatError as e:  # raised after the records before it
+        broken = e
+    keys = np.concatenate(key_chunks)
     dup = _first_duplicate(keys)
     if bad is not None and (dup is None or bad[0] < dup):
-        i, e = bad
-        where = (f"{path}:{linenos[i]}" if linenos is not None else
+        i, lineno, e = bad
+        where = (f"{path}:{lineno}" if lineno is not None else
                  f"{path}: embedding for frame {keys[i, 0]} ordinal {keys[i, 1]}")
         raise FormatError(f"{where}: {e}") from e
     if dup is not None:
-        key = tuple(keys[dup].tolist())
-        raise FormatError(f"{path}: duplicate embedding for {key}")
+        raise FormatError(f"{path}: duplicate embedding for {tuple(keys[dup].tolist())}")
     if broken is not None:
         raise broken
-    return _Sidecar(keys, dim, chunks)
+    if wanted is not None and not filled.all():
+        frame, ordinal = wanted[int(np.argmin(filled))].tolist()
+        raise FormatError(f"{path}: no embedding for frame {frame} ordinal {ordinal}")
+    return keys, block
 
 
-def _unit_rows(sidecar: _Sidecar, records: np.ndarray) -> np.ndarray:
-    """The second pass: a (len(records), D) float64 block whose row i is
-    record records[i] unit-normalized. Each chunk widens only the records
-    it holds that are asked for, and scatters them into the block."""
-    out = np.empty((records.shape[0], sidecar.dim), dtype=np.float64)
-    order = np.argsort(records, kind="stable")
-    wanted = records[order]
-    for start, _, vectors in sidecar.chunks():
-        lo, hi = np.searchsorted(wanted, [start, start + len(vectors)]).tolist()
-        if lo < hi:
-            out[order[lo:hi]] = normalize_rows(
-                vectors[wanted[lo:hi] - start].astype(np.float64, copy=False))
-    return out
+def _packed(keys: np.ndarray) -> np.ndarray:
+    """(frame, ordinal) keys in the u32 range as frame << 32 | ordinal."""
+    keys = keys.astype(np.uint64)
+    return (keys[:, 0] << np.uint64(32)) | keys[:, 1]
 
 
-def _binary_sidecar(path: str, expected_dim: Optional[int]):
-    """(count, dim, chunks, None, None) of a binary sidecar, after its
-    header and its size are checked; chunks() reads the records with
-    readinto into one reused buffer."""
-    with open(path, "rb") as fh:
+def _sidecar_chunks(path: str, expected_dim: Optional[int]) -> Iterator[_Chunk]:
+    """A sidecar's records in chunks of at most SIDECAR_CHUNK_RECORDS, read
+    once: binary when the file starts with the magic, read with readinto
+    into one reused buffer once the header and the size are checked, else
+    CSV. At least one chunk comes, so an empty sidecar still gives its width."""
+    with _opened(path, binary=True) as fh:
         header = fh.read(16)
-        size = os.fstat(fh.fileno()).st_size
-    if len(header) < 16:
-        raise FormatError(f"{path}: truncated embedding header")
-    magic, version, dim, count = struct.unpack("<4sIII", header)
-    if magic != EMBEDDING_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != EMBEDDING_VERSION:
-        raise FormatError(f"{path}: unsupported embedding format version {version}")
-    if expected_dim is not None and dim != expected_dim:
-        raise FormatError(f"{path}: embedding dim {dim}, expected {expected_dim}")
-    rec = np.dtype([("frame", "<u4"), ("ordinal", "<u4"), ("vec", "<f4", (dim,))])
-    if size - 16 != count * rec.itemsize:
-        raise FormatError(
-            f"{path}: expected {count} records ({count * rec.itemsize} bytes), "
-            f"found {size - 16} bytes"
-        )
-
-    def chunks() -> Iterator[_Chunk]:
-        raw = bytearray(min(count, SIDECAR_CHUNK_RECORDS) * rec.itemsize)
-        view = memoryview(raw)
-        with open(path, "rb") as fh:
-            fh.seek(16)
-            for start in range(0, count, SIDECAR_CHUNK_RECORDS):
+        if header[:4] == EMBEDDING_MAGIC:
+            if len(header) < 16:
+                raise FormatError(f"{path}: truncated embedding header")
+            _, version, dim, count = struct.unpack("<4sIII", header)
+            if version != EMBEDDING_VERSION:
+                raise FormatError(f"{path}: unsupported embedding format version {version}")
+            if expected_dim is not None and dim != expected_dim:
+                raise FormatError(f"{path}: embedding dim {dim}, expected {expected_dim}")
+            rec = np.dtype([("frame", "<u4"), ("ordinal", "<u4"), ("vec", "<f4", (dim,))])
+            size = os.fstat(fh.fileno()).st_size
+            if size - 16 != count * rec.itemsize:
+                raise FormatError(
+                    f"{path}: expected {count} records ({count * rec.itemsize} bytes), "
+                    f"found {size - 16} bytes")
+            raw = bytearray(min(count, SIDECAR_CHUNK_RECORDS) * rec.itemsize)
+            view = memoryview(raw)
+            for start in range(0, max(count, 1), SIDECAR_CHUNK_RECORDS):
                 n = min(SIDECAR_CHUNK_RECORDS, count - start)
                 if fh.readinto(view[:n * rec.itemsize]) != n * rec.itemsize:
                     raise FormatError(f"{path}: file shrank while it was read")
                 records = np.frombuffer(raw, dtype=rec, count=n)
-                yield start, np.stack([records["frame"], records["ordinal"]], axis=1), \
-                    records["vec"]
+                keys = np.stack([records["frame"], records["ordinal"]], axis=1)
+                yield start, keys.astype(np.int64), records["vec"], None
+            return
+    yield from _csv_chunks(path, expected_dim)
 
-    return count, dim, chunks, None, None
 
+def _csv_chunks(path: str, expected_dim: Optional[int]) -> Iterator[_Chunk]:
+    """The chunks of a CSV sidecar, SIDECAR_CHUNK_RECORDS lines at a time,
+    each line converted into flat arrays of machine values. A broken line
+    raises its FormatError after the records before it are yielded."""
+    dim = expected_dim
+    start = 0
+    keys, values, linenos = array("q"), array("d"), []
 
-def _csv_sidecar(path: str, expected_dim: Optional[int]):
-    """(count, dim, chunks, line numbers, broken) of a CSV sidecar, read in
-    one pass over its lines. The first structurally broken line ends the
-    pass; its error is raised unless an earlier record is a duplicate or
-    has a bad norm."""
-    keys: list[tuple[int, int]] = []
-    values: list[list[float]] = []
-    linenos: list[int] = []
-    dim: Optional[int] = expected_dim
-    broken: Optional[FormatError] = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    def chunk() -> _Chunk:
+        n = len(linenos)
+        return (start, np.array(keys, dtype=np.int64).reshape(n, 2),
+                np.array(values, dtype=np.float64).reshape(n, dim or 0), linenos)
+
+    try:
+        for lineno, line in _text_lines(path):
             parts = line.split(",")
             if len(parts) < 3:
-                broken = FormatError(f"{path}:{lineno}: embedding row too short")
-                break
-            if dim is None:
-                dim = len(parts) - 2
-            if len(parts) - 2 != dim:
-                broken = FormatError(
-                    f"{path}:{lineno}: embedding dim {len(parts) - 2}, expected {dim}"
-                )
-                break
+                raise FormatError(f"{path}:{lineno}: embedding row too short")
+            if dim is not None and len(parts) - 2 != dim:
+                raise FormatError(
+                    f"{path}:{lineno}: embedding dim {len(parts) - 2}, expected {dim}")
             try:
                 key = (int(parts[0]), int(parts[1]))
                 vec = [float(v) for v in parts[2:]]
             except ValueError as e:
-                broken = FormatError(f"{path}:{lineno}: non-numeric field")
-                broken.__cause__ = e
-                break
+                raise FormatError(f"{path}:{lineno}: non-numeric field") from e
             if not all(-_INT64_BOUND <= k < _INT64_BOUND for k in key):
-                broken = FormatError(
+                raise FormatError(
                     f"{path}:{lineno}: frame or ordinal outside the int64 range")
-                break
-            keys.append(key)
-            values.append(vec)
+            dim = len(vec)
+            keys.extend(key)
+            values.extend(vec)
             linenos.append(lineno)
-    key_block = np.array(keys, dtype=np.int64).reshape(-1, 2)
-    block = np.array(values, dtype=np.float64).reshape(len(values), dim or 0)
-
-    def chunks() -> Iterator[_Chunk]:
-        for start in range(0, len(block), SIDECAR_CHUNK_RECORDS):
-            stop = start + SIDECAR_CHUNK_RECORDS
-            yield start, key_block[start:stop], block[start:stop]
-
-    return len(block), dim or 0, chunks, linenos, broken
+            if len(linenos) == SIDECAR_CHUNK_RECORDS:
+                yield chunk()
+                start += len(linenos)
+                keys, values, linenos = array("q"), array("d"), []
+    except FormatError:
+        if linenos:
+            yield chunk()
+        raise
+    if linenos or not start:
+        yield chunk()
 
 
 def _first_duplicate(keys: np.ndarray) -> Optional[int]:
@@ -546,27 +555,23 @@ def parse_affines(path: str) -> dict[int, AffineTransform]:
         log.warning("%s: affine sidecar not found, assuming identity", path)
         return {}
     out: dict[int, AffineTransform] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) < 7:
-                raise FormatError(f"{path}:{lineno}: expected 7 columns")
-            try:
-                frame = int(parts[0])
-                a, b, tx, c, d, ty = (float(v) for v in parts[1:7])
-            except ValueError as e:
-                raise FormatError(f"{path}:{lineno}: non-numeric field") from e
-            if frame < 1:
-                raise FormatError(f"{path}:{lineno}: frame {frame} is below 1")
-            if frame in out:
-                raise FormatError(f"{path}:{lineno}: frame {frame} appears twice")
-            try:
-                out[frame] = AffineTransform(np.array([[a, b, tx], [c, d, ty]]))
-            except ValueError as e:
-                raise FormatError(f"{path}:{lineno}: {e}") from e
+    for lineno, line in _text_lines(path):
+        parts = line.split(",")
+        if len(parts) < 7:
+            raise FormatError(f"{path}:{lineno}: expected 7 columns")
+        try:
+            frame = int(parts[0])
+            a, b, tx, c, d, ty = (float(v) for v in parts[1:7])
+        except ValueError as e:
+            raise FormatError(f"{path}:{lineno}: non-numeric field") from e
+        if frame < 1:
+            raise FormatError(f"{path}:{lineno}: frame {frame} is below 1")
+        if frame in out:
+            raise FormatError(f"{path}:{lineno}: frame {frame} appears twice")
+        try:
+            out[frame] = AffineTransform(np.array([[a, b, tx], [c, d, ty]]))
+        except ValueError as e:
+            raise FormatError(f"{path}:{lineno}: {e}") from e
     return out
 
 
@@ -614,18 +619,11 @@ def write_mot_file(path: str, lines: Sequence[MotLine],
 def read_key_values(path: str) -> dict[str, str]:
     """Parse a `key = value` text file; '#' comments and blanks are skipped."""
     out: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise FormatError(f"{path}:{lineno}: expected key = value")
-                key, _, value = line.partition("=")
-                out[key.strip()] = value.strip()
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e}") from e
+    for lineno, line in _text_lines(path):
+        if "=" not in line:
+            raise FormatError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 

@@ -38,7 +38,6 @@ class RunSummary:
     tracks_created: int
     records: int
     wall_seconds: float
-    tracker: Tracker
 
 
 class OnlineAffineEstimator:
@@ -122,8 +121,7 @@ def _track(
     records = [r for out in track_frames(frames, camera, tracker) for r in out]
     wall = time.perf_counter() - start
     write_results(records, cfg.output)
-    summary = RunSummary(tracker.last_frame, tracker.next_id - 1, len(records), wall,
-                         tracker)
+    summary = RunSummary(tracker.last_frame, tracker.next_id - 1, len(records), wall)
     log.info("tracked %d frames, %d tracks, %d records in %.3fs",
              summary.frames, summary.tracks_created, summary.records, wall)
     return summary

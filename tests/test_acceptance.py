@@ -20,11 +20,17 @@ from conftest import (
     textbook_update,
 )
 from drone_assoc.appearance import adaptive_alpha
-from drone_assoc.association import linear_assignment
+from drone_assoc.association import Tracker, linear_assignment
 from drone_assoc.cli import main
 from drone_assoc.core import BoundingBox
 from drone_assoc.metrics import evaluate
-from drone_assoc.mot_io import MotLine, RunConfig, parse_mot_lines
+from drone_assoc.mot_io import (
+    MotLine,
+    RunConfig,
+    parse_affines,
+    parse_detections,
+    parse_mot_lines,
+)
 from drone_assoc.motion import (
     kalman_init,
     kalman_predict,
@@ -32,7 +38,7 @@ from drone_assoc.motion import (
     rotation_cost,
     rotation_descriptor,
 )
-from drone_assoc.pipeline import run_ablation, run_tracking
+from drone_assoc.pipeline import camera_source, run_ablation, run_tracking, track_frames
 from drone_assoc.simulator import (
     ScenarioConfig,
     generate_scenario,
@@ -275,25 +281,23 @@ def test_criterion_07_ablation_recovers_component_benefits(tmp_path):
 
 def test_criterion_08_affine_warp_raises_matched_iou(standard_paths, tmp_path):
     # translate phase of the standard script: frames 101..300
-    def stage1_ious(affines_path: str, tag: str) -> dict[int, float]:
-        summary = run_tracking(RunConfig(
-            detections=standard_paths.detections,
-            embeddings=standard_paths.embeddings,
-            affines=affines_path,
-            output=str(tmp_path / f"results_{tag}.txt"),
-            embedding_dim=32,
-        ))
-        sums: dict[int, float] = {}
-        counts: dict[int, int] = {}
-        for frame, iou in summary.tracker.stage1_match_ious:
-            if 101 <= frame <= 300:
-                sums[frame] = sums.get(frame, 0.0) + iou
-                counts[frame] = counts.get(frame, 0) + 1
-        return {t: sums[t] / counts[t] for t in sums}
+    frames = parse_detections(standard_paths.detections, standard_paths.embeddings, 32,
+                              min_score=RunConfig().theta_low)
 
-    warped = stage1_ious(standard_paths.affines, "warp")
+    def stage1_ious(affines_path: str) -> dict[int, float]:
+        cfg = RunConfig(affines=affines_path, embedding_dim=32)
+        tracker = Tracker(cfg.tracker_config())
+        camera = camera_source(cfg, parse_affines(affines_path))
+        means: dict[int, float] = {}
+        for _ in track_frames(frames, camera, tracker):
+            stats = tracker.last_stats
+            if 101 <= stats.frame <= 300 and stats.stage1_ious:
+                means[stats.frame] = sum(stats.stage1_ious, 0.0) / len(stats.stage1_ious)
+        return means
+
+    warped = stage1_ious(standard_paths.affines)
     # a missing sidecar degrades to the identity warp on every frame
-    flat = stage1_ious(str(tmp_path / "no_affines.csv"), "flat")
+    flat = stage1_ious(str(tmp_path / "no_affines.csv"))
     common = sorted(set(warped) & set(flat))
     assert len(common) > 100
     diffs = np.array([warped[t] - flat[t] for t in common])

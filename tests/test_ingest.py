@@ -494,6 +494,14 @@ class TestEmbeddingJoin:
         with pytest.raises(FormatError, match=r"e\.bin: no embedding for frame 2 ordinal 1$"):
             parse_detections(str(det), emb, 16)
 
+    def test_dropped_detection_still_needs_its_embedding(self, tmp_path):
+        det = tmp_path / "det.txt"
+        det.write_text("1,1,0,0,10,10,0.9,1\n1,1,20,0,10,10,0.05,1\n")
+        emb = str(tmp_path / "e.bin")
+        write_embeddings(emb, [(1, 0, basis(0))], 16)
+        with pytest.raises(FormatError, match=r"e\.bin: no embedding for frame 1 ordinal 1$"):
+            parse_detections(str(det), emb, 16, min_score=0.1)
+
     def test_min_score_filter_keeps_the_pairing(self, tmp_path):
         det = tmp_path / "det.txt"
         det.write_text("1,1,0,0,10,10,0.05,1\n1,1,20,0,10,10,0.9,1\n"
@@ -585,15 +593,45 @@ class TestChunkedSidecar:
     def test_peak_memory_stays_near_the_returned_blocks(self, tmp_path):
         """The traced peak of a parse stays under 1.3x the blocks it hands
         back: no whole-file copy and no second float64 block."""
+        self.assert_peak_near_the_blocks(tmp_path, "binary")
+
+    def test_peak_memory_with_a_csv_sidecar(self, tmp_path):
+        """The same bound with the sidecar in CSV form: the file is not held
+        as Python floats."""
+        self.assert_peak_near_the_blocks(tmp_path, "csv")
+
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    def test_parse_embeddings_peak_stays_near_its_blocks(self, tmp_path, fmt):
         count, dim = 20_000, 64
-        g = np.random.default_rng(5)
+        emb = self.sidecar(tmp_path, fmt, count, dim)
+        tracemalloc.start()
+        try:
+            parse_embeddings(emb, dim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = count * (2 + dim) * 8  # keys, embeddings
+        assert peak < 1.3 * returned, f"peak {peak / 1e6:.1f} MB"
+
+    @staticmethod
+    def sidecar(tmp_path, fmt, count, dim):
+        """A sidecar of `count` float32 records, 100 to a frame, in `fmt`."""
+        vectors = np.random.default_rng(5).normal(size=(count, dim)).astype(np.float32)
+        records = [(k // 100 + 1, k % 100, vectors[k]) for k in range(count)]
+        if fmt == "binary":
+            emb = str(tmp_path / "e.bin")
+            write_embeddings(emb, records, dim)
+        else:
+            emb = str(tmp_path / "e.csv")
+            write_csv_sidecar(emb, records)
+        return emb
+
+    def assert_peak_near_the_blocks(self, tmp_path, fmt):
+        count, dim = 20_000, 64
         det = tmp_path / "det.txt"
         det.write_text("".join(f"{k // 100 + 1},-1,{k}.5,3.0,10.0,12.0,0.8,1,1.0\n"
                                for k in range(count)))
-        emb = str(tmp_path / "e.bin")
-        vectors = g.normal(size=(count, dim)).astype(np.float32)
-        write_embeddings(emb, [(k // 100 + 1, k % 100, vectors[k]) for k in range(count)],
-                         dim)
+        emb = self.sidecar(tmp_path, fmt, count, dim)
         tracemalloc.start()
         try:
             frames = parse_detections(str(det), emb, dim)
@@ -642,3 +680,60 @@ class TestChunkedSidecar:
         with pytest.raises(FormatError) as exc_all:
             parse_embeddings(emb)
         assert str(exc_all.value) == str(exc.value)
+
+
+def test_csv_error_order_across_chunks(tmp_path):
+    """A bad norm and a structurally broken line in different chunks: the one
+    earlier in the file is reported."""
+    lines = [f"{k // 7 + 1},{k % 7},1.0,2.0" for k in range(2 * CHUNK)]
+    for early, late, want in [("0,0,0.0,0.0", "1,2", "cannot normalize a zero-length embedding"),
+                              ("1,2", "0,0,0.0,0.0", "embedding row too short")]:
+        lines[5], lines[CHUNK + 7] = early, late
+        path = tmp_path / "e.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as exc:
+            parse_embeddings(str(path))
+        assert str(exc.value) == f"{path}:6: {want}"
+
+
+@pytest.mark.parametrize("parse", ["embeddings", "detections"])
+def test_each_binary_record_is_read_once(tmp_path, monkeypatch, parse):
+    """Bytes read from the sidecar through mot_io's open come to less than
+    the file plus one record: no record is read twice."""
+    det, emb, _ = detection_scene(tmp_path, 3 * CHUNK + 11)
+    total = [0]
+
+    class Counting:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self, *args):
+            data = self.fh.read(*args)
+            total[0] += len(data)
+            return data
+
+        def readinto(self, buffer):
+            n = self.fh.readinto(buffer)
+            total[0] += n
+            return n
+
+    def counting_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return Counting(fh) if path == emb else fh
+
+    monkeypatch.setattr(mot_io, "open", counting_open, raising=False)
+    if parse == "embeddings":
+        parse_embeddings(emb)
+    else:
+        parse_detections(det, emb, 16)
+    record = 8 + 16 * 4
+    assert 0 < total[0] < os.path.getsize(emb) + record

@@ -68,7 +68,8 @@ def run_lockstep(config: TrackerConfig, stream) -> dict:
         # the results writer does
         assert repr(tracker.associate_frame(fd, m)) == repr(ref.associate_frame(fd, m)), \
             fd.frame
-        assert tracker.stage1_match_ious == ref.stage1_match_ious, fd.frame
+        assert tracker.last_stats.stage1_ious == tuple(
+            iou for frame, iou in ref.stage1_match_ious if frame == fd.frame), fd.frame
         assert_same_state(tracker, ref, fd.frame)
         stats = tracker.last_stats
         for key in totals:
@@ -271,13 +272,13 @@ def test_last_stats_describe_the_frame():
     tr.associate_frame(FrameDetections(
         1, [[0, 0, 10, 10], [100, 0, 10, 10], [200, 0, 10, 10]], [0.9, 0.9, 0.9],
         [1, 1, 1], emb), None)
-    assert tr.last_stats == FrameStats(1, 0, 0, 3, 0, 3, 0, 3, 0)
+    assert tr.last_stats == FrameStats(1, 0, 0, 3, 0, 3, 0, 3, 0, ())
     # one stage-1 match (refresh), one stage-2 match, one miss
     tr.associate_frame(FrameDetections(
         2, [[0, 0, 10, 10], [100, 0, 10, 10]], [0.9, 0.3], [1, 1], emb[:2]), None)
-    assert tr.last_stats == FrameStats(2, 1, 1, 0, 0, 3, 6, 0, 1)
+    assert tr.last_stats == FrameStats(2, 1, 1, 0, 0, 3, 6, 0, 1, (1.0,))
     tr.associate_frame(FrameDetections(3), None)
-    assert tr.last_stats == FrameStats(3, 0, 0, 0, 0, 3, 0, 0, 0)
+    assert tr.last_stats == FrameStats(3, 0, 0, 0, 0, 3, 0, 0, 0, ())
 
 
 @pytest.mark.parametrize("scene, counts", [
