@@ -3,7 +3,7 @@
 Every text input is streamed through one line reader, _text_lines: UTF-8,
 lines ending at LF, CR or CRLF and numbered from 1, blanks and lines that
 start with ``#`` skipped. An unreadable path, or a byte that is not UTF-8
-on any line, is a FormatError naming the file and the line.
+on any line, is a FormatError naming the file, and for a byte its line.
 
 Detections and ground truth use MOT-style CSV rows
 ``frame,id,x,y,w,h,score,class,visibility`` (first 9 columns read, extras
