@@ -11,18 +11,20 @@ many rows at once:
 - blend_rows folds matched detections into their local features;
 - insert_keys runs the novelty test of matched detections against their
   banks and inserts or refreshes, in place;
-- gallery_cost_matrix scores every track's present gallery rows against a
-  frame's embeddings through one stacked product.
+- gallery_pair_costs scores (track, detection) pairs, each against the
+  present slots of its track's gallery. The tracker gates first and scores
+  only the pairs that pass the IoU and class gates.
 
 The Track-based functions (update_local_feature, blend_feature,
-maybe_insert_key, appearance_cost_matrix) are one-row calls or thin adapters
-of them.
+maybe_insert_key, appearance_cost_matrix) are one-row or all-pairs calls or
+thin adapters of them.
 
 All features are unit-norm float64 vectors. Cosine similarity is therefore
 a plain dot product. Two rounding rules keep the batched forms equal bit for
 bit to the one-vector arithmetic: the blend weight comes from math.exp once
-per row, and the novelty similarities are stacked (1, D) @ (D, 1) products,
-which run np.dot's kernel, not a (K, D) @ (D, 1) product, which does not.
+per row, and every similarity, novelty test and pair score alike, is a
+stacked (1, D) @ (D, 1) product, which runs np.dot's kernel, not a
+(K, D) @ (D, M) product, which does not.
 """
 
 from __future__ import annotations
@@ -41,16 +43,21 @@ def adaptive_alpha(s: float, theta: float, alpha_f: float) -> float:
 
     alpha = alpha_f + (1 - alpha_f) * exp(theta - s), clamped to <= 1. At
     s = theta the weight is exactly 1 (no update from borderline scores);
-    it decays monotonically toward alpha_f as confidence grows.
+    it decays monotonically toward alpha_f as confidence grows. The one-row
+    call of adaptive_alphas.
     """
-    return min(1.0, alpha_f + (1.0 - alpha_f) * math.exp(theta - s))
+    return float(adaptive_alphas([s], theta, alpha_f)[0])
 
 
 def adaptive_alphas(scores: Sequence[float], theta: float, alpha_f: float) -> np.ndarray:
-    """adaptive_alpha of each score, as an (R,) array. math.exp, not np.exp:
-    the two round differently on about 5% of arguments."""
-    return np.array([adaptive_alpha(s, theta, alpha_f) for s in scores],
-                    dtype=np.float64)
+    """adaptive_alpha of each score, as an (R,) array. The exponential is
+    math.exp, not np.exp: the two round differently on about 5% of
+    arguments. The subtraction, scaling and clamp are the same IEEE
+    operations in numpy as in scalar code."""
+    scores = np.asarray(scores, dtype=np.float64)
+    growth = np.fromiter(map(math.exp, (theta - scores).tolist()), dtype=np.float64,
+                         count=scores.shape[0])
+    return np.minimum(1.0, alpha_f + (1.0 - alpha_f) * growth)
 
 
 def blend_rows(prev: np.ndarray, feats: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -174,41 +181,37 @@ def maybe_insert_key(
     return bank
 
 
-def gallery_cost_matrix(
-    gallery: np.ndarray, present: np.ndarray, feats: np.ndarray
+def gallery_pair_costs(
+    gallery: np.ndarray, present: np.ndarray, rows: np.ndarray, feats: np.ndarray
 ) -> np.ndarray:
-    """(N, M) appearance costs of N galleries against an (M, D) block of
-    features: 1 - the best cosine similarity over each gallery's present
-    slots, clamped to [0, 1].
+    """(P,) appearance costs of P (gallery, feature) pairs: for pair p, 1 -
+    the best cosine similarity of feats[p] over the present slots of
+    gallery rows[p], clamped to [0, 1]; a gallery without a present slot
+    scores a neutral 0.
 
-    `gallery` is (N, S, D) with the (N, S) mask `present`. The present rows,
-    gathered in (track, slot) order, go through one product, and the max
-    runs over slot depths: depth s folds in row s of every gallery holding
-    more than s rows. A gallery without a present row gets a neutral
-    all-zero row.
+    `gallery` is (N, S, D) with the (N, S) mask `present`; `rows` is (P,)
+    and `feats` (P, D). Only the present slots are gathered, in (pair, slot)
+    order, and each similarity is a (1, D) @ (D, 1) product.
     """
-    block = np.zeros((present.shape[0], feats.shape[0]), dtype=np.float64)
-    counts = present.sum(axis=1)
+    costs = np.zeros(rows.shape[0], dtype=np.float64)
+    slots = present[rows]
+    pair, slot = np.nonzero(slots)
+    if pair.size == 0:
+        return costs
+    sims = (gallery[rows[pair], slot][:, None, :] @ feats[pair][:, :, None])[:, 0, 0]
+    counts = slots.sum(axis=1)
     owners = np.flatnonzero(counts)
-    if owners.size == 0:
-        return block
-    sims = gallery[present] @ feats.T
-    counts = counts[owners]
     starts = np.zeros(owners.size, dtype=np.intp)
-    np.cumsum(counts[:-1], out=starts[1:])
-    best = sims[starts]
-    for depth in range(1, int(counts.max())):
-        deeper = np.flatnonzero(counts > depth)
-        best[deeper] = np.maximum(best[deeper], sims[starts[deeper] + depth])
-    block[owners] = np.clip(1.0 - best, 0.0, 1.0)
-    return block
+    np.cumsum(counts[owners][:-1], out=starts[1:])
+    costs[owners] = np.clip(1.0 - np.maximum.reduceat(sims, starts), 0.0, 1.0)
+    return costs
 
 
 def appearance_cost_matrix(tracks: list[Track], feats: np.ndarray) -> np.ndarray:
     """(N, M) appearance costs of N tracks against an (M, D) block of
-    features: gallery_cost_matrix over each track's local feature, then its
-    key-bank features. Rows follow the track order; a track without a
-    feature scores a neutral 0."""
+    features: gallery_pair_costs of every pair, each gallery the track's
+    local feature, then its key-bank features. Rows follow the track order;
+    a track without a feature scores a neutral 0."""
     galleries = [_gallery_rows(t) for t in tracks]
     width = max(map(len, galleries), default=0)
     gallery = np.zeros((len(tracks), width, feats.shape[1]), dtype=np.float64)
@@ -217,7 +220,9 @@ def appearance_cost_matrix(tracks: list[Track], feats: np.ndarray) -> np.ndarray
         if rows:
             gallery[j, :len(rows)] = rows
             present[j, :len(rows)] = True
-    return gallery_cost_matrix(gallery, present, feats)
+    shape = (len(tracks), feats.shape[0])
+    rows, cols = np.indices(shape).reshape(2, -1)
+    return gallery_pair_costs(gallery, present, rows, feats[cols]).reshape(shape)
 
 
 def _gallery_rows(track: Track) -> list[np.ndarray]:

@@ -10,6 +10,15 @@ Stage 2 sweeps the remaining low-confidence detections against the
 still-unmatched tentative/confirmed tracks on IoU alone. Unmatched
 high-confidence detections found new tracks.
 
+Gating comes first. One gated IoU block, every live track against every
+kept detection, serves both stages: stage 1 reads its high-confidence
+columns, stage 2 the sub-block of its leftover tracks and low-confidence
+columns. Appearance and rotation are scored only at the cells that pass
+the gates, pair by pair, and added into them. On dense scenes the gates
+reject nearly every pair, and most of those that remain are a track and a
+detection with no other feasible partner: linear_assignment matches such
+isolated pairs directly and solves only the contested rest.
+
 The live tracks are a TrackTable, one row per track in creation order:
 (N,) ids, classes, state codes, consecutive hits, lost ages, last frames and
 last scores; (N, 8) Kalman means and (N, 8, 8) covariances; the appearance
@@ -91,10 +100,11 @@ class TrackRecord(NamedTuple):
 @dataclass(frozen=True)
 class FrameStats:
     """What the tracker did with one frame. Gallery rows are the stored
-    features scored against the frame's embeddings (0 when no appearance
-    term ran); bank inserts and refreshes count the key-bank offers of
-    matched and spawned tracks. stage1_ious holds the IoU of each stage-1
-    match's predicted box and detection, in match order."""
+    features present when the stage-1 appearance term ran (0 when it did
+    not), whether or not a feasible pair read them; bank inserts and
+    refreshes count the key-bank offers of matched and spawned tracks.
+    stage1_ious holds the IoU of each stage-1 match's predicted box and
+    detection, in match order."""
 
     frame: int
     stage1_matches: int
@@ -111,8 +121,13 @@ class FrameStats:
 def linear_assignment(cost: np.ndarray) -> AssignmentResult:
     """Minimum-cost one-to-one assignment; +inf entries are never matched.
 
-    Infeasible entries are lifted to a large finite constant so the solver
-    always runs, then any match landing on one is dropped afterwards.
+    Of the matchings with the most feasible pairs, returns one of least
+    total cost, its matches in ascending row order. A feasible cell that is
+    the only one in its row and in its column belongs to every such
+    matching and is taken directly. The other rows and columns holding
+    feasible cells go through one solve of their sub-block, with the
+    infeasible cells lifted to a large finite constant so the solver always
+    runs; a match landing on one is dropped afterwards.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -121,10 +136,22 @@ def linear_assignment(cost: np.ndarray) -> AssignmentResult:
     if n == 0 or m == 0:
         return AssignmentResult(np.zeros((0, 2), dtype=np.intp),
                                 np.arange(n, dtype=np.intp), np.arange(m, dtype=np.intp))
-    solvable = np.where(np.isfinite(cost), cost, _LARGE)
-    rows, cols = linear_sum_assignment(solvable)
-    ok = np.isfinite(cost[rows, cols])
-    rows, cols = rows[ok], cols[ok]
+    feasible = np.isfinite(cost)
+    row_n, col_n = feasible.sum(axis=1), feasible.sum(axis=0)
+    rows, cols = np.nonzero(feasible)
+    alone = (row_n[rows] == 1) & (col_n[cols] == 1)
+    if not alone.all():
+        live_r, live_c = row_n > 0, col_n > 0
+        live_r[rows[alone]] = False
+        live_c[cols[alone]] = False
+        sub_r, sub_c = np.flatnonzero(live_r), np.flatnonzero(live_c)
+        sub = cost[np.ix_(sub_r, sub_c)]
+        a, b = linear_sum_assignment(np.where(np.isfinite(sub), sub, _LARGE))
+        ok = np.isfinite(sub[a, b])
+        rows = np.concatenate([rows[alone], sub_r[a[ok]]])
+        cols = np.concatenate([cols[alone], sub_c[b[ok]]])
+        order = np.argsort(rows)
+        rows, cols = rows[order], cols[order]
     free_r = np.ones(n, dtype=bool)
     free_r[rows] = False
     free_c = np.ones(m, dtype=bool)
@@ -230,10 +257,11 @@ def iou_cost_matrix(
     det_classes: np.ndarray,
     config: TrackerConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stage-2 cost, shape (N, M): 1 - IoU of the (N, 4) predicted and
-    (M, 4) detected xywh boxes, +inf where IoU falls below the gate or the
-    (N,) track and (M,) detection classes differ. Returned with the IoU
-    matrix it was built from."""
+    """The gated IoU block, shape (N, M): 1 - IoU of the (N, 4) predicted
+    and (M, 4) detected xywh boxes, +inf where IoU falls below the gate or
+    the (N,) track and (M,) detection classes differ. Returned with the IoU
+    matrix it was built from. Stage 2 is a sub-block of it as it stands;
+    stage 1 adds the fused terms to its high-confidence columns."""
     shape = (track_classes.shape[0], det_boxes.shape[0])
     if 0 in shape:
         return np.zeros(shape, dtype=np.float64), np.zeros(shape, dtype=np.float64)
@@ -246,28 +274,29 @@ def iou_cost_matrix(
 
 def fused_cost_matrix(
     tracks: TrackTable,
-    predicted_boxes: np.ndarray,
-    det_boxes: np.ndarray,
-    det_classes: np.ndarray,
+    cost: np.ndarray,
     det_embeddings: Optional[np.ndarray],
     det_descriptors: np.ndarray,
     config: TrackerConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stage-1 cost: the gated stage-2 block plus the weighted appearance
-    and rotation terms (inf + finite stays inf, so gating first changes no
-    feasible cell). A frame without embeddings (None) adds no appearance
-    term; (M, 3) detection descriptors are zero rows where missing.
-    Returned with the IoU matrix it was built from."""
-    cost, ious = iou_cost_matrix(tracks.classes, predicted_boxes, det_boxes,
-                                 det_classes, config)
-    if cost.size == 0:
-        return cost, ious
+) -> np.ndarray:
+    """Stage-1 cost: adds the weighted appearance and rotation terms of
+    each feasible (finite) cell of the gated (N, M) block `cost` into it, in
+    place, and returns it; infeasible cells stay +inf. Only the feasible
+    (track, detection) pairs are scored. A frame without embeddings (None)
+    adds no appearance term; (M, 3) detection descriptors are zero rows
+    where missing."""
+    rows, cols = np.nonzero(np.isfinite(cost))
+    if rows.size == 0:
+        return cost
+    fused = cost[rows, cols]
     if config.w_a > 0 and det_embeddings is not None:
-        cost += config.w_a * ap.gallery_cost_matrix(
-            tracks.gallery, tracks.gallery_mask(), det_embeddings)
+        fused += config.w_a * ap.gallery_pair_costs(
+            tracks.gallery, tracks.gallery_mask(), rows, det_embeddings[cols])
     if config.w_r > 0:
-        cost += config.w_r * mo.rotation_cost_matrix(tracks.rotation, det_descriptors)
-    return cost, ious
+        fused += config.w_r * mo.rotation_pair_costs(tracks.rotation[rows],
+                                                     det_descriptors[cols])
+    cost[rows, cols] = fused
+    return cost
 
 
 def lifecycle(
@@ -334,9 +363,10 @@ class Tracker:
         t.means, t.covs = mo.multi_predict(t.means, t.covs, m if cfg.use_dmp else None)
         predicted = mo.states_to_xywh(t.means)
 
+        # one gated block for both stages
+        gated, ious = iou_cost_matrix(t.classes, predicted, boxes, classes, cfg)
         emb_hi = None if emb is None else emb[hi]
-        cost, ious = fused_cost_matrix(t, predicted, boxes[hi], classes[hi], emb_hi,
-                                       descriptors[hi], cfg)
+        cost = fused_cost_matrix(t, gated[:, hi], emb_hi, descriptors[hi], cfg)
         gallery_rows = (int(t.has_local.sum() + t.fill.sum())
                         if cfg.w_a > 0 and emb is not None and cost.size else 0)
         stage1 = linear_assignment(cost)
@@ -344,9 +374,7 @@ class Tracker:
 
         free = stage1.unmatched_rows
         leftover = free[t.states[free] != LOST]
-        cost2, _ = iou_cost_matrix(t.classes[leftover], predicted[leftover],
-                                   boxes[lo], classes[lo], cfg)
-        rows2, cols2 = linear_assignment(cost2).matches.T
+        rows2, cols2 = linear_assignment(gated[np.ix_(leftover, lo)]).matches.T
 
         rows = np.concatenate([rows1, leftover[rows2]])
         pos = np.concatenate([hi[cols1], lo[cols2]])
@@ -389,7 +417,7 @@ class Tracker:
         self.last_stats = FrameStats(
             frame, rows1.size, rows2.size, spawn.size, n_removed, len(t),
             gallery_rows, n_inserts, inserted.size - n_inserts,
-            tuple(ious[rows1, cols1].tolist()),
+            tuple(ious[rows1, hi[cols1]].tolist()),
         )
         log.debug("frame %d: %d dets, %d live tracks, %d emitted",
                   frame, kept.shape[0], len(t), len(records))
@@ -412,7 +440,7 @@ class Tracker:
         if feats is None or rows.size == 0:
             return np.zeros(0, dtype=bool)
         if cfg.use_afs:
-            alphas = ap.adaptive_alphas(scores.tolist(), cfg.theta_high, cfg.alpha_f)
+            alphas = ap.adaptive_alphas(scores, cfg.theta_high, cfg.alpha_f)
         else:
             alphas = np.full(rows.shape[0], cfg.alpha_f)
         had = t.has_local[rows]

@@ -4,10 +4,11 @@ rotation descriptor over neighboring object centers.
 
 Each operation has one batched implementation: multi_init, multi_predict
 (warp, then predict), multi_update, frame_descriptors and
-rotation_cost_matrix. Boxes enter them as (N, 4) xywh arrays; descriptors
-are (N, 3) rows, a zero row where a point has none. The single-item
-functions (kalman_init, kalman_predict, kalman_update, rotation_descriptor,
-rotation_cost) are one-row calls of it.
+rotation_pair_costs. Boxes enter them as (N, 4) xywh arrays; descriptors
+are (N, 3) rows, a zero row where a point has none. The rotation term is
+scored on (track, detection) pairs, the ones that pass the tracker's gates.
+The single-item functions (kalman_init, kalman_predict, kalman_update,
+rotation_descriptor, rotation_cost) are one-row calls of it.
 
 Camera motion without a sidecar comes from estimate_affine, a RANSAC search
 that draws all of its minimal 3-point models in one generator call and fits
@@ -417,24 +418,25 @@ def _edge_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def rotation_cost(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> float:
     """1 - cosine similarity between two descriptors, clamped to [0, 1]; the
-    1x1 rotation_cost_matrix, with a missing (None) descriptor as a zero
-    row."""
+    one-row call of rotation_pair_costs, with a missing (None) descriptor as
+    a zero row."""
     rows = [np.zeros(3) if d is None else np.asarray(d, dtype=np.float64) for d in (a, b)]
-    return float(rotation_cost_matrix(rows[0][None], rows[1][None])[0, 0])
+    return float(rotation_pair_costs(rows[0][None], rows[1][None])[0])
 
 
-def rotation_cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, M) block of 1 - cosine similarity between (N, 3) and (M, 3)
-    descriptor rows, clamped to [0, 1].
+def rotation_pair_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(P,) 1 - cosine similarity between paired (P, 3) descriptor rows a[p]
+    and b[p], clamped to [0, 1].
 
     A missing descriptor is a zero row. It, or any pair whose norms multiply
-    to under 1e-12, contributes a neutral 0 cost.
+    to under 1e-12, contributes a neutral 0 cost. Each similarity is a
+    (1, 3) @ (3, 1) product.
     """
     # row norms in np.linalg.norm's arithmetic
-    denom = np.sqrt((a * a).sum(axis=1))[:, None] * np.sqrt((b * b).sum(axis=1))
+    denom = np.sqrt((a * a).sum(axis=1)) * np.sqrt((b * b).sum(axis=1))
     neutral = denom < 1e-12
     denom[neutral] = 1.0
-    block = 1.0 - (a @ b.T) / denom
-    np.clip(block, 0.0, 1.0, out=block)
-    block[neutral] = 0.0
-    return block
+    costs = 1.0 - (a[:, None, :] @ b[:, :, None])[:, 0, 0] / denom
+    np.clip(costs, 0.0, 1.0, out=costs)
+    costs[neutral] = 0.0
+    return costs

@@ -407,22 +407,27 @@ def reference_maybe_insert_key(bank: KeyFeatureBank, f, frame, novelty_threshold
 
 
 def reference_appearance_cost_matrix(tracks, feats):
-    """Gallery rows rebuilt from Python lists, one product, reduceat."""
-    block = np.zeros((len(tracks), feats.shape[0]), dtype=np.float64)
-    rows, owners, starts = [], [], []
+    """One np.dot per (gallery row, detection) cell: each track's best
+    similarity over its local feature, then its key-bank features, as a
+    cost clamped to [0, 1]; a track without a feature scores 0."""
+    block = np.zeros((len(tracks), len(feats)), dtype=np.float64)
     for j, t in enumerate(tracks):
         gallery = ([] if t.local_feature is None else [t.local_feature])
         gallery += [e.feature for e in t.key_bank.entries]
         if gallery:
-            owners.append(j)
-            starts.append(len(rows))
-            rows.extend(gallery)
-    if not rows:
-        return block
-    sims = np.array(rows, dtype=np.float64) @ feats.T
-    best = np.maximum.reduceat(sims, starts, axis=0)
-    block[owners] = np.clip(1.0 - best, 0.0, 1.0)
+            for i, f in enumerate(feats):
+                best = max(float(np.dot(g, f)) for g in gallery)
+                block[j, i] = min(1.0, max(0.0, 1.0 - best))
     return block
+
+
+def reference_rotation_cost_matrix(track_descriptors, det_descriptors):
+    """rotation_pair_costs of every (track, detection) pair, dense; a
+    missing (None) descriptor is a zero row."""
+    a, b = _descriptor_block(track_descriptors), _descriptor_block(det_descriptors)
+    shape = (a.shape[0], b.shape[0])
+    rows, cols = np.indices(shape).reshape(2, -1)
+    return mo.rotation_pair_costs(a[rows], b[cols]).reshape(shape)
 
 
 def _descriptor_block(descriptors) -> np.ndarray:
@@ -507,8 +512,8 @@ class ReferenceTracker:
                 (t.local_feature is not None) + len(t.key_bank.entries) for t in tracks)
             cost += cfg.w_a * reference_appearance_cost_matrix(tracks, emb)
         if cfg.w_r > 0:
-            cost += cfg.w_r * mo.rotation_cost_matrix(
-                _descriptor_block([t.rotation for t in tracks]), _descriptor_block(descs))
+            cost += cfg.w_r * reference_rotation_cost_matrix(
+                [t.rotation for t in tracks], descs)
         return cost, ious
 
     def associate_frame(self, fd: FrameDetections, m):

@@ -16,29 +16,15 @@ from conftest import (
 from drone_assoc.appearance import (
     BankEntry,
     KeyFeatureBank,
-    _gallery_rows,
     adaptive_alpha,
     appearance_cost_matrix,
     blend_feature,
-    gallery_cost_matrix,
+    gallery_pair_costs,
     maybe_insert_key,
     update_local_feature,
 )
-from drone_assoc.association import fused_cost_matrix
+from drone_assoc.association import fused_cost_matrix, iou_cost_matrix
 from drone_assoc.core import BoundingBox, TrackerConfig
-
-
-def reference_costs(track, feats: np.ndarray) -> np.ndarray:
-    """Appearance costs of one track against each feature row, one dot
-    product at a time over the local feature and the key bank."""
-    gallery = [] if track.local_feature is None else [track.local_feature]
-    gallery += [e.feature for e in track.key_bank.entries]
-    if not gallery:
-        return np.zeros(len(feats))
-    return np.array([
-        min(1.0, max(0.0, 1.0 - max(float(np.dot(g, f)) for g in gallery)))
-        for f in feats
-    ])
 
 
 class TestAdaptiveAlpha:
@@ -203,11 +189,14 @@ class TestKeyFeatureBank:
 
 
 def gallery_costs(tracks, feats) -> np.ndarray:
-    """gallery_cost_matrix over the table rows of `tracks`, checked against
-    reference_appearance_cost_matrix."""
+    """gallery_pair_costs of every pair of the table rows of `tracks` and
+    `feats`, checked against reference_appearance_cost_matrix."""
     feats = np.asarray(feats, dtype=np.float64)
     table = track_table(tracks)
-    block = gallery_cost_matrix(table.gallery, table.gallery_mask(), feats)
+    shape = (len(tracks), feats.shape[0])
+    rows, cols = np.indices(shape).reshape(2, -1)
+    block = gallery_pair_costs(table.gallery, table.gallery_mask(), rows,
+                               feats[cols]).reshape(shape)
     assert np.array_equal(block, reference_appearance_cost_matrix(tracks, feats))
     return block
 
@@ -226,9 +215,11 @@ class TestAppearanceCost:
         # a frame without embeddings adds no appearance term to the fused cost
         t = make_track(bbox=BoundingBox(0.0, 0.0, 10.0, 10.0),
                        local_feature=np.array([1.0, 0.0]))
-        args = (track_table([t]), np.array([[0.0, 0.0, 10.0, 10.0]]),
-                np.array([[0.0, 0.0, 10.0, 5.0]]), np.array([t.class_id]))
-        cost, ious = fused_cost_matrix(*args, None, np.zeros((1, 3)), TrackerConfig())
+        table = track_table([t])
+        gated, ious = iou_cost_matrix(table.classes, np.array([[0.0, 0.0, 10.0, 10.0]]),
+                                      np.array([[0.0, 0.0, 10.0, 5.0]]),
+                                      np.array([t.class_id]), TrackerConfig())
+        cost = fused_cost_matrix(table, gated, None, np.zeros((1, 3)), TrackerConfig())
         assert cost[0, 0] == 1.0 - ious[0, 0]
 
     def test_featureless_track_is_neutral(self, rng):
@@ -246,7 +237,7 @@ class TestAppearanceCost:
             bank_features=tuple(unit_vector(rng, 8) for _ in range(3)),
         )
         feats = np.stack([unit_vector(rng, 8) for _ in range(5)])
-        expected = reference_costs(t, feats)
+        expected = reference_appearance_cost_matrix([t], feats)[0]
         got = gallery_costs([t], feats)[0]
         for i in range(5):
             assert got[i] == pytest.approx(expected[i], abs=1e-12)
@@ -274,12 +265,13 @@ class TestAppearanceCostMatrix:
         block = appearance_cost_matrix(tracks, feats)
         assert block.shape == (4, 6)
         for j, t in enumerate(tracks):
-            assert np.allclose(block[j], reference_costs(t, feats), atol=1e-12)
+            assert np.allclose(block[j], reference_appearance_cost_matrix([t], feats)[0],
+                               atol=1e-12)
         assert np.array_equal(block[1], np.zeros(6))
 
-    def test_equals_one_stacked_product_sliced_per_track(self, rng):
-        # the gallery rows of all tracks form one matrix, so each track's
-        # best similarity comes out of the same product bit for bit
+    def test_equals_one_np_dot_per_gallery_row_and_feature(self, rng):
+        # each similarity is a (1, D) @ (D, 1) product, so every cell equals
+        # its one-vector np.dot bit for bit, whatever the block's shape
         tracks = [
             make_track(track_id=1, bank_features=tuple(
                 unit_vector(rng, 16) for _ in range(3))),
@@ -289,16 +281,11 @@ class TestAppearanceCostMatrix:
                        bank_features=tuple(unit_vector(rng, 16) for _ in range(5))),
         ]
         feats = np.stack([unit_vector(rng, 16) for _ in range(7)])
-        galleries = [_gallery_rows(t) for t in tracks]
-        sims = np.vstack([g for g in galleries if g]) @ feats.T
-        expected = np.zeros((len(tracks), 7))
-        start = 0
-        for j, g in enumerate(galleries):
-            if g:
-                best = sims[start:start + len(g)].max(axis=0)
-                expected[j] = np.clip(1.0 - best, 0.0, 1.0)
-                start += len(g)
+        expected = reference_appearance_cost_matrix(tracks, feats)
         assert np.array_equal(appearance_cost_matrix(tracks, feats), expected)
+        for i in range(7):
+            assert np.array_equal(appearance_cost_matrix(tracks, feats[i:i + 1]),
+                                  expected[:, i:i + 1])
 
     def test_all_featureless_tracks_yield_zero_block(self, rng):
         tracks = [make_track(track_id=1), make_track(track_id=2)]

@@ -4,14 +4,18 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from conftest import (
     det,
     frame_detections,
     make_track,
+    reference_appearance_cost_matrix,
     reference_lifecycle_step,
     track_table,
+    unit_vector,
 )
+from drone_assoc import association
 from drone_assoc.association import (
     AssignmentResult,
     FrameOrderError,
@@ -22,8 +26,14 @@ from drone_assoc.association import (
     lifecycle,
     linear_assignment,
 )
-from drone_assoc.core import BoundingBox, FrameDetections, TrackState, TrackerConfig
-from drone_assoc.motion import AffineTransform
+from drone_assoc.core import (
+    BoundingBox,
+    FrameDetections,
+    TrackState,
+    TrackerConfig,
+    iou_matrix,
+)
+from drone_assoc.motion import AffineTransform, rotation_cost
 
 
 def brute_force_assignment(cost: np.ndarray) -> tuple[int, float]:
@@ -51,6 +61,14 @@ def brute_force_assignment(cost: np.ndarray) -> tuple[int, float]:
             if best is None or (bad, tot) < best:
                 best = (bad, tot)
     return min(n, m) - best[0], best[1]
+
+
+def dense_assignment(cost: np.ndarray) -> np.ndarray:
+    """(K, 2) matches of one solve of the whole block, infeasible cells
+    lifted to 1e9 and the matches landing on them dropped."""
+    rows, cols = linear_sum_assignment(np.where(np.isfinite(cost), cost, 1e9))
+    ok = np.isfinite(cost[rows, cols])
+    return np.column_stack([rows[ok], cols[ok]])
 
 
 def feed(tracker, frame, detections, m=None):
@@ -123,13 +141,58 @@ class TestLinearAssignment:
             assert sorted([c for _, c in matches] + res.unmatched_cols.tolist()) \
                 == list(range(m))
 
+    def test_split_solve_equals_one_dense_solve(self, rng):
+        # random gated blocks up to 40x40, 1% to 100% feasible, with
+        # all-infeasible rows and columns; costs distinct on even trials,
+        # drawn from three values on odd ones
+        for trial in range(400):
+            n, m = (int(k) for k in rng.integers(1, 41, 2))
+            density = [0.01, 0.03, 0.1, 0.3, 0.6, 1.0][trial % 6]
+            tied = trial % 2 == 1
+            cost = (rng.choice([0.1, 0.4, 0.7], (n, m)) if tied
+                    else rng.uniform(0.0, 1.0, (n, m)))
+            cost[rng.uniform(size=(n, m)) >= density] = np.inf
+            cost[rng.uniform(size=n) < 0.1] = np.inf
+            cost[:, rng.uniform(size=m) < 0.1] = np.inf
+            res = linear_assignment(cost)
+            want = dense_assignment(cost)
+            if tied:
+                assert len(res.matches) == len(want)
+                assert cost[tuple(res.matches.T)].sum() == \
+                    pytest.approx(cost[tuple(want.T)].sum(), abs=1e-9)
+            else:
+                assert np.array_equal(res.matches, want)
+            rows, cols = res.matches.T
+            assert np.all(np.diff(rows) > 0) and np.unique(cols).size == cols.size
+            assert np.isfinite(cost[rows, cols]).all()
+            assert np.array_equal(np.sort(np.concatenate([rows, res.unmatched_rows])),
+                                  np.arange(n))
+            assert np.array_equal(np.sort(np.concatenate([cols, res.unmatched_cols])),
+                                  np.arange(m))
+
+    def test_isolated_pairs_are_matched_in_row_order_without_a_solve(self, monkeypatch):
+        cost = np.full((5, 6), np.inf)
+        pairs = [[0, 4], [1, 0], [3, 5], [4, 2]]
+        for r, c in pairs:
+            cost[r, c] = 0.25 * r
+
+        def no_solve(_):
+            raise AssertionError("isolated pairs need no solve")
+
+        monkeypatch.setattr(association, "linear_sum_assignment", no_solve)
+        res = linear_assignment(cost)
+        assert res.matches.tolist() == pairs
+        assert res.unmatched_rows.tolist() == [2]
+        assert res.unmatched_cols.tolist() == [1, 3]
+
 
 def stage_one_cost(tracks, predicted, boxes, classes, emb, descriptors, cfg) -> np.ndarray:
     """The fused block of Track objects against detections whose
     descriptors are given as rows or None."""
     rows = np.array([np.zeros(3) if d is None else d for d in descriptors]).reshape(-1, 3)
-    return fused_cost_matrix(track_table(tracks), predicted, boxes, classes, emb, rows,
-                             cfg)[0]
+    table = track_table(tracks)
+    gated, _ = iou_cost_matrix(table.classes, predicted, boxes, classes, cfg)
+    return fused_cost_matrix(table, gated, emb, rows, cfg)
 
 
 def columns(*dets):
@@ -221,6 +284,40 @@ class TestBuildCostMatrix:
                               cfg).shape == (0, 1)
         t = make_track()
         assert stage_one_cost([t], np.zeros((1, 4)), *columns(), [], cfg).shape == (1, 0)
+
+    @pytest.mark.parametrize("gate", [0.1, 0.0])
+    def test_feasible_cells_equal_the_fused_cost_cell_by_cell(self, rng, gate):
+        # at gate 0 every same-class pair is feasible: hundreds of cells, so
+        # adding the terms in another order would round some differently
+        cfg = TrackerConfig(iou_gate=gate)
+        n, m = 24, 30
+        predicted = np.column_stack([rng.uniform(0.0, 200.0, (n, 2)), np.full((n, 2), 20.0)])
+        tracks = [make_track(
+            track_id=j + 1, class_id=int(rng.integers(1, 3)),
+            local_feature=None if j % 4 == 0 else unit_vector(rng, 8),
+            bank_features=tuple(unit_vector(rng, 8) for _ in range(j % 3)),
+            rotation=None if j % 5 == 0 else rng.uniform(0.1, 1.0, 3))
+            for j in range(n)]
+        boxes = predicted[rng.integers(0, n, m)]
+        boxes[:, :2] += rng.normal(0.0, 4.0, (m, 2))
+        classes = rng.integers(1, 3, m)
+        emb = np.stack([unit_vector(rng, 8) for _ in range(m)])
+        descriptors = rng.uniform(0.1, 1.0, (m, 3))
+        descriptors[::4] = 0.0
+        cost = stage_one_cost(tracks, predicted, boxes, classes, emb, list(descriptors), cfg)
+        ious = iou_matrix(predicted, boxes)
+        app = reference_appearance_cost_matrix(tracks, emb)
+        feasible = 0
+        for j, t in enumerate(tracks):
+            for i in range(m):
+                if ious[j, i] < cfg.iou_gate or t.class_id != classes[i]:
+                    assert cost[j, i] == np.inf, (j, i)
+                    continue
+                want = ((1.0 - ious[j, i]) + cfg.w_a * app[j, i]
+                        + cfg.w_r * rotation_cost(t.rotation, descriptors[i]))
+                assert cost[j, i] == want, (j, i)
+                feasible += 1
+        assert 0 < feasible < cost.size
 
     def test_stage_two_ignores_features(self):
         track = make_track(bbox=BoundingBox(0.0, 0.0, 10.0, 10.0),

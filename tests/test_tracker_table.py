@@ -9,7 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import ReferenceTracker, reference_maybe_insert_key, unit_vector
+from conftest import (
+    ReferenceTracker,
+    reference_adaptive_alpha,
+    reference_maybe_insert_key,
+    unit_vector,
+)
 from drone_assoc import simulator as sim
 from drone_assoc.appearance import (
     BankEntry,
@@ -138,6 +143,8 @@ CONFIGS = {
     "no-appearance": TrackerConfig(w_a=0.0),
     "no-rotation": TrackerConfig(w_r=0.0),
     "no-dmp-short-memory": TrackerConfig(use_dmp=False, max_lost_age=2, confirm_hits=1),
+    # every same-class pair is feasible: large contested blocks to solve
+    "gate-zero": TrackerConfig(iou_gate=0.0),
 }
 
 
@@ -200,8 +207,9 @@ def test_embedding_width_is_set_by_the_first_frame_that_has_embeddings():
 def test_adaptive_alphas_use_math_exp(rng):
     scores = rng.uniform(0.6, 1.0, 20000).tolist()
     got = adaptive_alphas(scores, 0.6, 0.9)
-    want = [adaptive_alpha(s, 0.6, 0.9) for s in scores]
+    want = [reference_adaptive_alpha(s, 0.6, 0.9) for s in scores]
     assert got.tolist() == want
+    assert [adaptive_alpha(s, 0.6, 0.9) for s in scores[:200]] == want[:200]
 
 
 def close_pairs(rng, n, dim=128, k=4):
