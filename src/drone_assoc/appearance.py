@@ -15,9 +15,8 @@ many rows at once:
   present slots of its track's gallery. The tracker gates first and scores
   only the pairs that pass the IoU and class gates.
 
-The Track-based functions (update_local_feature, blend_feature,
-maybe_insert_key, appearance_cost_matrix) are one-row or all-pairs calls or
-thin adapters of them.
+The Track-based functions (update_local_feature, maybe_insert_key,
+appearance_cost_matrix) are one-row or all-pairs calls of them.
 
 All features are unit-norm float64 vectors. Cosine similarity is therefore
 a plain dot product. Two rounding rules keep the batched forms equal bit for
@@ -68,25 +67,17 @@ def blend_rows(prev: np.ndarray, feats: np.ndarray, alphas: np.ndarray) -> np.nd
     return normalize_rows(a * prev + (1.0 - a) * feats)
 
 
-def blend_feature(prev: np.ndarray, f: np.ndarray, alpha: float) -> np.ndarray:
-    """alpha-weighted average of two unit features, renormalized; the
-    one-row call of blend_rows."""
-    prev = np.asarray(prev, dtype=np.float64)
-    out = blend_rows(prev.reshape(1, -1), np.asarray(f, dtype=np.float64).reshape(1, -1),
-                     np.array([alpha], dtype=np.float64))
-    return out.reshape(prev.shape)
-
-
 def update_local_feature(
     track: Track, f: np.ndarray, s: float, theta: float, alpha_f: float
 ) -> np.ndarray:
-    """Fold a matched detection's feature into the track's local feature."""
+    """Fold a matched detection's feature into the track's local feature;
+    the one-row call of blend_rows."""
+    f = np.asarray(f, dtype=np.float64)
     if track.local_feature is None:
-        track.local_feature = np.asarray(f, dtype=np.float64)
+        track.local_feature = f
     else:
-        track.local_feature = blend_feature(
-            track.local_feature, f, adaptive_alpha(s, theta, alpha_f)
-        )
+        track.local_feature = blend_rows(
+            track.local_feature[None], f[None], adaptive_alphas([s], theta, alpha_f))[0]
     return track.local_feature
 
 
@@ -212,7 +203,12 @@ def appearance_cost_matrix(tracks: list[Track], feats: np.ndarray) -> np.ndarray
     features: gallery_pair_costs of every pair, each gallery the track's
     local feature, then its key-bank features. Rows follow the track order;
     a track without a feature scores a neutral 0."""
-    galleries = [_gallery_rows(t) for t in tracks]
+    galleries = []
+    for t in tracks:
+        rows = [] if t.local_feature is None else [t.local_feature]
+        if t.key_bank is not None:
+            rows.extend(t.key_bank.features())
+        galleries.append(rows)
     width = max(map(len, galleries), default=0)
     gallery = np.zeros((len(tracks), width, feats.shape[1]), dtype=np.float64)
     present = np.zeros((len(tracks), width), dtype=bool)
@@ -223,11 +219,3 @@ def appearance_cost_matrix(tracks: list[Track], feats: np.ndarray) -> np.ndarray
     shape = (len(tracks), feats.shape[0])
     rows, cols = np.indices(shape).reshape(2, -1)
     return gallery_pair_costs(gallery, present, rows, feats[cols]).reshape(shape)
-
-
-def _gallery_rows(track: Track) -> list[np.ndarray]:
-    """The track's local feature, if any, then its key-bank features."""
-    rows = [] if track.local_feature is None else [track.local_feature]
-    if track.key_bank is not None:
-        rows.extend(track.key_bank.features())
-    return rows

@@ -23,13 +23,16 @@ The live tracks are a TrackTable, one row per track in creation order:
 (N,) ids, classes, state codes, consecutive hits, lost ages, last frames and
 last scores; (N, 8) Kalman means and (N, 8, 8) covariances; the appearance
 gallery of appearance.py; and (N, 3) rotation descriptors, a zero row where
-a track has none. A frame arrives as the arrays of a FrameDetections, and
-each step is an array operation over rows: predict every row, score the
-galleries, correct the matched rows, blend and offer the stage-1 matches'
-features, advance the lifecycle by masks, drop removed rows with one boolean
-index and append the spawns at the end. Creation order keeps the cost-matrix
-row order, so assignment ties resolve as they did when tracks were objects.
-Indexing the table gives Track snapshots.
+a track has none. A frame arrives as the arrays of a FrameDetections, with
+the camera motion the run hands the tracker (None for none), and each step
+is an array operation over rows: predict every row under that motion, score
+the galleries, match, correct the matched rows and advance the lifecycle by
+masks. Then one rebuild drops the removed rows and appends a row per new
+track, and the new rows take the same writes as the matched ones: with the
+stage-1 matches, the local feature and one key-bank offer call; with every
+matched row, the descriptor, last frame and last score. Creation order
+keeps the cost-matrix row order, so assignment ties resolve as they did
+when tracks were objects. Indexing the table gives Track snapshots.
 
 linear_assignment returns index arrays: the matches as (K, 2) (row, column)
 pairs, and the unmatched rows and columns. A frame's output is one
@@ -239,15 +242,15 @@ class TrackTable(Sequence):
                              f"holding dimension {self.gallery.shape[2]}")
         self.gallery = np.zeros((len(self), 1 + self.capacity, dim))
 
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the rows where `mask` is false."""
+    def rebuild(self, keep: np.ndarray, new: "TrackTable") -> None:
+        """Drop the rows where `keep` is false and append the rows of `new`,
+        which has the same K and D. A column is copied once, unless rows are
+        both dropped and appended."""
+        if keep.all():
+            keep = slice(None)
         for name in self._COLUMNS:
-            setattr(self, name, getattr(self, name)[mask])
-
-    def extend(self, other: "TrackTable") -> None:
-        """Append the rows of `other`, which has the same K and D."""
-        for name in self._COLUMNS:
-            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
+            kept, added = getattr(self, name)[keep], getattr(new, name)
+            setattr(self, name, np.concatenate([kept, added]) if len(added) else kept)
 
 
 def iou_cost_matrix(
@@ -360,7 +363,7 @@ class Tracker:
         t = self.tracks
         if emb is not None:
             t.fit_dim(emb.shape[1])
-        t.means, t.covs = mo.multi_predict(t.means, t.covs, m if cfg.use_dmp else None)
+        t.means, t.covs = mo.multi_predict(t.means, t.covs, m)
         predicted = mo.states_to_xywh(t.means)
 
         # one gated block for both stages
@@ -371,6 +374,7 @@ class Tracker:
                         if cfg.w_a > 0 and emb is not None and cost.size else 0)
         stage1 = linear_assignment(cost)
         rows1, cols1 = stage1.matches.T
+        spawn = hi[stage1.unmatched_cols]
 
         free = stage1.unmatched_rows
         leftover = free[t.states[free] != LOST]
@@ -381,26 +385,49 @@ class Tracker:
         if rows.size:
             t.means[rows], t.covs[rows] = mo.multi_update(t.means[rows], t.covs[rows],
                                                           boxes[pos])
-        inserted = self._update_appearance(
-            rows1, None if emb is None else emb_hi[cols1], scores[hi[cols1]], frame)
-        matched_desc = descriptors[pos]
-        has_desc = matched_desc.any(axis=1)
-        t.rotation[rows[has_desc]] = matched_desc[has_desc]
-        t.last_frame[rows] = frame
-        t.last_score[rows] = scores[pos]
+        # the bank stays frozen through the frame that re-acquires a lost
+        # track, so the offers are read before the lifecycle step; inserts
+        # resume once it is confirmed again. A new track offers its first.
+        offer = np.concatenate([t.states[rows1] != LOST, np.ones(spawn.size, dtype=bool)])
         matched = np.zeros(len(t), dtype=bool)
         matched[rows] = True
         lifecycle(t.states, t.hits, t.lost_age, matched, cfg)
-        removed = t.states == REMOVED
-        n_removed = int(removed.sum())
-        if n_removed:
-            t.keep(~removed)
 
-        spawn = hi[stage1.unmatched_cols]
-        if spawn.size:
-            inserted = np.concatenate([inserted, self._spawn(
-                boxes[spawn], classes[spawn], scores[spawn],
-                None if emb is None else emb[spawn], descriptors[spawn], frame)])
+        # one rebuild drops the removed rows and appends the new ones; a
+        # matched row is never removed, so its index becomes its count of
+        # kept rows before it
+        keep = t.states != REMOVED
+        n_removed = len(t) - int(keep.sum())
+        if n_removed or spawn.size:
+            t.rebuild(keep, self._spawn(boxes[spawn], classes[spawn], frame))
+            rows = (np.cumsum(keep) - 1)[rows]
+
+        # the new rows take the matched rows' writes, placed after the
+        # stage-1 matches: those two fold in their embeddings (blended into a
+        # present local feature, else adopted) and, with AFS, offer them to
+        # the key banks; every row takes its descriptor, frame and score
+        new, n1 = np.arange(len(t) - spawn.size, len(t)), rows1.size
+        rows = np.concatenate([rows[:n1], new, rows[n1:]])
+        pos = np.concatenate([pos[:n1], spawn, pos[n1:]])
+        inserted = np.zeros(0, dtype=bool)
+        if emb is not None and offer.size:
+            fed, at = rows[:offer.size], pos[:offer.size]
+            feats, had = emb[at], t.has_local[fed]
+            if cfg.use_afs:
+                alphas = ap.adaptive_alphas(scores[at[had]], cfg.theta_high, cfg.alpha_f)
+            else:
+                alphas = np.full(int(had.sum()), cfg.alpha_f)
+            t.local[fed[had]] = ap.blend_rows(t.local[fed[had]], feats[had], alphas)
+            t.local[fed[~had]] = feats[~had]
+            t.has_local[fed] = True
+            if cfg.use_afs:
+                inserted = ap.insert_keys(t.bank, t.last_used, t.fill, fed[offer],
+                                          feats[offer], frame, cfg.novelty_threshold)
+        desc = descriptors[pos]
+        has_desc = desc.any(axis=1)
+        t.rotation[rows[has_desc]] = desc[has_desc]
+        t.last_frame[rows] = frame
+        t.last_score[rows] = scores[pos]
 
         emit = np.flatnonzero((t.states == CONFIRMED) & (t.last_frame == frame))
         xywh = mo.states_to_xywh(t.means[emit])
@@ -425,65 +452,16 @@ class Tracker:
 
     # -- internals ---------------------------------------------------------
 
-    def _update_appearance(
-        self,
-        rows: np.ndarray,
-        feats: Optional[np.ndarray],
-        scores: np.ndarray,
-        frame: int,
-    ) -> np.ndarray:
-        """Fold the stage-1 matches' embeddings `feats` into their `rows`:
-        the blend of the local feature, then, with AFS and outside the
-        frame that re-acquires a lost track, the key-bank offer. Runs before
-        the lifecycle step; returns the offers' insert mask."""
-        cfg, t = self.config, self.tracks
-        if feats is None or rows.size == 0:
-            return np.zeros(0, dtype=bool)
-        if cfg.use_afs:
-            alphas = ap.adaptive_alphas(scores, cfg.theta_high, cfg.alpha_f)
-        else:
-            alphas = np.full(rows.shape[0], cfg.alpha_f)
-        had = t.has_local[rows]
-        t.local[rows[had]] = ap.blend_rows(t.local[rows[had]], feats[had], alphas[had])
-        t.local[rows[~had]] = feats[~had]
-        t.has_local[rows] = True
-        if not cfg.use_afs:
-            return np.zeros(0, dtype=bool)
-        # the bank stays frozen through the frame that re-acquires a lost
-        # track; inserts resume once it is confirmed again
-        offer = t.states[rows] != LOST
-        return ap.insert_keys(t.bank, t.last_used, t.fill, rows[offer], feats[offer],
-                              frame, cfg.novelty_threshold)
-
-    def _spawn(
-        self,
-        boxes: np.ndarray,
-        classes: np.ndarray,
-        scores: np.ndarray,
-        emb: Optional[np.ndarray],
-        descriptors: np.ndarray,
-        frame: int,
-    ) -> np.ndarray:
-        """Append one track per unmatched high-confidence detection; returns
-        the insert mask of their first key-bank offers."""
-        cfg, t = self.config, self.tracks
+    def _spawn(self, boxes: np.ndarray, classes: np.ndarray, frame: int) -> TrackTable:
+        """The rows of the tracks that unmatched high-confidence detections
+        found: ids, classes, initial state and hits, and their filters. The
+        frame step writes the rest as it does for matched rows."""
         n = boxes.shape[0]
-        new = TrackTable(cfg.key_bank_capacity, n, t.gallery.shape[2])
+        new = TrackTable(self.config.key_bank_capacity, n, self.tracks.gallery.shape[2])
         new.ids[:] = np.arange(self.next_id, self.next_id + n)
         new.classes[:] = classes
         new.states[:] = CONFIRMED if frame == self._first_frame else TENTATIVE
         new.hits[:] = 1
-        new.last_frame[:] = frame
-        new.last_score[:] = scores
         new.means, new.covs = mo.multi_init(boxes)
-        new.rotation[:] = descriptors
-        inserted = np.zeros(0, dtype=bool)
-        if emb is not None:
-            new.local[:] = emb
-            new.has_local[:] = True
-            if cfg.use_afs:
-                inserted = ap.insert_keys(new.bank, new.last_used, new.fill, np.arange(n),
-                                          emb, frame, cfg.novelty_threshold)
-        t.extend(new)
         self.next_id += n
-        return inserted
+        return new

@@ -225,16 +225,15 @@ class TrackerConfig:
     confirm_hits: int = 3
     max_lost_age: int = 30
     use_afs: bool = True
-    use_dmp: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.theta_low < self.theta_high <= 1.0:
             raise ConfigError("need 0 <= theta_low < theta_high <= 1")
         if not 0.0 < self.alpha_f <= 1.0:
             raise ConfigError("alpha_f must lie in (0, 1]")
-        # written as `not (x >= 0)` so that NaN fails too
-        if not (self.w_a >= 0 and self.w_r >= 0):
-            raise ConfigError("cost weights must be non-negative")
+        # an infinite weight turns a neutral 0 term into NaN
+        if not (0 <= self.w_a < math.inf and 0 <= self.w_r < math.inf):
+            raise ConfigError("cost weights must be finite and non-negative")
         if not self.radius_R > 0:
             raise ConfigError("radius_R must be positive")
         if self.key_bank_capacity < 1:

@@ -638,7 +638,8 @@ def write_key_values(path: str, values: dict, comment: Optional[str] = None) -> 
 @dataclass(frozen=True)
 class RunConfig(TrackerConfig):
     """Everything a tracking run needs: the tracker settings it inherits,
-    plus paths, the sidecar width and the seed."""
+    plus paths, the sidecar width, the seed and the camera-motion switch:
+    with use_dmp off the run hands the tracker no camera motion."""
 
     detections: Optional[str] = None
     embeddings: Optional[str] = None
@@ -646,6 +647,7 @@ class RunConfig(TrackerConfig):
     output: Optional[str] = None
     embedding_dim: Optional[int] = None  # None: the sidecar's own width
     seed: int = 0
+    use_dmp: bool = True
 
     def tracker_config(self) -> TrackerConfig:
         """The tracker settings alone, as a plain TrackerConfig."""

@@ -1,9 +1,10 @@
 """End-to-end runs over the one frame loop, track_frames: it feeds a tracker
 frames 1..last, an empty frame where the input has none, each with its
 camera motion from camera_source (the affine sidecar, online estimation, or
-none). run_tracking loads a detection file, runs the loop and writes the
-results; run_ablation parses its generated scene once and runs the loop once
-per feature-toggle cell, each with a fresh tracker and camera source."""
+none, which is all a run with use_dmp off hands the tracker). run_tracking
+loads a detection file, runs the loop and writes the results; run_ablation
+parses its generated scene once and runs the loop once per feature-toggle
+cell, each with a fresh tracker and camera source."""
 
 from __future__ import annotations
 
@@ -88,15 +89,16 @@ def track_frames(
 
 
 def camera_source(cfg: RunConfig, affines: Affines) -> Camera:
-    """A fresh camera-motion source for one run: lookup in the parsed
-    sidecar `affines` when the run has one, else online estimation when DMP
-    is on, else no motion."""
+    """A fresh camera-motion source for one run, and the one place that
+    reads its DMP switch: no motion when DMP is off, else lookup in the
+    parsed sidecar `affines` when the run has one, else online estimation.
+    The tracker applies whatever motion it is handed."""
+    if not cfg.use_dmp:
+        return lambda fd: None
     if affines is not None:
         return lambda fd: affines.get(fd.frame)
-    if cfg.use_dmp:
-        log.info("no affine sidecar given, estimating camera motion online")
-        return OnlineAffineEstimator(cfg.theta_high, cfg.seed).step
-    return lambda fd: None
+    log.info("no affine sidecar given, estimating camera motion online")
+    return OnlineAffineEstimator(cfg.theta_high, cfg.seed).step
 
 
 def _load(cfg: RunConfig) -> tuple[list[FrameDetections], Affines]:

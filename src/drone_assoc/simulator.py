@@ -44,6 +44,13 @@ _SIZE_RANGE = (18.0, 42.0)    # px, object box extents
 _N_CLASSES = 3
 
 
+def _require_finite(config, *names: str) -> None:
+    """Refuse an infinite or NaN value in any of the named fields."""
+    for name in names:
+        if not np.isfinite(getattr(config, name)).all():
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class CameraPhase:
     """One scripted segment: 'hover', 'translate' (vx, vy px/frame image
@@ -60,6 +67,7 @@ class CameraPhase:
             raise ValueError(f"unknown camera phase kind {self.kind!r}")
         if self.duration < 1:
             raise ValueError("phase duration must be >= 1 frame")
+        _require_finite(self, "vx", "vy", "omega")
 
 
 def hover(duration: int) -> CameraPhase:
@@ -91,6 +99,11 @@ class ScoreModel:
     mean_fp: float = 0.35
     sigma_fp: float = 0.12
 
+    def __post_init__(self):
+        _require_finite(self, "mean_hit", "sigma_hit", "mean_fp", "sigma_fp")
+        if self.sigma_hit < 0 or self.sigma_fp < 0:
+            raise ValueError("score sigmas must be >= 0")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -111,6 +124,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_objects < 0 or self.n_frames < 1:
             raise ValueError("need n_objects >= 0 and n_frames >= 1")
+        _require_finite(self, "world_extent", "object_speed_range", "detection_noise_sigma",
+                        "false_positive_rate", "view_drift_rate")
         if self.world_extent <= 0:
             raise ValueError("world_extent must be positive")
         lo, hi = self.object_speed_range
@@ -372,9 +387,9 @@ def _script_from_str(text: str) -> tuple[CameraPhase, ...]:
             elif kind == "rotate" and len(bits) == 3:
                 phases.append(rotate(float(bits[1]), int(bits[2])))
             else:
-                raise ValueError(part)
+                raise ValueError("expected hover:N, translate:VX:VY:N or rotate:OMEGA:N")
         except ValueError as e:
-            raise FormatError(f"bad camera phase {part!r}") from e
+            raise ValueError(f"bad camera phase {part!r}: {e}") from e
     return tuple(phases)
 
 

@@ -539,12 +539,11 @@ class ReferenceTracker:
         else:
             descriptors = [None] * len(scores)
 
-        m_eff = m if cfg.use_dmp else None
         pool = list(self.tracks)
         if pool:
             means, covs = mo.multi_predict(np.array([t.motion.mean for t in pool]),
                                            np.array([t.motion.covariance for t in pool]),
-                                           m_eff)
+                                           m)
         else:
             means, covs = np.zeros((0, 8)), np.zeros((0, 8, 8))
         predicted = mo.states_to_xywh(means)

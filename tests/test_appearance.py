@@ -18,7 +18,7 @@ from drone_assoc.appearance import (
     KeyFeatureBank,
     adaptive_alpha,
     appearance_cost_matrix,
-    blend_feature,
+    blend_rows,
     gallery_pair_costs,
     maybe_insert_key,
     update_local_feature,
@@ -51,25 +51,30 @@ class TestAdaptiveAlpha:
         assert alpha_f <= a <= 1.0
 
 
-class TestBlendFeature:
+def blend_one(prev, f, alpha):
+    """blend_rows over a single row."""
+    return blend_rows(prev[None], f[None], np.array([alpha]))[0]
+
+
+class TestBlendRows:
     def test_matches_plain_trigonometry(self):
         # two unit vectors 60 degrees apart in a 2D plane, alpha = 0.75
         prev = np.array([1.0, 0.0])
         new = np.array([math.cos(math.pi / 3), math.sin(math.pi / 3)])
         mixed = 0.75 * prev + 0.25 * new
         expected = mixed / math.sqrt(float(mixed @ mixed))
-        out = blend_feature(prev, new, 0.75)
+        out = blend_one(prev, new, 0.75)
         assert np.allclose(out, expected, atol=1e-15)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_alpha_one_keeps_previous_direction(self, rng):
         prev = unit_vector(rng, 16)
-        out = blend_feature(prev, unit_vector(rng, 16), 1.0)
+        out = blend_one(prev, unit_vector(rng, 16), 1.0)
         assert np.allclose(out, prev, atol=1e-12)
 
     def test_alpha_zero_adopts_new_direction(self, rng):
         new = unit_vector(rng, 16)
-        out = blend_feature(unit_vector(rng, 16), new, 0.0)
+        out = blend_one(unit_vector(rng, 16), new, 0.0)
         assert np.allclose(out, new, atol=1e-12)
 
 

@@ -500,16 +500,6 @@ class TestTracker:
         assert tr.tracks[0].key_bank.entries == []
         assert tr.tracks[0].local_feature is not None
 
-    def test_disabling_motion_compensation_ignores_transform(self):
-        shift = AffineTransform(np.array([[1.0, 0.0, 40.0], [0.0, 1.0, 0.0]]))
-        frames = [[det(0, 0), det(50, 50)], [det(2, 0), det(52, 50)],
-                  [det(4, 0), det(54, 50)]]
-        tr_off = Tracker(TrackerConfig(use_dmp=False))
-        tr_ref = Tracker(TrackerConfig())
-        for f, ds in enumerate(frames, 1):
-            assert feed(tr_off, f, ds, shift) == feed(tr_ref, f, ds, None)
-            assert tr_off.last_stats.stage1_ious == tr_ref.last_stats.stage1_ious
-
     def test_zero_rotation_weight_skips_descriptors(self):
         tr = Tracker(TrackerConfig(w_r=0.0))
         feed(tr, 1, [det(0, 0), det(30, 0), det(0, 40)])

@@ -52,6 +52,16 @@ class TestSimulateCommand:
                   str(tmp_path / "out")])
         assert exc.value.code == 2
 
+    def test_infinite_world_extent_exits_two_naming_the_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "scenario.txt"
+        cfg_path.write_text("n_frames = 10\nworld_extent = inf\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg_path), "--out",
+                  str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "world_extent must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrackCommand:
     def test_end_to_end(self, tiny_scenario, tmp_path, capsys):
@@ -125,6 +135,15 @@ class TestTrackCommand:
             "--radius", "80", "--theta-high", "0.7",
         ])
         assert code == 0
+
+    def test_infinite_cost_weight_exits_two(self, tiny_scenario, tmp_path):
+        _, paths = tiny_scenario
+        with pytest.raises(SystemExit) as exc:
+            main(["track", "--detections", paths.detections,
+                  "--embeddings", paths.embeddings,
+                  "--output", str(tmp_path / "results.txt"), "--w-a", "inf"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "results.txt").exists()
 
     def test_flag_heals_broken_config_file(self, tiny_scenario, tmp_path):
         """Flags are applied on top of the config file."""

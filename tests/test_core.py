@@ -198,6 +198,8 @@ class TestTrackerConfig:
         {"alpha_f": 1.5},
         {"w_a": -0.1},
         {"w_r": -0.1},
+        {"w_a": float("inf")},                 # inf * a neutral 0 is NaN
+        {"w_r": float("inf")},
         {"radius_R": 0.0},
         {"key_bank_capacity": 0},
         {"iou_gate": 1.0},

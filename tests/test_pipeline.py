@@ -188,7 +188,7 @@ class TestTrackFrames:
         affines = parse_affines(paths.affines)
         fd = FrameDetections(4, ())
         assert camera_source(RunConfig(), affines)(fd) is affines[4]
-        assert camera_source(RunConfig(use_dmp=False), affines)(fd) is affines[4]
+        assert camera_source(RunConfig(use_dmp=False), affines)(fd) is None
         online = camera_source(RunConfig(), None)
         assert isinstance(online.__self__, OnlineAffineEstimator)
         assert camera_source(RunConfig(use_dmp=False), None)(fd) is None
@@ -231,6 +231,28 @@ class TestRunTracking:
             affines=None, output=out, embedding_dim=8,
         ))
         assert summary.frames == 20 and os.path.exists(out)
+
+    def test_disabling_motion_compensation_ignores_transform(self, tmp_path):
+        """With DMP off no camera motion reaches the tracker: the results
+        have the same bytes with and without the sidecar, which changes them
+        with DMP on."""
+        paths = generate_scenario(ScenarioConfig(
+            seed=5, n_objects=8, n_frames=20, world_extent=400.0,
+            camera_script=(translate(8.0, -3.0, 10), rotate(0.03, 10)),
+            detection_noise_sigma=0.5, miss_prob=0.02, false_positive_rate=0.2,
+            embedding_dim=8,
+        ), str(tmp_path / "data"))
+
+        def results(name, **settings):
+            out = str(tmp_path / name)
+            run_tracking(RunConfig(detections=paths.detections, embeddings=paths.embeddings,
+                                   output=out, embedding_dim=8, **settings))
+            with open(out, "rb") as fh:
+                return fh.read()
+
+        off = results("off.txt", use_dmp=False)
+        assert results("off-sidecar.txt", use_dmp=False, affines=paths.affines) == off
+        assert results("on-sidecar.txt", affines=paths.affines) != off
 
     def test_gap_frames_are_fed_as_empty(self, tmp_path):
         det_path = tmp_path / "det.txt"

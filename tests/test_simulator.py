@@ -241,6 +241,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             quiet_config(object_speed_range=(3.0, 0.5))
 
+    @pytest.mark.parametrize("field, value", [
+        ("world_extent", math.inf),           # overflowed inside simulate
+        ("view_drift_rate", math.nan),        # wrote NaN embeddings
+        ("detection_noise_sigma", math.nan),  # failed on a NaN box inside simulate
+        ("false_positive_rate", math.inf),
+        ("object_speed_range", (0.5, math.inf)),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            quiet_config(**{field: value})
+
+    @pytest.mark.parametrize("field", ["vx", "vy", "omega"])
+    def test_non_finite_camera_phase_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CameraPhase("translate", 5, **{field: math.inf})
+
+    @pytest.mark.parametrize("field", ["mean_hit", "sigma_hit", "mean_fp", "sigma_fp"])
+    def test_non_finite_score_model_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ScoreModel(**{field: math.nan})
+
+    def test_negative_score_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigmas"):
+            ScoreModel(sigma_fp=-0.1)
+
 
 class TestScenarioConfigFiles:
     def test_round_trip_equality(self, tmp_path):
@@ -285,6 +310,12 @@ class TestScenarioConfigFiles:
         path = tmp_path / "scenario.txt"
         path.write_text("miss_prob = 2.0\n")
         with pytest.raises(FormatError):
+            load_scenario_config(str(path))
+
+    def test_non_finite_camera_phase_names_its_key(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text("n_frames = 10\ncamera_script = translate:inf:0:10\n")
+        with pytest.raises(FormatError, match="'camera_script'.*vx must be finite"):
             load_scenario_config(str(path))
 
 

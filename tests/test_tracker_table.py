@@ -66,7 +66,8 @@ def run_lockstep(config: TrackerConfig, stream) -> dict:
     and every track's state after each frame. Returns event counts seen
     along the way, so that callers can check what the stream exercised."""
     tracker, ref = Tracker(config), ReferenceTracker(config)
-    events = {"spawned": 0, "removed": 0, "empty": 0, "no_embeddings": 0}
+    events = {"spawned": 0, "removed": 0, "drop_and_append": 0, "empty": 0,
+              "no_embeddings": 0}
     totals = {"gallery_rows": 0, "bank_inserts": 0, "bank_refreshes": 0}
     for fd, m in stream:
         # repr tells -0.0 from 0.0 and a numpy scalar from a plain value, as
@@ -81,6 +82,8 @@ def run_lockstep(config: TrackerConfig, stream) -> dict:
             totals[key] += getattr(stats, key)
         events["spawned"] += stats.spawned
         events["removed"] += stats.removed
+        # frames whose one table rebuild both drops and appends rows
+        events["drop_and_append"] += stats.removed > 0 and stats.spawned > 0
         events["empty"] += len(fd) == 0
         events["no_embeddings"] += len(fd) > 0 and fd.embeddings is None
     assert totals == ref.stats
@@ -142,10 +145,12 @@ CONFIGS = {
     "no-afs": TrackerConfig(use_afs=False),
     "no-appearance": TrackerConfig(w_a=0.0),
     "no-rotation": TrackerConfig(w_r=0.0),
-    "no-dmp-short-memory": TrackerConfig(use_dmp=False, max_lost_age=2, confirm_hits=1),
+    "no-dmp-short-memory": TrackerConfig(max_lost_age=2, confirm_hits=1),
     # every same-class pair is feasible: large contested blocks to solve
     "gate-zero": TrackerConfig(iou_gate=0.0),
 }
+# the configs run with DMP off, so the camera hands their trackers no motion
+NO_DMP = {"no-dmp-short-memory"}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -153,10 +158,15 @@ def test_lockstep_on_random_streams(name):
     config = CONFIGS[name]
     events = {}
     for seed in range(3):
-        for key, n in run_lockstep(config, random_stream(seed)).items():
+        stream = random_stream(seed)
+        if name in NO_DMP:
+            stream = [(fd, None) for fd, _ in stream]
+        for key, n in run_lockstep(config, stream).items():
             events[key] = events.get(key, 0) + n
     for key in ("reacquired", "spawned", "removed", "empty", "no_embeddings"):
         assert events[key] > 0, (key, events)
+    if name == "default":
+        assert events["drop_and_append"] > 0, events
     if config.use_afs:
         assert events["inserts"] > 0 and events["refreshes"] > 0, events
     if config.key_bank_capacity <= 2:
