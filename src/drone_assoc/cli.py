@@ -2,12 +2,15 @@
 
 Subcommands: simulate, track, eval, ablate. Exit codes: 0 on success, 2 for
 usage or configuration errors, 1 for runtime failures. The DRONE_ASSOC_LOG
-environment variable (error, warn, info, debug) sets log verbosity.
+environment variable (error, warn, info, debug) sets log verbosity. Each
+track flag is stored under the RunConfig field it sets and overrides that
+key of the --config file.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -17,6 +20,7 @@ from .core import ConfigError
 from .metrics import EvaluationError, evaluate, report_csv, report_table
 from .mot_io import (
     FormatError,
+    RunConfig,
     parse_mot_lines,
     read_key_values,
     run_config_from_dict,
@@ -65,20 +69,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_track.add_argument("--output", help="results file to write")
     p_track.add_argument("--w-a", type=float, dest="w_a",
                          help="appearance cost weight")
-    p_track.add_argument("--w-r", type=float, dest="w_r",
-                         help="rotation cost weight")
     p_track.add_argument("--radius", type=float, dest="radius_R",
                          help="rotation descriptor neighborhood radius (px)")
     p_track.add_argument("--theta-high", type=float, dest="theta_high",
                          help="high-confidence score threshold")
     p_track.add_argument("--theta-low", type=float, dest="theta_low",
                          help="low-confidence score threshold")
-    p_track.add_argument("--no-afs", action="store_true",
+    p_track.add_argument("--no-afs", action="store_false", dest="use_afs",
+                         default=None,
                          help="fixed-weight feature averaging, no key bank")
-    p_track.add_argument("--no-dmp", action="store_true",
-                         help="disable camera-motion compensation")
-    p_track.add_argument("--no-rotation", action="store_true",
-                         help="drop the rotation term from the fused cost")
+    p_track.add_argument("--no-dmp", action="store_false", dest="use_dmp",
+                         default=None,
+                         help="no camera-motion compensation; the sidecar is not read")
+    rotation = p_track.add_mutually_exclusive_group()
+    rotation.add_argument("--w-r", type=float, dest="w_r",
+                          help="rotation cost weight")
+    rotation.add_argument("--no-rotation", action="store_const", const=0.0,
+                          dest="w_r",
+                          help="drop the rotation term from the fused cost (w_r = 0)")
 
     p_eval = sub.add_parser("eval", help="score results against ground truth")
     p_eval.add_argument("--gt", required=True, help="ground-truth MOT CSV")
@@ -139,17 +147,9 @@ def _cmd_track(parser, args) -> int:
             merged.update(read_key_values(args.config))
         except FormatError as e:
             parser.error(str(e))
-    for key in ("detections", "embeddings", "affines", "output",
-                "w_a", "w_r", "radius_R", "theta_high", "theta_low"):
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
-    if args.no_afs:
-        merged["use_afs"] = False
-    if args.no_dmp:
-        merged["use_dmp"] = False
-    if args.no_rotation:
-        merged["w_r"] = 0.0
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    merged.update((key, value) for key, value in vars(args).items()
+                  if key in fields and value is not None)
     try:
         cfg = run_config_from_dict(merged, source=args.config or "flags")
     except (FormatError, ConfigError, ValueError) as e:
@@ -184,12 +184,10 @@ def _cmd_eval(parser, args) -> int:
 def _cmd_ablate(parser, args) -> int:
     cells = [c.strip() for c in args.cells.split(",") if c.strip()]
     bad = [c for c in cells if c not in ABLATION_CELLS]
-    if bad or not cells:
-        parser.error(f"--cells must be a subset of {','.join(ABLATION_CELLS)}")
+    if bad or not cells or len(set(cells)) < len(cells):
+        parser.error(f"--cells must name distinct cells of {','.join(ABLATION_CELLS)}")
     scenario = standard_ablation_scenario()
     if args.seed is not None:
-        import dataclasses
-
         scenario = dataclasses.replace(scenario, seed=args.seed)
     rows = run_ablation(scenario, args.out, cells)
     print(report_table(rows))

@@ -617,13 +617,17 @@ def write_mot_file(path: str, lines: Sequence[MotLine],
 
 
 def read_key_values(path: str) -> dict[str, str]:
-    """Parse a `key = value` text file; '#' comments and blanks are skipped."""
+    """Parse a `key = value` text file; '#' comments and blanks are skipped.
+    A key given twice is refused, naming its second line."""
     out: dict[str, str] = {}
     for lineno, line in _text_lines(path):
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise FormatError(f"{path}:{lineno}: key {key!r} appears twice")
+        out[key] = value.strip()
     return out
 
 

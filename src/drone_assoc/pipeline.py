@@ -1,10 +1,11 @@
 """End-to-end runs over the one frame loop, track_frames: it feeds a tracker
 frames 1..last, an empty frame where the input has none, each with its
-camera motion from camera_source (the affine sidecar, online estimation, or
-none, which is all a run with use_dmp off hands the tracker). run_tracking
-loads a detection file, runs the loop and writes the results; run_ablation
-parses its generated scene once and runs the loop once per feature-toggle
-cell, each with a fresh tracker and camera source."""
+camera motion from camera_source, the one reader of a run's camera settings
+(the affine sidecar, online estimation, or none, which is all a run with
+use_dmp off hands the tracker; such a run never opens the sidecar).
+run_tracking loads a detection file, runs the loop and writes the results;
+run_ablation parses its generated detections once and runs the loop once per
+feature-toggle cell, each with a fresh tracker and camera source."""
 
 from __future__ import annotations
 
@@ -55,23 +56,20 @@ class OnlineAffineEstimator:
         fd = frame_detections
         centers = box_centers(fd.boxes[fd.scores >= self.theta_high])
         prev, self._prev = self._prev, centers
-        if prev is None or prev.shape[0] < 3 or centers.shape[0] < 3:
+        if prev is None or not len(prev) or not len(centers):
             return None
         d = np.linalg.norm(prev[:, None, :] - centers[None, :, :], axis=2)
         fwd = d.argmin(axis=1)
         bwd = d.argmin(axis=0)
         (pi,) = np.nonzero(bwd[fwd] == np.arange(len(fwd)))
-        if len(pi) < 3:
-            return None
         try:
             return estimate_affine(prev[pi], centers[fwd[pi]], rng=self.rng)
         except AffineEstimationError:
             return None
 
 
-# a run's camera motion per frame, and a parsed affine sidecar
+# a run's camera motion per frame
 Camera = Callable[[FrameDetections], Optional[AffineTransform]]
-Affines = Optional[dict[int, AffineTransform]]
 
 
 def track_frames(
@@ -88,37 +86,36 @@ def track_frames(
         yield tracker.associate_frame(fd, camera(fd))
 
 
-def camera_source(cfg: RunConfig, affines: Affines) -> Camera:
-    """A fresh camera-motion source for one run, and the one place that
-    reads its DMP switch: no motion when DMP is off, else lookup in the
-    parsed sidecar `affines` when the run has one, else online estimation.
-    The tracker applies whatever motion it is handed."""
+def camera_source(cfg: RunConfig) -> Camera:
+    """A fresh camera-motion source for one run, and the one reader of its
+    camera settings (use_dmp, affines, seed): no motion when DMP is off,
+    without opening the sidecar; else lookup in the affine sidecar when the
+    run names one; else online estimation seeded by cfg.seed. The tracker
+    applies whatever motion it is handed."""
     if not cfg.use_dmp:
         return lambda fd: None
-    if affines is not None:
+    if cfg.affines is not None:
+        affines = parse_affines(cfg.affines)
         return lambda fd: affines.get(fd.frame)
     log.info("no affine sidecar given, estimating camera motion online")
     return OnlineAffineEstimator(cfg.theta_high, cfg.seed).step
 
 
-def _load(cfg: RunConfig) -> tuple[list[FrameDetections], Affines]:
-    """The run's detections and, when it names one, its affine sidecar."""
-    frames = parse_detections(
+def _load(cfg: RunConfig) -> list[FrameDetections]:
+    """The run's detections."""
+    return parse_detections(
         cfg.detections,
         embeddings_path=cfg.embeddings,
         embedding_dim=cfg.embedding_dim if cfg.embeddings else None,
         min_score=cfg.theta_low,
     )
-    affines = parse_affines(cfg.affines) if cfg.affines is not None else None
-    return frames, affines
 
 
-def _track(
-    cfg: RunConfig, frames: Sequence[FrameDetections], affines: Affines
-) -> RunSummary:
-    """Run a fresh tracker over loaded inputs and write cfg.output."""
+def _track(cfg: RunConfig, frames: Sequence[FrameDetections]) -> RunSummary:
+    """Run a fresh tracker and camera source over loaded detections and
+    write cfg.output."""
     tracker = Tracker(cfg.tracker_config())
-    camera = camera_source(cfg, affines)
+    camera = camera_source(cfg)
     start = time.perf_counter()
     records = [r for out in track_frames(frames, camera, tracker) for r in out]
     wall = time.perf_counter() - start
@@ -133,36 +130,32 @@ def run_tracking(cfg: RunConfig) -> RunSummary:
     """Track a detection file end to end and write the results file."""
     if cfg.detections is None or cfg.output is None:
         raise ValueError("run config needs detections and output paths")
-    return _track(cfg, *_load(cfg))
+    return _track(cfg, _load(cfg))
 
 
-ABLATION_CELLS = ("baseline", "dmp", "afs", "full")
-
-
-def _cell_config(label: str, base: RunConfig) -> RunConfig:
-    """Toggle layout of one ablation cell on top of a full-featured config."""
-    if label == "baseline":
-        return dataclasses.replace(base, use_dmp=False, use_afs=False, w_r=0.0)
-    if label == "dmp":
-        return dataclasses.replace(base, use_afs=False)
-    if label == "afs":
-        return dataclasses.replace(base, use_dmp=False, w_r=0.0)
-    if label == "full":
-        return base
-    raise ValueError(f"unknown ablation cell {label!r}")
+# each ablation cell's RunConfig overrides of a full-featured run
+ABLATION_CELLS = {
+    "baseline": dict(use_dmp=False, use_afs=False, w_r=0.0),
+    "dmp": dict(use_afs=False),
+    "afs": dict(use_dmp=False, w_r=0.0),
+    "full": {},
+}
 
 
 def run_ablation(
     scenario: ScenarioConfig,
     out_dir: str,
-    cells: Sequence[str] = ABLATION_CELLS,
+    cells: Sequence[str] = tuple(ABLATION_CELLS),
 ) -> list[tuple[str, EvalReport]]:
-    """Generate the scenario, parse it once, run one tracking pass per cell,
-    evaluate each against ground truth, and write table + CSV twins into
-    out_dir. No cell changes theta_low, so the parsed frames serve all."""
-    for c in cells:
+    """Generate the scenario, parse its detections once, run one tracking
+    pass per cell, evaluate each against ground truth, and write table + CSV
+    twins into out_dir. No cell changes theta_low, so the parsed frames
+    serve all; each DMP cell's camera source reads the affine sidecar."""
+    for i, c in enumerate(cells):
         if c not in ABLATION_CELLS:
             raise ValueError(f"unknown ablation cell {c!r}")
+        if c in cells[:i]:
+            raise ValueError(f"ablation cell {c!r} appears twice")
     os.makedirs(out_dir, exist_ok=True)
     paths = generate_scenario(scenario, os.path.join(out_dir, "data"))
     base = RunConfig(
@@ -172,13 +165,12 @@ def run_ablation(
         embedding_dim=scenario.embedding_dim,
         seed=scenario.seed,
     )
-    frames, affines = _load(base)
+    frames = _load(base)
     gt = parse_mot_lines(paths.gt)[0]
     rows: list[tuple[str, EvalReport]] = []
     for label in cells:
         out = os.path.join(out_dir, f"results_{label}.txt")
-        cfg = _cell_config(label, dataclasses.replace(base, output=out))
-        _track(cfg, frames, affines)
+        _track(dataclasses.replace(base, output=out, **ABLATION_CELLS[label]), frames)
         rows.append((label, evaluate(gt, parse_mot_lines(out)[0])))
     with open(os.path.join(out_dir, "ablation.txt"), "w", encoding="utf-8") as fh:
         fh.write(report_table(rows) + "\n")

@@ -27,7 +27,6 @@ from drone_assoc.metrics import evaluate
 from drone_assoc.mot_io import (
     MotLine,
     RunConfig,
-    parse_affines,
     parse_detections,
     parse_mot_lines,
 )
@@ -287,7 +286,7 @@ def test_criterion_08_affine_warp_raises_matched_iou(standard_paths, tmp_path):
     def stage1_ious(affines_path: str) -> dict[int, float]:
         cfg = RunConfig(affines=affines_path, embedding_dim=32)
         tracker = Tracker(cfg.tracker_config())
-        camera = camera_source(cfg, parse_affines(affines_path))
+        camera = camera_source(cfg)
         means: dict[int, float] = {}
         for _ in track_frames(frames, camera, tracker):
             stats = tracker.last_stats

@@ -1,11 +1,14 @@
 """Command-line interface: argument handling, exit codes, output text."""
 
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
 
+from drone_assoc import cli
 from drone_assoc.cli import main
+from drone_assoc.pipeline import RunSummary
 from drone_assoc.simulator import (
     ScenarioConfig,
     generate_scenario,
@@ -136,6 +139,43 @@ class TestTrackCommand:
         ])
         assert code == 0
 
+    def test_rotation_weight_and_no_rotation_exit_two(self, tiny_scenario, tmp_path, capsys):
+        _, paths = tiny_scenario
+        with pytest.raises(SystemExit) as exc:
+            main(["track", "--detections", paths.detections,
+                  "--embeddings", paths.embeddings,
+                  "--output", str(tmp_path / "results.txt"),
+                  "--w-r", "0.3", "--no-rotation"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "results.txt").exists()
+
+    @pytest.mark.parametrize("flag, key, config_value, flag_value", [
+        ("--no-afs", "use_afs", "true", False),
+        ("--no-dmp", "use_dmp", "true", False),
+        ("--no-rotation", "w_r", "0.3", 0.0),
+    ])
+    def test_no_flag_overrides_the_config_file(
+            self, tmp_path, monkeypatch, flag, key, config_value, flag_value):
+        """Each --no-* flag sets its RunConfig field over the config file's
+        value; without the flag the file's value holds."""
+        seen = []
+
+        def run_tracking(cfg):
+            seen.append(cfg)
+            return RunSummary(0, 0, 0, 0.0)
+
+        monkeypatch.setattr(cli, "run_tracking", run_tracking)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"detections = d.txt\nembeddings = e.bin\n"
+                            f"output = r.txt\nw_a = 0.7\n{key} = {config_value}\n")
+        assert main(["track", "--config", str(cfg_path)]) == 0
+        assert main(["track", "--config", str(cfg_path), flag]) == 0
+        from_file, from_flag = seen
+        assert getattr(from_flag, key) == flag_value != getattr(from_file, key)
+        assert from_flag == dataclasses.replace(from_file, **{key: flag_value})
+        assert from_flag.w_a == 0.7
+
     def test_infinite_cost_weight_exits_two(self, tiny_scenario, tmp_path):
         _, paths = tiny_scenario
         with pytest.raises(SystemExit) as exc:
@@ -228,6 +268,12 @@ class TestAblateCommand:
         with pytest.raises(SystemExit) as exc:
             main(["ablate", "--out", str(tmp_path), "--cells", "baseline,fancy"])
         assert exc.value.code == 2
+
+    def test_repeated_cell_exits_two(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--out", str(tmp_path / "abl"), "--cells", "full,full"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "abl").exists()
 
     def test_empty_cells_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

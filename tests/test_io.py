@@ -447,3 +447,9 @@ class TestRunConfig:
             read_key_values(str(path))
         with pytest.raises(FormatError):
             read_key_values(str(tmp_path / "absent.cfg"))
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("w_a = 0.5\n# again\nw_r = 0.1\n w_a = 2\n")
+        with pytest.raises(FormatError, match="run.cfg:4: key 'w_a' appears twice"):
+            read_key_values(str(path))

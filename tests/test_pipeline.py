@@ -1,5 +1,7 @@
 """End-to-end run plumbing and the ablation harness."""
 
+import dataclasses
+import logging
 import os
 
 import numpy as np
@@ -15,7 +17,6 @@ from drone_assoc.mot_io import RunConfig, parse_affines, parse_detections, parse
 from drone_assoc.pipeline import (
     ABLATION_CELLS,
     OnlineAffineEstimator,
-    _cell_config,
     camera_source,
     run_ablation,
     run_tracking,
@@ -157,8 +158,9 @@ class TestTrackFrames:
         ), str(tmp_path / "data"))
         frames = [fd for fd in parse_detections(paths.detections, paths.embeddings, 8, 0.1)
                   if fd.frame not in self.GAPS]
-        cfg = RunConfig(use_dmp=source != "none", seed=3)
-        affines = parse_affines(paths.affines) if source == "sidecar" else None
+        sidecar = paths.affines if source == "sidecar" else None
+        cfg = RunConfig(use_dmp=source != "none", seed=3, affines=sidecar)
+        affines = parse_affines(sidecar) if sidecar else None
 
         tracker = Tracker(cfg.tracker_config())
         estimator = OnlineAffineEstimator(cfg.theta_high, cfg.seed)
@@ -170,7 +172,7 @@ class TestTrackFrames:
                  else estimator.step(fd) if source == "online" else None)
             want.append(tracker.associate_frame(fd, m))
 
-        source_camera = camera_source(cfg, affines)
+        source_camera = camera_source(cfg)
         seen = []
 
         def camera(fd):
@@ -185,13 +187,14 @@ class TestTrackFrames:
 
     def test_camera_source_follows_the_run_config(self, tmp_path):
         paths = scenario_inputs(tmp_path)
-        affines = parse_affines(paths.affines)
+        want = parse_affines(paths.affines)[4].m
         fd = FrameDetections(4, ())
-        assert camera_source(RunConfig(), affines)(fd) is affines[4]
-        assert camera_source(RunConfig(use_dmp=False), affines)(fd) is None
-        online = camera_source(RunConfig(), None)
+        sidecar = RunConfig(affines=paths.affines)
+        assert np.array_equal(camera_source(sidecar)(fd).m, want)
+        assert camera_source(dataclasses.replace(sidecar, use_dmp=False))(fd) is None
+        online = camera_source(RunConfig())
         assert isinstance(online.__self__, OnlineAffineEstimator)
-        assert camera_source(RunConfig(use_dmp=False), None)(fd) is None
+        assert camera_source(RunConfig(use_dmp=False))(fd) is None
 
     def test_empty_input_yields_nothing(self):
         tracker = Tracker()
@@ -232,10 +235,12 @@ class TestRunTracking:
         ))
         assert summary.frames == 20 and os.path.exists(out)
 
-    def test_disabling_motion_compensation_ignores_transform(self, tmp_path):
-        """With DMP off no camera motion reaches the tracker: the results
-        have the same bytes with and without the sidecar, which changes them
-        with DMP on."""
+    def test_disabling_motion_compensation_ignores_transform(
+            self, tmp_path, monkeypatch, caplog):
+        """With DMP off no camera motion reaches the tracker and the sidecar
+        is never opened: the results have the same bytes with no sidecar, a
+        good one, a broken one and an absent one, with no sidecar warning;
+        the good sidecar changes them with DMP on."""
         paths = generate_scenario(ScenarioConfig(
             seed=5, n_objects=8, n_frames=20, world_extent=400.0,
             camera_script=(translate(8.0, -3.0, 10), rotate(0.03, 10)),
@@ -250,8 +255,15 @@ class TestRunTracking:
             with open(out, "rb") as fh:
                 return fh.read()
 
+        broken = tmp_path / "bad.csv"
+        broken.write_text("2,1,0,x\n")
         off = results("off.txt", use_dmp=False)
-        assert results("off-sidecar.txt", use_dmp=False, affines=paths.affines) == off
+        with monkeypatch.context() as m, caplog.at_level(logging.INFO, "drone_assoc"):
+            m.setattr(pipeline, "parse_affines", None)  # any call would fail
+            for name, sidecar in (("good", paths.affines), ("broken", str(broken)),
+                                  ("absent", str(tmp_path / "absent.csv"))):
+                assert results(f"off-{name}.txt", use_dmp=False, affines=sidecar) == off
+        assert not [r for r in caplog.records if "sidecar" in r.getMessage()]
         assert results("on-sidecar.txt", affines=paths.affines) != off
 
     def test_gap_frames_are_fed_as_empty(self, tmp_path):
@@ -284,9 +296,16 @@ class TestAblation:
             run_ablation(ScenarioConfig(n_objects=2, n_frames=5),
                          str(tmp_path), cells=("fancy",))
 
+    def test_repeated_cell_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="ablation cell 'full' appears twice"):
+            run_ablation(ScenarioConfig(n_objects=2, n_frames=5),
+                         str(tmp_path / "abl"), cells=("full", "dmp", "full"))
+        assert not (tmp_path / "abl").exists()
+
     def test_cell_toggle_matrix(self):
         base = RunConfig()
-        cells = {label: _cell_config(label, base) for label in ABLATION_CELLS}
+        cells = {label: dataclasses.replace(base, **overrides)
+                 for label, overrides in ABLATION_CELLS.items()}
         assert cells["baseline"].use_dmp is False
         assert cells["baseline"].use_afs is False
         assert cells["baseline"].w_r == 0.0
@@ -330,14 +349,15 @@ class TestAblation:
         rows = []
         for label in ABLATION_CELLS:
             out = str(tmp_path / f"ref_{label}.txt")
-            run_tracking(_cell_config(label, RunConfig(
+            run_tracking(RunConfig(
                 detections=str(data / "det.txt"),
                 embeddings=str(data / "embeddings.bin"),
                 affines=str(data / "affines.csv"),
                 output=out,
                 embedding_dim=self.SCENARIO.embedding_dim,
                 seed=self.SCENARIO.seed,
-            )))
+                **ABLATION_CELLS[label],
+            ))
             with open(out, "rb") as fh:
                 assert (out_dir / f"results_{label}.txt").read_bytes() == fh.read(), label
             rows.append((label, evaluate(gt, parse_mot_lines(out)[0])))

@@ -317,10 +317,10 @@ def test_last_stats_totals_equal_the_traced_counts_of_one_benchmark_pass(
     paths = sim.generate_scenario(cfg, str(tmp_path))
     frames = parse_detections(paths.detections, embeddings_path=paths.embeddings,
                               embedding_dim=cfg.embedding_dim, min_score=0.1)
-    affines = parse_affines(paths.affines) if scene == "crowd" else None
+    cfg = RunConfig(affines=paths.affines if scene == "crowd" else None)
     tracker = Tracker()
     totals = dict.fromkeys(counts, 0)
-    for _ in track_frames(frames, camera_source(RunConfig(), affines), tracker):
+    for _ in track_frames(frames, camera_source(cfg), tracker):
         for key in totals:
             totals[key] += getattr(tracker.last_stats, key)
     assert totals == counts
