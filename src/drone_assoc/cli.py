@@ -16,8 +16,7 @@ import os
 import sys
 from typing import Optional
 
-from .core import ConfigError
-from .metrics import EvaluationError, evaluate, report_csv, report_table
+from .metrics import evaluate, report_csv, report_table
 from .mot_io import (
     FormatError,
     RunConfig,
@@ -120,7 +119,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             if args.command == "eval":
                 return _cmd_eval(parser, args)
             return _cmd_ablate(parser, args)
-        except (FormatError, EvaluationError, OSError, ValueError) as e:
+        except (OSError, ValueError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
     finally:
@@ -141,18 +140,13 @@ def _cmd_simulate(parser, args) -> int:
 
 
 def _cmd_track(parser, args) -> int:
-    merged: dict = {}
-    if args.config:
-        try:
-            merged.update(read_key_values(args.config))
-        except FormatError as e:
-            parser.error(str(e))
     fields = {f.name for f in dataclasses.fields(RunConfig)}
-    merged.update((key, value) for key, value in vars(args).items()
-                  if key in fields and value is not None)
+    flags = {key: value for key, value in vars(args).items()
+             if key in fields and value is not None}
     try:
-        cfg = run_config_from_dict(merged, source=args.config or "flags")
-    except (FormatError, ConfigError, ValueError) as e:
+        merged = read_key_values(args.config) if args.config else {}
+        cfg = run_config_from_dict({**merged, **flags}, source=args.config or "flags")
+    except ValueError as e:
         parser.error(str(e))
     for required in ("detections", "embeddings", "output"):
         if getattr(cfg, required) is None:
@@ -188,7 +182,10 @@ def _cmd_ablate(parser, args) -> int:
         parser.error(f"--cells must name distinct cells of {','.join(ABLATION_CELLS)}")
     scenario = standard_ablation_scenario()
     if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
+        try:
+            scenario = dataclasses.replace(scenario, seed=args.seed)
+        except ValueError as e:
+            parser.error(f"--seed: {e}")
     rows = run_ablation(scenario, args.out, cells)
     print(report_table(rows))
     print(f"table and CSV written under {args.out}")

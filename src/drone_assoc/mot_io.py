@@ -25,7 +25,9 @@ are CSV rows ``frame,a,b,tx,c,d,ty``. Results are written as
 
 Frames are 1-based; ordinals are 0-based positions of a detection within
 its frame, counted in file order. Floats are written with repr so that
-write -> parse round-trips exactly and reruns are byte-identical.
+write -> parse round-trips exactly and reruns are byte-identical. One
+codec reads every ``key = value`` config, the run config and the scenario
+file: each field's reader is picked by its declared type (field_codecs).
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import numpy as np
 
 from .core import (
     BoundingBox,
+    ConfigError,
     FrameDetections,
     TrackerConfig,
     ZeroNormError,
@@ -653,6 +656,13 @@ class RunConfig(TrackerConfig):
     seed: int = 0
     use_dmp: bool = True
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.embedding_dim is not None and self.embedding_dim < 1:
+            raise ConfigError("embedding_dim must be >= 1")
+
     def tracker_config(self) -> TrackerConfig:
         """The tracker settings alone, as a plain TrackerConfig."""
         return TrackerConfig(**{f.name: getattr(self, f.name)
@@ -666,35 +676,48 @@ def _path(value) -> Optional[str]:
 
 
 def _flag(value) -> bool:
-    if isinstance(value, bool):
-        return value
     lowered = str(value).strip().lower()
     if lowered not in ("true", "false", "0", "1"):
         raise ValueError("must be true/false")
     return lowered in ("true", "1")
 
 
-# each setting's coercion, picked by the type RunConfig declares for it with
-# Optional unwrapped; only a path reads "none" (in any case) or "" as no value
-_COERCIONS = {
-    name: {str: _path, bool: _flag, int: int, float: float}[
-        next((a for a in typing.get_args(hint) if a is not type(None)), hint)]
-    for name, hint in typing.get_type_hints(RunConfig).items()
-}
+# the reader of each plain setting type; only a path reads "none" (in any
+# case) or "" as no value
+_READERS = {str: _path, bool: _flag, int: int, float: float}
+
+
+def field_codecs(cls, table: dict) -> dict:
+    """Each field of the dataclass cls mapped to the table's entry for its
+    declared type, Optional[...] unwrapped; a type not in the table is a
+    KeyError, so a field without a codec fails on import."""
+    codecs = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        if type(None) in args:
+            (hint,) = (a for a in args if a is not type(None))
+        codecs[name] = table[hint]
+    return codecs
+
+
+def read_config_values(values: dict, source: str, readers: dict) -> dict:
+    """A config's keyword arguments: each value (a string from a file, or a
+    typed value from a CLI flag) read by its key's reader."""
+    kwargs = {}
+    for key, value in values.items():
+        read = readers.get(key)
+        if read is None:
+            raise FormatError(f"{source}: unknown key {key!r}")
+        try:
+            kwargs[key] = read(value)
+        except (ValueError, TypeError) as e:
+            raise FormatError(f"{source}: bad value for {key!r}: {value!r}: {e}") from e
+    return kwargs
+
+
+_RUN_READERS = field_codecs(RunConfig, _READERS)
 
 
 def run_config_from_dict(values: dict, source: str = "config") -> RunConfig:
-    """Build a RunConfig from key/values (strings from a file, typed values
-    from CLI flags), coercing each to its field's declared type."""
-    kwargs = {}
-    for key, value in values.items():
-        coerce = _COERCIONS.get(key)
-        if coerce is None:
-            raise FormatError(f"{source}: unknown key {key!r}")
-        try:
-            kwargs[key] = coerce(value)
-        except (ValueError, TypeError) as e:
-            if coerce is _flag:
-                raise FormatError(f"{source}: {key} must be true/false") from e
-            raise FormatError(f"{source}: bad value for {key!r}: {value!r}") from e
-    return RunConfig(**kwargs)
+    """Build a RunConfig from key/values, reading each by its field's type."""
+    return RunConfig(**read_config_values(values, source, _RUN_READERS))

@@ -12,15 +12,17 @@ camera rotation grows, plus per-frame noise. The affine sidecar holds the
 exact frame-to-frame viewport transform.
 
 One numpy PCG64 stream seeded from the config drives everything; rerunning
-a config writes byte-identical files.
+a config writes byte-identical files. The config is written as scenario.txt
+by one (writer, reader) pair per field type, and reads back equal through
+mot_io's key = value codec.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +30,8 @@ from .core import BoundingBox, normalize
 from .mot_io import (
     FormatError,
     MotLine,
+    field_codecs,
+    read_config_values,
     read_key_values,
     write_affines,
     write_embeddings,
@@ -51,6 +55,10 @@ def _require_finite(config, *names: str) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+# each camera phase kind and the numbers it writes before its duration
+_PHASE_ARGS = {"hover": (), "translate": ("vx", "vy"), "rotate": ("omega",)}
+
+
 @dataclass(frozen=True)
 class CameraPhase:
     """One scripted segment: 'hover', 'translate' (vx, vy px/frame image
@@ -63,7 +71,7 @@ class CameraPhase:
     omega: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("hover", "translate", "rotate"):
+        if self.kind not in _PHASE_ARGS:
             raise ValueError(f"unknown camera phase kind {self.kind!r}")
         if self.duration < 1:
             raise ValueError("phase duration must be >= 1 frame")
@@ -122,6 +130,8 @@ class ScenarioConfig:
     occlusion_events: tuple[OcclusionEvent, ...] = ()
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_objects < 0 or self.n_frames < 1:
             raise ValueError("need n_objects >= 0 and n_frames >= 1")
         _require_finite(self, "world_extent", "object_speed_range", "detection_noise_sigma",
@@ -360,93 +370,62 @@ def generate_scenario(cfg: ScenarioConfig, out_dir: str) -> ScenarioPaths:
 # -- scenario config as key = value text --------------------------------------
 
 
-def _script_to_str(script: Sequence[CameraPhase]) -> str:
-    parts = []
-    for p in script:
-        if p.kind == "hover":
-            parts.append(f"hover:{p.duration}")
-        elif p.kind == "translate":
-            parts.append(f"translate:{p.vx!r}:{p.vy!r}:{p.duration}")
-        else:
-            parts.append(f"rotate:{p.omega!r}:{p.duration}")
-    return ";".join(parts)
+def _parts(text: str, sep: str, n: int) -> list[str]:
+    """text split at sep, refused unless it holds exactly n parts."""
+    parts = text.split(sep)
+    if len(parts) != n:
+        raise ValueError(f"expected {n} values separated by {sep!r}, got {len(parts)}")
+    return parts
 
 
-def _script_from_str(text: str) -> tuple[CameraPhase, ...]:
-    if not text:
-        return ()
-    phases = []
-    for part in text.split(";"):
-        bits = part.split(":")
-        kind = bits[0]
-        try:
-            if kind == "hover" and len(bits) == 2:
-                phases.append(hover(int(bits[1])))
-            elif kind == "translate" and len(bits) == 4:
-                phases.append(translate(float(bits[1]), float(bits[2]), int(bits[3])))
-            elif kind == "rotate" and len(bits) == 3:
-                phases.append(rotate(float(bits[1]), int(bits[2])))
-            else:
-                raise ValueError("expected hover:N, translate:VX:VY:N or rotate:OMEGA:N")
-        except ValueError as e:
-            raise ValueError(f"bad camera phase {part!r}: {e}") from e
-    return tuple(phases)
+def _items(text: str) -> list[str]:
+    """The ';'-separated items of a list value; an empty value has none."""
+    return text.split(";") if text else []
+
+
+def _write_phase(phase: CameraPhase) -> str:
+    args = (repr(getattr(phase, name)) for name in _PHASE_ARGS[phase.kind])
+    return ":".join([phase.kind, *args, str(phase.duration)])
+
+
+def _read_phase(text: str) -> CameraPhase:
+    kind = text.split(":")[0]
+    if kind not in _PHASE_ARGS:
+        raise ValueError(f"unknown camera phase kind {kind!r}")
+    names = _PHASE_ARGS[kind]
+    _, *args, duration = _parts(text, ":", len(names) + 2)
+    return CameraPhase(kind, int(duration), **dict(zip(names, map(float, args))))
+
+
+# the (writer, reader) of each ScenarioConfig field type: ints are written
+# with str and floats with repr, so a written file reads back exactly; each
+# reader takes exactly as many values as its writer writes
+_CODECS = {
+    int: (str, int),
+    float: (repr, float),
+    tuple[float, float]: (lambda pair: ",".join(map(repr, pair)),
+                          lambda text: tuple(map(float, _parts(text, ",", 2)))),
+    ScoreModel: (lambda model: ",".join(map(repr, dataclasses.astuple(model))),
+                 lambda text: ScoreModel(*map(float, _parts(text, ",", 4)))),
+    tuple[CameraPhase, ...]: (lambda script: ";".join(map(_write_phase, script)),
+                              lambda text: tuple(map(_read_phase, _items(text)))),
+    tuple[OcclusionEvent, ...]: (
+        lambda events: ";".join(":".join(map(str, dataclasses.astuple(ev))) for ev in events),
+        lambda text: tuple(OcclusionEvent(*map(int, _parts(part, ":", 3)))
+                           for part in _items(text))),
+}
+_FIELD_CODECS = field_codecs(ScenarioConfig, _CODECS)
+_FIELD_READERS = {name: read for name, (_, read) in _FIELD_CODECS.items()}
 
 
 def save_scenario_config(cfg: ScenarioConfig, path: str) -> None:
-    values = {
-        "seed": cfg.seed,
-        "n_objects": cfg.n_objects,
-        "n_frames": cfg.n_frames,
-        "world_extent": repr(cfg.world_extent),
-        "object_speed_range": f"{cfg.object_speed_range[0]!r},{cfg.object_speed_range[1]!r}",
-        "camera_script": _script_to_str(cfg.camera_script),
-        "detection_noise_sigma": repr(cfg.detection_noise_sigma),
-        "miss_prob": repr(cfg.miss_prob),
-        "false_positive_rate": repr(cfg.false_positive_rate),
-        "score_model": ",".join(repr(v) for v in (
-            cfg.score_model.mean_hit, cfg.score_model.sigma_hit,
-            cfg.score_model.mean_fp, cfg.score_model.sigma_fp)),
-        "embedding_dim": cfg.embedding_dim,
-        "view_drift_rate": repr(cfg.view_drift_rate),
-        "occlusion_events": ";".join(
-            f"{ev.object_index}:{ev.start}:{ev.duration}" for ev in cfg.occlusion_events
-        ),
-    }
+    values = {f.name: _FIELD_CODECS[f.name][0](getattr(cfg, f.name))
+              for f in dataclasses.fields(cfg)}
     write_key_values(path, values, comment=f"scenario config, rng={RNG_ALGORITHM}")
 
 
 def load_scenario_config(path: str) -> ScenarioConfig:
-    raw = read_key_values(path)
-    kwargs: dict = {}
-    try:
-        for key, value in raw.items():
-            if key in ("seed", "n_objects", "n_frames", "embedding_dim"):
-                kwargs[key] = int(value)
-            elif key in ("world_extent", "detection_noise_sigma", "miss_prob",
-                         "false_positive_rate", "view_drift_rate"):
-                kwargs[key] = float(value)
-            elif key == "object_speed_range":
-                lo, hi = value.split(",")
-                kwargs[key] = (float(lo), float(hi))
-            elif key == "camera_script":
-                kwargs[key] = _script_from_str(value)
-            elif key == "score_model":
-                mh, sh, mf, sf = (float(v) for v in value.split(","))
-                kwargs[key] = ScoreModel(mh, sh, mf, sf)
-            elif key == "occlusion_events":
-                events = []
-                if value:
-                    for part in value.split(";"):
-                        obj, start, dur = (int(v) for v in part.split(":"))
-                        events.append(OcclusionEvent(obj, start, dur))
-                kwargs[key] = tuple(events)
-            else:
-                raise FormatError(f"{path}: unknown key {key!r}")
-    except (ValueError, TypeError) as e:
-        if isinstance(e, FormatError):
-            raise
-        raise FormatError(f"{path}: bad value for {key!r}: {e}") from e
+    kwargs = read_config_values(read_key_values(path), path, _FIELD_READERS)
     try:
         return ScenarioConfig(**kwargs)
     except ValueError as e:

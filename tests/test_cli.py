@@ -12,6 +12,7 @@ from drone_assoc.pipeline import RunSummary
 from drone_assoc.simulator import (
     ScenarioConfig,
     generate_scenario,
+    rotate,
     save_scenario_config,
     translate,
 )
@@ -64,6 +65,30 @@ class TestSimulateCommand:
         assert exc.value.code == 2
         assert "world_extent must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_exits_two_before_writing(self, tmp_path, capsys):
+        cfg_path = tmp_path / "scenario.txt"
+        cfg_path.write_text("seed = -1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg_path), "--out",
+                  str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_written_scenario_reproduces_its_files(self, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        cfg = ScenarioConfig(seed=4, n_objects=5, n_frames=20, world_extent=300.0,
+                             camera_script=(translate(3.0, -1.0, 10), rotate(0.02, 10)),
+                             detection_noise_sigma=0.5, miss_prob=0.1,
+                             false_positive_rate=0.5, embedding_dim=8)
+        generate_scenario(cfg, str(first))
+        code = main(["simulate", "--config", str(first / "scenario.txt"),
+                     "--out", str(again)])
+        assert code == 0
+        for name in ("gt.txt", "det.txt", "embeddings.bin", "affines.csv",
+                     "scenario.txt"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
 
 
 class TestTrackCommand:
@@ -213,6 +238,25 @@ class TestTrackCommand:
                   "--output", str(tmp_path / "r.txt")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("seed = -1", "seed must be >= 0"),
+        ("embedding_dim = 0", "embedding_dim must be >= 1"),
+    ])
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_out_of_range_setting_exits_two_naming_its_key(
+            self, tiny_scenario, tmp_path, capsys, line, message, sidecar):
+        _, paths = tiny_scenario
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(line + "\n")
+        argv = ["track", "--config", str(cfg_path),
+                "--detections", paths.detections, "--embeddings", paths.embeddings,
+                "--output", str(tmp_path / "r.txt")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--affines", paths.affines] if sidecar else []))
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists()
+
     def test_missing_detections_after_merge_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["track", "--output", str(tmp_path / "r.txt"),
@@ -279,6 +323,13 @@ class TestAblateCommand:
         with pytest.raises(SystemExit) as exc:
             main(["ablate", "--out", str(tmp_path), "--cells", ","])
         assert exc.value.code == 2
+
+    def test_negative_seed_exits_two_before_writing(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--out", str(tmp_path / "abl"), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "abl").exists()
 
     def test_single_cell_run(self, tmp_path, capsys):
         out = tmp_path / "abl"

@@ -1,7 +1,9 @@
 """MOT files, embedding sidecars, affine sidecars, and config files."""
 
+import dataclasses
 import logging
 import struct
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from drone_assoc.mot_io import (
     FormatError,
     MotLine,
     RunConfig,
+    field_codecs,
     parse_affines,
     parse_detections,
     parse_embeddings,
@@ -379,12 +382,30 @@ class TestRunConfig:
             run_config_from_dict({"speed": "11"})
 
     def test_bad_bool_rejected(self):
-        with pytest.raises(FormatError):
-            run_config_from_dict({"use_afs": "maybe"})
+        with pytest.raises(FormatError) as exc:
+            run_config_from_dict({"use_afs": "maybe"}, source="run.cfg")
+        assert str(exc.value) == "run.cfg: bad value for 'use_afs': 'maybe': must be true/false"
 
     def test_bad_number_rejected(self):
-        with pytest.raises(FormatError):
-            run_config_from_dict({"w_a": "heavy"})
+        with pytest.raises(FormatError) as exc:
+            run_config_from_dict({"w_a": "heavy"}, source="run.cfg")
+        assert str(exc.value).startswith("run.cfg: bad value for 'w_a': 'heavy': ")
+
+    def test_optional_alone_is_unwrapped(self):
+        @dataclasses.dataclass
+        class Settings:
+            count: Optional[int] = None
+            label: Optional[str] = None
+
+        @dataclasses.dataclass
+        class Pair:
+            pair: tuple[float, float] = (0.0, 1.0)
+
+        table = {int: int, str: str, float: float}
+        assert field_codecs(Settings, table) == {"count": int, "label": str}
+        # a generic other than Optional is not read as its first argument
+        with pytest.raises(KeyError):
+            field_codecs(Pair, table)
 
     @pytest.mark.parametrize("key, value, expected", [
         ("detections", "det.txt", "det.txt"),
@@ -407,6 +428,8 @@ class TestRunConfig:
         ("theta_high", "0.7", 0.7),
         ("radius_R", "1e2", 100.0),
         ("iou_gate", 0, 0.0),
+        ("seed", "0", 0),
+        ("embedding_dim", "1", 1),
     ])
     def test_accepted_value(self, key, value, expected):
         got = getattr(run_config_from_dict({key: value}), key)
@@ -428,6 +451,9 @@ class TestRunConfig:
         ("alpha_f", "nan", ConfigError),
         ("iou_gate", "nan", ConfigError),
         ("key_bank_capacity", "0", ConfigError),
+        ("seed", "-1", ConfigError),
+        ("embedding_dim", "0", ConfigError),
+        ("embedding_dim", -3, ConfigError),
     ])
     def test_rejected_value(self, key, value, error):
         with pytest.raises(error):

@@ -237,6 +237,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             quiet_config(detection_noise_sigma=-1.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            quiet_config(seed=-1)
+        assert quiet_config(seed=0).seed == 0
+
     def test_speed_range_ordering_enforced(self):
         with pytest.raises(ValueError):
             quiet_config(object_speed_range=(3.0, 0.5))
@@ -267,32 +272,62 @@ class TestConfigValidation:
             ScoreModel(sigma_fp=-0.1)
 
 
+ROUND_TRIP_CONFIGS = {
+    "all-fields": ScenarioConfig(
+        seed=11,
+        n_objects=6,
+        n_frames=30,
+        world_extent=512.0,
+        object_speed_range=(0.25, 2.75),
+        camera_script=(hover(10), translate(1.5, -0.5, 10), rotate(0.01, 10)),
+        detection_noise_sigma=1.25,
+        miss_prob=0.05,
+        false_positive_rate=0.75,
+        score_model=ScoreModel(0.8, 0.1, 0.3, 0.15),
+        embedding_dim=16,
+        view_drift_rate=0.4,
+        occlusion_events=(OcclusionEvent(2, 5, 4),),
+    ),
+    "empty-script-and-events": quiet_config(),
+    "every-phase-kind-twice": quiet_config(
+        n_frames=60,
+        camera_script=(rotate(-0.03, 10), hover(10), translate(0.1, 1e-9, 10),
+                       hover(5), translate(-8.0, 3.0, 5), rotate(1 / 3, 20)),
+        occlusion_events=(OcclusionEvent(0, 1, 1), OcclusionEvent(3, 7, 50)),
+    ),
+    "integer-speed-range": quiet_config(object_speed_range=(1, 2)),
+    "standard": standard_ablation_scenario(),
+    "defaults": ScenarioConfig(),
+}
+
+
 class TestScenarioConfigFiles:
-    def test_round_trip_equality(self, tmp_path):
-        cfg = ScenarioConfig(
-            seed=11,
-            n_objects=6,
-            n_frames=30,
-            world_extent=512.0,
-            object_speed_range=(0.25, 2.75),
-            camera_script=(hover(10), translate(1.5, -0.5, 10), rotate(0.01, 10)),
-            detection_noise_sigma=1.25,
-            miss_prob=0.05,
-            false_positive_rate=0.75,
-            score_model=ScoreModel(0.8, 0.1, 0.3, 0.15),
-            embedding_dim=16,
-            view_drift_rate=0.4,
-            occlusion_events=(OcclusionEvent(2, 5, 4),),
-        )
+    @pytest.mark.parametrize("name", ROUND_TRIP_CONFIGS)
+    def test_round_trip_equality(self, tmp_path, name):
+        cfg = ROUND_TRIP_CONFIGS[name]
         path = str(tmp_path / "scenario.txt")
         save_scenario_config(cfg, path)
         assert load_scenario_config(path) == cfg
 
-    def test_empty_script_and_events_round_trip(self, tmp_path):
-        cfg = quiet_config()
-        path = str(tmp_path / "scenario.txt")
-        save_scenario_config(cfg, path)
-        assert load_scenario_config(path) == cfg
+    def test_written_text_of_the_standard_scenario(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        save_scenario_config(standard_ablation_scenario(42), str(path))
+        assert path.read_text() == (
+            "# scenario config, rng=numpy-pcg64\n"
+            "seed = 42\n"
+            "n_objects = 20\n"
+            "n_frames = 600\n"
+            "world_extent = 1000.0\n"
+            "object_speed_range = 0.5,3.0\n"
+            "camera_script = hover:100;translate:4.0:1.0:200;rotate:0.02:150;hover:150\n"
+            "detection_noise_sigma = 1.5\n"
+            "miss_prob = 0.08\n"
+            "false_positive_rate = 0.5\n"
+            "score_model = 0.85,0.08,0.35,0.12\n"
+            "embedding_dim = 32\n"
+            "view_drift_rate = 0.3\n"
+            "occlusion_events = 3:150:25;7:330:25\n"
+        )
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "scenario.txt"
@@ -316,6 +351,31 @@ class TestScenarioConfigFiles:
         path = tmp_path / "scenario.txt"
         path.write_text("n_frames = 10\ncamera_script = translate:inf:0:10\n")
         with pytest.raises(FormatError, match="'camera_script'.*vx must be finite"):
+            load_scenario_config(str(path))
+
+    @pytest.mark.parametrize("line", [
+        "score_model = 0.8,0.1,0.3",
+        "score_model = 0.8,0.1,0.3,0.1,0.2",
+        "object_speed_range = 1,2,3",
+        "object_speed_range = 1",
+        "camera_script = rotate:0.1",
+        "camera_script = translate:1:10",
+        "camera_script = hover:5;hover",
+        "occlusion_events = 1:2",
+        "occlusion_events = 1:2:3;1:2:3:4",
+    ])
+    def test_wrong_count_of_values_names_its_key(self, tmp_path, line):
+        key, _, value = line.partition(" = ")
+        path = tmp_path / "scenario.txt"
+        path.write_text(f"n_frames = 10\n{line}\n")
+        with pytest.raises(FormatError) as exc:
+            load_scenario_config(str(path))
+        assert str(exc.value).startswith(f"{path}: bad value for {key!r}: {value!r}: ")
+
+    def test_negative_seed_names_its_key(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text("seed = -1\n")
+        with pytest.raises(FormatError, match="scenario.txt: seed must be >= 0"):
             load_scenario_config(str(path))
 
 
