@@ -1,17 +1,17 @@
 """File formats.
 
-Every text input is streamed through one line reader, _text_lines: UTF-8,
-lines ending at LF, CR or CRLF and numbered from 1, blanks and lines that
-start with ``#`` skipped. An unreadable path, or a byte that is not UTF-8
-on any line, is a FormatError naming the file, and for a byte its line.
+Every text input is streamed through one line reader, _text_lines: UTF-8
+less a leading BOM, lines ending at LF, CR or CRLF and numbered from 1,
+blanks and lines that start with ``#`` skipped. An unreadable path, or a
+byte that is not UTF-8 on any line, is a FormatError naming the file, and
+for a byte its line.
 
 Detections and ground truth use MOT-style CSV rows
 ``frame,id,x,y,w,h,score,class,visibility`` (first 9 columns read, extras
 ignored). parse_mot_lines reads a file into a MotTable: one (R, 9) float64
-block in file order, with int64 frame, id and class columns. A well-formed
-file is converted in one np.loadtxt call; a file that call rejects, with a
-'#' after a field, or with a row a rule charges is read line by line, which
-names the bad rows.
+block in file order, with int64 frame, id and class columns. A file is
+converted once, by np.loadtxt, or line by line when that rejects it or a
+'#' follows a field; the rules then charge the rows of either block once.
 
 Embeddings ride in a binary sidecar keyed by (frame, ordinal-within-frame);
 a CSV fallback with rows ``frame,ordinal,v0..v{D-1}`` is accepted. Either
@@ -76,12 +76,12 @@ class FormatError(ValueError):
 @contextmanager
 def _opened(path: str, binary: bool = False) -> Iterator[IO]:
     """`path` opened for reading, as bytes or as UTF-8 text with universal
-    newlines; an OSError, on opening or reading, is a FormatError naming
-    the file. A text byte that is not UTF-8 reads as a lone surrogate
-    (surrogateescape), for _check_utf8 to report."""
+    newlines and a leading byte-order mark dropped; an OSError, on opening or
+    reading, is a FormatError naming the file. A text byte that is not UTF-8
+    reads as a lone surrogate (surrogateescape), for _check_utf8 to report."""
     try:
         with (open(path, "rb") if binary else
-              open(path, "r", encoding="utf-8", errors="surrogateescape")) as fh:
+              open(path, "r", encoding="utf-8-sig", errors="surrogateescape")) as fh:
             yield fh
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from e
@@ -170,29 +170,66 @@ class IngestStats:
 def parse_mot_lines(path: str) -> tuple[MotTable, IngestStats]:
     """Read a MOT CSV file leniently; fatal when >10% of rows are malformed.
 
-    A file is converted in one np.loadtxt call when numpy's reader takes it
-    and each '#' in it opens a comment line. The rules then run as masks
-    over the converted block, each row charged to the first rule it breaks:
-    a non-finite or non-int64 frame, id or class, a non-finite box field or
-    score, frame < 1 (all malformed), then a non-positive extent (skipped).
-    A file the bulk read rejects, or with a row a rule charges, is read
-    again line by line, which names each charged row as `path:line`, in line
-    order. Scores outside [0, 1] are clamped and counted.
+    A file is converted once: in one np.loadtxt call when numpy's reader
+    takes it and each '#' in it opens a comment line, else line by line,
+    which notes the short and non-numeric rows. The rules then run once, as
+    masks over the converted block, each row charged to the first rule it
+    breaks: a non-finite or non-int64 frame, id or class, a non-finite box
+    field or score, frame < 1 (all malformed), then a non-positive extent
+    (skipped). Each charged row is named as `path:line`, in line order; a
+    bulk-read block takes its line numbers from one pass that converts
+    nothing. Scores outside [0, 1] are clamped and counted.
     """
     rows = _bulk_rows(path)
-    if rows is not None:
-        ints, rules = _rule_masks(rows)
-        if not any(broken.any() for broken, _, _ in rules):
-            return _clamped_table(path, rows, ints, IngestStats(lines=rows.shape[0]))
-    return _parse_line_by_line(path)
+    linenos, notes = None, []
+    if rows is None:
+        rows, linenos, notes = _line_rows(path)
+    stats = IngestStats(lines=rows.shape[0] + len(notes), malformed=len(notes))
+    ints, rules = _rule_masks(rows)
+    keep = np.ones(rows.shape[0], dtype=bool)
+    for broken, message, malformed in rules:
+        hit = broken & keep
+        count = int(np.count_nonzero(hit))
+        if not count:
+            continue
+        keep &= ~hit
+        if linenos is None:  # the rows of a bulk-read block are the data lines
+            linenos = np.fromiter((ln for ln, _ in _text_lines(path)),
+                                  dtype=np.int64, count=rows.shape[0])
+        notes.extend((ln, message, ()) for ln in linenos[hit].tolist())
+        if malformed:
+            stats.malformed += count
+        else:
+            stats.skipped_empty_box += count
+    notes.sort(key=itemgetter(0))
+    for lineno, message, args in notes:
+        log.warning(message, path, lineno, *args)
+
+    if stats.lines and stats.malformed / stats.lines > MALFORMED_FATAL_RATIO:
+        raise FormatError(
+            f"{path}: {stats.malformed} of {stats.lines} rows malformed "
+            f"(limit {MALFORMED_FATAL_RATIO:.0%})"
+        )
+    if not keep.all():
+        rows, ints = rows[keep], ints[keep]
+    rows[:, _INT_COLUMNS] = ints
+    scores = rows[:, 6]
+    low, high = scores < 0.0, scores > 1.0
+    stats.clamped_scores = int(low.sum() + high.sum())
+    scores[low] = 0.0
+    scores[high] = 1.0
+    if stats.clamped_scores:
+        log.warning("%s: clamped %d out-of-range scores", path, stats.clamped_scores)
+    return MotTable(rows), stats
 
 
 def _bulk_rows(path: str) -> Optional[np.ndarray]:
     """The file's rows as one (R, 9) block from numpy's C reader, or None
     when it rejects the file or a '#' follows a field. loadtxt cuts a line
-    at any '#', where the line pass reads a '#' after a field as part of
-    the field. Every value the reader does convert, float() converts to the
-    same bits: both parse with the interpreter's string-to-double."""
+    at any '#', where the converter reads a '#' after a field as part of
+    the field. Decoded as _opened does, row i is the i-th data line of
+    _text_lines. Every value the reader does convert, float() converts to
+    the same bits: both parse with the interpreter's string-to-double."""
     with _opened(path) as fh:
         text = fh.read()
     _check_utf8(path, text, 1)
@@ -207,7 +244,7 @@ def _bulk_rows(path: str) -> Optional[np.ndarray]:
         with warnings.catch_warnings():  # a file of comments alone holds no data
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             return np.loadtxt(path, delimiter=",", comments="#", usecols=range(9),
-                              ndmin=2, encoding="utf-8")
+                              ndmin=2, encoding="utf-8-sig")
     except ValueError:
         return None
 
@@ -231,14 +268,13 @@ def _rule_masks(rows: np.ndarray) -> tuple[np.ndarray, tuple]:
     )
 
 
-def _parse_line_by_line(path: str) -> tuple[MotTable, IngestStats]:
-    """One pass over the lines splits and converts each row with `float`,
-    and diagnoses short and non-numeric rows; the rule masks then charge
-    the rest by line."""
-    stats = IngestStats()
-    values: list[float] = []  # 9 per accepted line
+def _line_rows(path: str) -> tuple[np.ndarray, np.ndarray, list]:
+    """The per-line converter, for a file the bulk read rejects: each data
+    line split and converted with `float` into an (R, 9) block, with the
+    line of each row. A short or non-numeric row is left out and noted as
+    (line, message, extra args); no rule runs here."""
+    values: list[float] = []  # 9 per converted line
     linenos: list[int] = []
-    # (line, message, extra args) of each row the line pass rejects
     notes: list[tuple[int, str, tuple]] = []
     for lineno, line in _text_lines(path):
         parts = line.split(",")
@@ -257,47 +293,8 @@ def _parse_line_by_line(path: str) -> tuple[MotTable, IngestStats]:
             notes.append((lineno, "%s:%d: non-numeric field", ()))
             continue
         linenos.append(lineno)
-    stats.lines = len(linenos) + len(notes)
-    stats.malformed = len(notes)
-
-    rows = np.array(values, dtype=np.float64).reshape(-1, 9)
-    ints, rules = _rule_masks(rows)
-    keep = np.ones(rows.shape[0], dtype=bool)
-    lines_of = np.array(linenos, dtype=np.int64)
-    for broken, message, malformed in rules:
-        hit = broken & keep
-        keep &= ~hit
-        hit_lines = lines_of[hit].tolist()
-        notes.extend((ln, message, ()) for ln in hit_lines)
-        if malformed:
-            stats.malformed += len(hit_lines)
-        else:
-            stats.skipped_empty_box += len(hit_lines)
-    notes.sort(key=lambda note: note[0])
-    for lineno, message, args in notes:
-        log.warning(message, path, lineno, *args)
-
-    if stats.lines and stats.malformed / stats.lines > MALFORMED_FATAL_RATIO:
-        raise FormatError(
-            f"{path}: {stats.malformed} of {stats.lines} rows malformed "
-            f"(limit {MALFORMED_FATAL_RATIO:.0%})"
-        )
-    return _clamped_table(path, rows[keep], ints[keep], stats)
-
-
-def _clamped_table(path: str, rows: np.ndarray, ints: np.ndarray,
-                   stats: IngestStats) -> tuple[MotTable, IngestStats]:
-    """The kept rows, with the truncated integer columns written back and
-    the scores clamped to [0, 1]."""
-    rows[:, _INT_COLUMNS] = ints
-    scores = rows[:, 6]
-    low, high = scores < 0.0, scores > 1.0
-    stats.clamped_scores = int(low.sum() + high.sum())
-    scores[low] = 0.0
-    scores[high] = 1.0
-    if stats.clamped_scores:
-        log.warning("%s: clamped %d out-of-range scores", path, stats.clamped_scores)
-    return MotTable(rows), stats
+    return (np.array(values, dtype=np.float64).reshape(-1, 9),
+            np.array(linenos, dtype=np.int64), notes)
 
 
 def parse_detections(

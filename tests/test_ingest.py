@@ -101,10 +101,10 @@ mot_files = st.tuples(
 ).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
 
 
-def write_lines(lines):
+def write_lines(lines, newline="\n"):
     fd, path = tempfile.mkstemp(suffix=".txt")
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        fh.write(newline.join(lines) + newline)
     return path
 
 
@@ -113,12 +113,15 @@ def same_bits(a, b):
 
 
 class TestMotParserLockstep:
-    @given(mot_files)
-    @example(["1,-0.0,0,0,10,10,0.9,-0.5", "2,-0.7,0,0,10,10,-0.0,0.9"])  # int(-0.0) is 0
-    @example(["1,1,0,0,10,10,0.9,1"] * 9 + ["1e300,1,0,0,10,10,0.9,1"])
+    # the bulk rows and their line numbers under each line ending
+    @given(mot_files, st.sampled_from(["\n", "\r\n", "\r"]))
+    @example(["1,-0.0,0,0,10,10,0.9,-0.5", "2,-0.7,0,0,10,10,-0.0,0.9"], "\n")  # int(-0.0) is 0
+    @example(["1,1,0,0,10,10,0.9,1"] * 9 + ["1e300,1,0,0,10,10,0.9,1"], "\n")
+    @example(["# c", "1,1,0,0,10,10,0.9,1"] * 5 + ["1,2,0,0,0,10,0.9,1"]
+             + ["", "2,1,0,0,10,10,0.9,1"] * 5, "\r")  # a zero-extent row
     @settings(max_examples=300, deadline=None)
-    def test_matches_the_per_row_reader(self, lines):
-        path = write_lines(lines)
+    def test_matches_the_per_row_reader(self, lines, newline):
+        path = write_lines(lines, newline)
         try:
             want, want_err, want_log = logged(reference_parse_mot_lines, path)
             got, got_err, got_log = logged(parse_mot_lines, path)
@@ -270,8 +273,14 @@ class TestIngestHazards:
 
 
 class TestLinePassDispatch:
-    """The per-line pass runs only for a file the bulk read rejects or with
-    a row a rule charges; clamping a score charges no row."""
+    """A file is converted once: by the per-line converter only when numpy's
+    reader rejects it. The file's lines are read once more (one _text_lines
+    pass) only by the converter, or for the line numbers of a charged row
+    in a bulk-read block; clamping a score charges no row."""
+
+    # numpy's reader rejects these three hazards
+    REJECTED = {"1,2,3.5,4,5,6,0.9,1,1.0 # note", "1,2,3_5,4,5,6,0.9,1,1.0",
+                "1,2,3.5,4,5,6,0.9,1"}
 
     @pytest.mark.parametrize("hazard, line_pass", [
         ("1,2,3.5,4,5,6,1.5,1,1.0,-1", False),  # clamped score, ten columns
@@ -283,14 +292,21 @@ class TestLinePassDispatch:
         ("1,2,nan,4,5,6,0.9,1,1.0", True),
     ])
     def test_line_pass_runs_only_when_needed(self, tmp_path, monkeypatch, hazard, line_pass):
-        calls = []
-        line_by_line = mot_io._parse_line_by_line
-        monkeypatch.setattr(mot_io, "_parse_line_by_line",
-                            lambda path: calls.append(path) or line_by_line(path))
+        converted, passes = [], []
+        line_rows, text_lines = mot_io._line_rows, mot_io._text_lines
+        monkeypatch.setattr(mot_io, "_line_rows",
+                            lambda path: converted.append(path) or line_rows(path))
+        monkeypatch.setattr(mot_io, "_text_lines",
+                            lambda path: passes.append(path) or text_lines(path))
         path = hazard_file(tmp_path, hazard, newline="\r\n")
-        table, stats = parse_mot_lines(path)
-        assert calls == ([path] if line_pass else [])
+        result, err, log = logged(parse_mot_lines, path)
+        assert err is None
+        table, stats = result
+        assert converted == ([path] if hazard in self.REJECTED else [])
+        assert passes == ([path] if line_pass else [])
         assert stats.lines == 21 and len(table) == 21 - stats.malformed - stats.skipped_empty_box
+        named = [m for _, m in log if m.startswith(f"{path}:11: ")]
+        assert len(named) == stats.malformed + stats.skipped_empty_box
 
 
 class TestInt64Fields:
@@ -306,8 +322,9 @@ class TestInt64Fields:
         rows[5:5] = [bad]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
-        (table, stats), err, log = logged(parse_mot_lines, path)
+        result, err, log = logged(parse_mot_lines, path)
         assert err is None
+        table, stats = result
         assert len(table) == 10 and stats.malformed == 1
         assert log == [(logging.WARNING,
                         f"{path}:6: frame, id or class outside the int64 range")]

@@ -1,6 +1,7 @@
-"""Every text input goes through one line reader: the MOT line pass, the CSV
-embedding sidecar, the affine sidecar and key = value config files. These
-tests pin how lines are split and numbered, and that an unreadable path or
+"""Every text input goes through one line reader: the MOT per-line
+converter, the CSV embedding sidecar, the affine sidecar and key = value
+config files. These tests pin how lines are split and numbered, that a
+leading byte-order mark is dropped, and that an unreadable path or
 a byte that is not UTF-8 is a FormatError naming the file and the line."""
 
 import logging
@@ -138,16 +139,16 @@ class TestUndecodableBytes:
 
     def test_det_file_line_pass(self, tmp_path):
         path = with_bad_byte(tmp_path / "det.txt", det_text(), 17)
-        raises_at(mot_io._parse_line_by_line, path, 17)
+        raises_at(mot_io._line_rows, path, 17)
 
     def test_bad_byte_past_the_first_read_buffer(self, tmp_path):
         path = with_bad_byte(tmp_path / "det.txt", det_text(5000), 4321)
         raises_at(parse_mot_lines, path, 4321)
-        raises_at(mot_io._parse_line_by_line, path, 4321)
+        raises_at(mot_io._line_rows, path, 4321)
 
     def test_bad_byte_in_a_comment_line(self, tmp_path):
         path = with_bad_byte(tmp_path / "det.txt", det_text(), 1)
-        raises_at(mot_io._parse_line_by_line, path, 1)
+        raises_at(mot_io._line_rows, path, 1)
 
     def test_crlf_line_numbers(self, tmp_path):
         path = tmp_path / "det.txt"
@@ -208,8 +209,83 @@ class TestUnreadablePaths:
             f"{path}: affine sidecar not found, assuming identity"]
 
     @pytest.mark.parametrize("fn", [parse_mot_lines, parse_embeddings, read_key_values,
-                                    mot_io._parse_line_by_line])
+                                    mot_io._line_rows])
     def test_directory_is_named(self, tmp_path, fn):
         with pytest.raises(FormatError, match=re.escape(f"cannot read {tmp_path}")):
             fn(str(tmp_path))
 
+
+
+# -- a UTF-8 byte-order mark -------------------------------------------------
+
+BOM = "\ufeff"
+
+
+def read_twins(path, text, fn, caplog):
+    """(result, warnings) of fn on `text` written to `path` without, then
+    with, a leading BOM."""
+    out = []
+    for prefix in ("", BOM):
+        path.write_bytes((prefix + text).encode("utf-8"))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="drone_assoc.io"):
+            out.append((fn(str(path)), [r.getMessage() for r in caplog.records]))
+    return out
+
+
+def mot_result(path):
+    table, stats = parse_mot_lines(path)
+    return table.rows.tolist(), stats
+
+
+class TestByteOrderMark:
+    """A BOM at the start of a file is dropped, by both MOT readers and by
+    the line reader: each file reads like its BOM-free twin. A BOM anywhere
+    else stays a character of its line."""
+
+    @pytest.mark.parametrize("text, converted", [
+        (det_text(), False),                                        # "# det" header
+        (det_text()[len("# det\n"):], False),                       # data on line 1
+        (det_text() + "9,-1,0.5,3.0,0.0,12.0,0.8,1,1.0\n", False),  # a charged row
+        (det_text() + "9,-1,x,3.0,10.0,12.0,0.8,1,1.0\n", True),    # numpy rejects
+    ])
+    def test_mot_file(self, tmp_path, monkeypatch, caplog, text, converted):
+        calls = []
+        line_rows = mot_io._line_rows
+        monkeypatch.setattr(mot_io, "_line_rows",
+                            lambda path: calls.append(path) or line_rows(path))
+        plain, bom = read_twins(tmp_path / "det.txt", text, mot_result, caplog)
+        assert bom == plain
+        assert len(calls) == (2 if converted else 0)
+
+    def test_bom_past_the_start_is_a_non_numeric_field(self, tmp_path, caplog):
+        text = det_text() + BOM + "9,-1,0.5,3.0,10.0,12.0,0.8,1,1.0\n"
+        plain, bom = read_twins(tmp_path / "det.txt", text, mot_result, caplog)
+        assert bom == plain
+        assert plain[1] == [f"{tmp_path / 'det.txt'}:32: non-numeric field"]
+
+    def test_csv_sidecar(self, tmp_path, caplog):
+        text = "".join(f"1,{k},1.0,2.0\n" for k in range(5))
+        plain, bom = read_twins(tmp_path / "e.csv", text,
+                                lambda p: parse_embeddings(p).keys.tolist(), caplog)
+        assert bom == plain and plain[0] == [[1, k] for k in range(5)]
+
+    def test_affines(self, tmp_path, caplog):
+        text = "".join(f"{f},1.0,0.0,{f}.5,0.0,1.0,1.0\n" for f in range(1, 5))
+        plain, bom = read_twins(
+            tmp_path / "affines.csv", text,
+            lambda p: {f: m.m.tolist() for f, m in parse_affines(p).items()}, caplog)
+        assert bom == plain and sorted(plain[0]) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("text", ["seed = 3\nw_a = 0.5\n", "# run\nseed = 3\n"])
+    def test_key_values(self, tmp_path, caplog, text):
+        plain, bom = read_twins(tmp_path / "run.cfg", text, read_key_values, caplog)
+        assert bom == plain and plain[0]["seed"] == "3"
+
+    @pytest.mark.parametrize("line", [1, 2, 17])
+    def test_bad_byte_keeps_its_line(self, tmp_path, line):
+        path = with_bad_byte(tmp_path / "det.txt", det_text(), line)
+        want = raises_at(parse_mot_lines, path, line)
+        Path(path).write_bytes(BOM.encode("utf-8") + Path(path).read_bytes())
+        assert raises_at(parse_mot_lines, path, line) == want
+        assert raises_at(mot_io._line_rows, path, line) == want
