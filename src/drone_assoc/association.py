@@ -27,18 +27,19 @@ a track has none. A frame arrives as the arrays of a FrameDetections, with
 the camera motion the run hands the tracker (None for none), and each step
 is an array operation over rows: predict every row under that motion, score
 the galleries, match, correct the matched rows and advance the lifecycle by
-masks. Then one rebuild drops the removed rows and appends a row per new
-track, and the new rows take the same writes as the matched ones: with the
-stage-1 matches, the local feature and one key-bank offer call; with every
-matched row, the descriptor, last frame and last score. Creation order
-keeps the cost-matrix row order, so assignment ties resolve as they did
-when tracks were objects. Indexing the table gives Track snapshots.
+masks, into locals. Once every kept and new row's filter and box are finite,
+the locals are written; one rebuild drops the removed rows and appends a row
+per new track, and the new rows take the writes of the matched ones: with
+the stage-1 matches, the local feature and one key-bank offer call; with
+every matched row, the descriptor, last frame and last score. Creation order
+keeps the cost-matrix row order, so assignment ties resolve as they did when
+tracks were objects. Indexing the table gives Track snapshots.
 
 linear_assignment returns index arrays: the matches as (K, 2) (row, column)
 pairs, and the unmatched rows and columns. A frame's output is one
 TrackRecord per confirmed track matched that frame: a tuple of plain values
 in MOT result order (frame, id, x, y, w, h, score, class), taken from one
-(K, 4) block of posterior boxes that must be finite.
+(K, 4) block of posterior boxes.
 """
 
 from __future__ import annotations
@@ -232,15 +233,15 @@ class TrackTable(Sequence):
         slots = np.arange(self.capacity)[None, :] < self.fill[:, None]
         return np.column_stack([self.has_local, slots])
 
-    def fit_dim(self, dim: int) -> None:
-        """Size the gallery for D-dimensional embeddings; only a gallery that
-        holds no feature yet can change its D."""
+    def sized_gallery(self, dim: int) -> np.ndarray:
+        """The gallery sized for D-dimensional embeddings; only a gallery that
+        holds no feature yet can change its D, and it comes back new."""
         if self.gallery.shape[2] == dim:
-            return
+            return self.gallery
         if self.has_local.any() or self.fill.any():
             raise ValueError(f"embeddings of dimension {dim} reached tracks "
                              f"holding dimension {self.gallery.shape[2]}")
-        self.gallery = np.zeros((len(self), 1 + self.capacity, dim))
+        return np.zeros((len(self), 1 + self.capacity, dim))
 
     def rebuild(self, keep: np.ndarray, new: "TrackTable") -> None:
         """Drop the rows where `keep` is false and append the rows of `new`,
@@ -332,22 +333,19 @@ class Tracker:
         self.tracks = TrackTable(self.config.key_bank_capacity)
         self.next_id = 1
         self.last_frame = 0
-        self._first_frame: Optional[int] = None
         self.last_stats: Optional[FrameStats] = None
 
     def associate_frame(
         self, frame_detections: FrameDetections, m: Optional[mo.AffineTransform]
     ) -> list[TrackRecord]:
-        """Process one frame; returns the confirmed-track records for it."""
+        """Process one frame; returns the confirmed-track records for it. A frame
+        refused for its order, embedding width or a non-finite row writes nothing."""
         cfg = self.config
         frame = frame_detections.frame
         if frame <= self.last_frame:
             raise FrameOrderError(
                 f"frame {frame} arrived after frame {self.last_frame}"
             )
-        if self._first_frame is None:
-            self._first_frame = frame
-        self.last_frame = frame
 
         # the frame's rows at or above theta_low; positions below index
         # them, and hi and lo split the positions between the two stages
@@ -361,10 +359,9 @@ class Tracker:
                        if cfg.w_r > 0 else np.zeros((kept.shape[0], 3)))
 
         t = self.tracks
-        if emb is not None:
-            t.fit_dim(emb.shape[1])
-        t.means, t.covs = mo.multi_predict(t.means, t.covs, m)
-        predicted = mo.states_to_xywh(t.means)
+        gallery = t.gallery if emb is None else t.sized_gallery(emb.shape[1])
+        means, covs = mo.multi_predict(t.means, t.covs, m)
+        predicted = mo.states_to_xywh(means)
 
         # one gated block for both stages
         gated, ious = iou_cost_matrix(t.classes, predicted, boxes, classes, cfg)
@@ -383,24 +380,37 @@ class Tracker:
         rows = np.concatenate([rows1, leftover[rows2]])
         pos = np.concatenate([hi[cols1], lo[cols2]])
         if rows.size:
-            t.means[rows], t.covs[rows] = mo.multi_update(t.means[rows], t.covs[rows],
-                                                          boxes[pos])
+            means[rows], covs[rows] = mo.multi_update(means[rows], covs[rows], boxes[pos])
         # the bank stays frozen through the frame that re-acquires a lost
         # track, so the offers are read before the lifecycle step; inserts
         # resume once it is confirmed again. A new track offers its first.
         offer = np.concatenate([t.states[rows1] != LOST, np.ones(spawn.size, dtype=bool)])
         matched = np.zeros(len(t), dtype=bool)
         matched[rows] = True
-        lifecycle(t.states, t.hits, t.lost_age, matched, cfg)
+        states, hits, lost_age = t.states.copy(), t.hits.copy(), t.lost_age.copy()
+        lifecycle(states, hits, lost_age, matched, cfg)
 
+        keep = states != REMOVED
+        born = mo.multi_init(boxes[spawn])  # the new tracks' filters
+        after = np.concatenate([means[keep], born[0]])  # the means after the rebuild
+        xywh = mo.states_to_xywh(after)
+        finite = (np.isfinite(after).all(axis=1) & np.isfinite(xywh).all(axis=1)
+                  & np.isfinite(np.concatenate([covs[keep], born[1]])).all(axis=(1, 2)))
+        if not finite.all():
+            bad = np.append(t.ids[keep], self.next_id + np.arange(spawn.size))[~finite][0]
+            raise ValueError(f"frame {frame}: the box of track {bad} must be finite")
+
+        t.means, t.covs, t.gallery = means, covs, gallery
+        t.states, t.hits, t.lost_age = states, hits, lost_age
         # one rebuild drops the removed rows and appends the new ones; a
         # matched row is never removed, so its index becomes its count of
         # kept rows before it
-        keep = t.states != REMOVED
         n_removed = len(t) - int(keep.sum())
         if n_removed or spawn.size:
-            t.rebuild(keep, self._spawn(boxes[spawn], classes[spawn], frame))
+            t.rebuild(keep, self._spawn(born, classes[spawn], gallery.shape[2]))
             rows = (np.cumsum(keep) - 1)[rows]
+        self.last_frame = frame
+        self.next_id += spawn.size
 
         # the new rows take the matched rows' writes, placed after the
         # stage-1 matches: those two fold in their embeddings (blended into a
@@ -430,14 +440,10 @@ class Tracker:
         t.last_score[rows] = scores[pos]
 
         emit = np.flatnonzero((t.states == CONFIRMED) & (t.last_frame == frame))
-        xywh = mo.states_to_xywh(t.means[emit])
-        if not np.isfinite(xywh).all():
-            bad = t.ids[emit][~np.isfinite(xywh).all(axis=1)][0]
-            raise ValueError(f"frame {frame}: the box of track {bad} must be finite")
         records = [
             TrackRecord(frame, track_id, x, y, w, h, score, class_id)
             for track_id, (x, y, w, h), score, class_id in zip(
-                t.ids[emit].tolist(), xywh.tolist(),
+                t.ids[emit].tolist(), xywh[emit].tolist(),
                 t.last_score[emit].tolist(), t.classes[emit].tolist())
         ]
         n_inserts = int(inserted.sum())
@@ -452,16 +458,14 @@ class Tracker:
 
     # -- internals ---------------------------------------------------------
 
-    def _spawn(self, boxes: np.ndarray, classes: np.ndarray, frame: int) -> TrackTable:
-        """The rows of the tracks that unmatched high-confidence detections
-        found: ids, classes, initial state and hits, and their filters. The
-        frame step writes the rest as it does for matched rows."""
-        n = boxes.shape[0]
-        new = TrackTable(self.config.key_bank_capacity, n, self.tracks.gallery.shape[2])
+    def _spawn(self, filters: tuple, classes: np.ndarray, dim: int) -> TrackTable:
+        """The rows of new tracks with the given filters and classes: ids from
+        next_id, initial state and hits, and D-wide galleries."""
+        n = classes.shape[0]
+        new = TrackTable(self.config.key_bank_capacity, n, dim)
         new.ids[:] = np.arange(self.next_id, self.next_id + n)
         new.classes[:] = classes
-        new.states[:] = CONFIRMED if frame == self._first_frame else TENTATIVE
+        new.states[:] = CONFIRMED if self.last_frame == 0 else TENTATIVE
         new.hits[:] = 1
-        new.means, new.covs = mo.multi_init(boxes)
-        self.next_id += n
+        new.means, new.covs = filters
         return new

@@ -171,6 +171,8 @@ class FrameDetections:
             emb = np.asarray(self.embeddings, dtype=np.float64)
             if emb.ndim != 2 or emb.shape[0] != m:
                 raise ValueError("embeddings need one row per detection")
+            if not np.isfinite(emb).all():
+                raise ValueError("embeddings must be finite")
             setattr_(self, "embeddings", emb)
 
     def __len__(self) -> int:

@@ -18,8 +18,8 @@ a CSV fallback with rows ``frame,ordinal,v0..v{D-1}`` is accepted. Either
 is read once, in chunks of records: one reader collects the keys,
 normalizes each chunk once, which checks every norm, and places the rows
 asked for in the block it returns. parse_embeddings asks for every record;
-parse_detections asks for its kept detections by (frame, ordinal) and
-slices the block into one array FrameDetections per frame. Affine sidecars
+parse_detections places record (f, o) on row o of frame f's run, ignores
+records that match no detection, and slices its block by frame. Affine sidecars
 are CSV rows ``frame,a,b,tx,c,d,ty``. Results are written as
 ``frame,id,x,y,w,h,score,class,-1,-1`` sorted by (frame, id).
 
@@ -306,38 +306,31 @@ def parse_detections(
     """Detections grouped by frame in ascending order, one FrameDetections
     of array slices per frame that holds a row.
 
-    Rows take their ordinals from a stable sort by frame, so each frame keeps
-    its file order. When an embedding sidecar is given, vectors are attached
-    by (frame, ordinal) before the min_score filter runs, so sidecar
-    ordinals and file rows stay aligned. A detection without an embedding is
-    fatal, kept or not. The sidecar is read in one pass, and the block the
-    frames slice holds only the kept detections' rows.
+    A stable sort by frame makes one run of rows per frame in file order; a
+    row's ordinal is its place in its run. Embeddings attach by frame run
+    and ordinal before the min_score filter runs, so sidecar ordinals and
+    file rows stay aligned. A detection without an embedding is fatal, kept
+    or not. The sidecar is read in one pass, and the block the frames slice
+    holds only the kept detections' rows.
     """
     table, stats = parse_mot_lines(path)
     order = np.argsort(table.frames, kind="stable")
-    frames = table.frames[order]
-    first = np.ones(frames.shape[0], dtype=bool)
-    first[1:] = frames[1:] != frames[:-1]
-    starts = np.flatnonzero(first)
-    ordinals = np.arange(frames.shape[0]) - starts[np.cumsum(first) - 1]
-
-    dropped = table.scores[order] < min_score
-    stats.dropped_low_score = int(dropped.sum())
-    kept = ~dropped
+    runs = np.unique(table.frames[order], return_index=True, return_counts=True)
+    kept = table.scores[order] >= min_score
+    stats.dropped_low_score = int(kept.size - kept.sum())
     rows = table.rows[order[kept]]  # the one gather of the detections
     del table, order  # freed before the embedding block is filled
     vectors = None
     if embeddings_path is not None:
-        _, vectors = _read_sidecar(embeddings_path, embedding_dim,
-                                   np.stack([frames, ordinals], axis=1), kept)
-    keys = frames[starts]
-    lo = np.searchsorted(frames[kept], keys)
-    hi = np.append(lo[1:], rows.shape[0])
+        _, vectors = _read_sidecar(embeddings_path, embedding_dim, runs, kept)
+    frames, starts, _ = runs
+    # kept rows before each run, then all: each frame's slice of the kept block
+    bounds = (np.cumsum(kept) - kept)[starts].tolist() + [rows.shape[0]]
     boxes, scores, classes = rows[:, 2:6], rows[:, 6], rows[:, 7].astype(np.int64)
     out = [
         FrameDetections(frame, boxes[a:b], scores[a:b], classes[a:b],
                         None if vectors is None else vectors[a:b])
-        for frame, a, b in zip(keys.tolist(), lo.tolist(), hi.tolist())
+        for frame, a, b in zip(frames.tolist(), bounds, bounds[1:])
     ]
     if stats.dropped_low_score:
         log.info("%s: dropped %d detections below score %g",
@@ -369,32 +362,30 @@ SIDECAR_CHUNK_RECORDS = 1024
 # (n, 2) int64 keys, its (n, D) vectors as stored and, for CSV, their lines
 _Chunk = tuple[int, np.ndarray, np.ndarray, Optional[list[int]]]
 
-_U32 = 2 ** 32
-
 
 def _read_sidecar(
     path: str,
     expected_dim: Optional[int],
-    wanted: Optional[np.ndarray] = None,
+    runs: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
     keep: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one pass over a sidecar, binary or CSV: its keys in file order
     and a block of unit rows. The normalize_rows call that checks a chunk
     also makes the rows that are kept.
 
-    The block holds every record in file order, or with `wanted`, (n, 2)
-    (frame, ordinal) keys in ascending order that must all have a record,
-    the records of those that `keep` marks. Keys match packed as
-    frame << 32 | ordinal; one outside the binary u32 range never matches.
+    The block holds every record in file order, or with `runs` (the sorted
+    detections' ascending frames, and each one's first row and row count),
+    the records of the rows that `keep` marks: record (f, o) lands on row
+    start + o of frame f when 0 <= o < count; any other record is ignored.
 
     The first in file order of a duplicate key, a zero-length or non-finite
     vector (a record that is both counts as a duplicate) and a broken record
-    is fatal; after those, the first wanted key that no record has."""
-    if wanted is not None:
-        fit = int(np.searchsorted(wanted[:, 0], _U32))  # frames are >= 1
-        want = _packed(wanted[:fit])
-        filled = np.zeros(wanted.shape[0], dtype=bool)
-        slot = np.cumsum(keep) - 1  # block row of each kept key
+    is fatal; after those, the first detection in frame-sorted order that no
+    record matches."""
+    if runs is not None:
+        frames, starts, counts = runs
+        filled = np.zeros(keep.shape[0], dtype=bool)
+        slot = np.cumsum(keep) - 1  # block row of each kept detection
     key_chunks = [np.empty((0, 2), dtype=np.int64)]
     block = bad = broken = None
     try:
@@ -406,17 +397,17 @@ def _read_sidecar(
                 bad = (start + e.row, None if linenos is None else linenos[e.row], e)
                 break
             if block is None:
-                block = np.empty((0 if wanted is None else int(keep.sum()), unit.shape[1]))
-            if wanted is None:  # no view of the block is out, so realloc may move it
+                block = np.empty((0 if runs is None else int(keep.sum()), unit.shape[1]))
+            if runs is None:  # no view of the block is out, so realloc may move it
                 block.resize((start + unit.shape[0], unit.shape[1]), refcheck=False)
                 block[start:] = unit
                 continue
-            fits = ((keys >= 0) & (keys < _U32)).all(axis=1)
-            packed = _packed(np.where(fits[:, None], keys, 0))
-            pos = np.searchsorted(want, packed)
-            hit = fits & (pos < want.shape[0])
-            hit[hit] = want[pos[hit]] == packed[hit]
-            records, pos = np.flatnonzero(hit), pos[hit]
+            run = np.searchsorted(frames, keys[:, 0])
+            hit = run < frames.shape[0]
+            hit[hit] = frames[run[hit]] == keys[hit, 0]
+            records, run, ordinal = np.flatnonzero(hit), run[hit], keys[hit, 1]
+            in_run = (ordinal >= 0) & (ordinal < counts[run])
+            records, pos = records[in_run], starts[run[in_run]] + ordinal[in_run]
             filled[pos] = True
             block[slot[pos[keep[pos]]]] = unit[records[keep[pos]]]
     except FormatError as e:  # raised after the records before it
@@ -432,16 +423,12 @@ def _read_sidecar(
         raise FormatError(f"{path}: duplicate embedding for {tuple(keys[dup].tolist())}")
     if broken is not None:
         raise broken
-    if wanted is not None and not filled.all():
-        frame, ordinal = wanted[int(np.argmin(filled))].tolist()
-        raise FormatError(f"{path}: no embedding for frame {frame} ordinal {ordinal}")
+    if runs is not None and not filled.all():
+        row = int(np.argmin(filled))
+        run = int(np.searchsorted(starts, row, side="right")) - 1
+        raise FormatError(f"{path}: no embedding for frame {frames[run]} "
+                          f"ordinal {row - starts[run]}")
     return keys, block
-
-
-def _packed(keys: np.ndarray) -> np.ndarray:
-    """(frame, ordinal) keys in the u32 range as frame << 32 | ordinal."""
-    keys = keys.astype(np.uint64)
-    return (keys[:, 0] << np.uint64(32)) | keys[:, 1]
 
 
 def _sidecar_chunks(path: str, expected_dim: Optional[int]) -> Iterator[_Chunk]:

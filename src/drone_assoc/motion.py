@@ -143,6 +143,8 @@ def multi_init(xywh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     z = _measurements(np.asarray(xywh, dtype=np.float64).reshape(-1, 4))
     means = np.zeros((z.shape[0], 8), dtype=np.float64)
+    if z.shape[0] == 0:
+        return means, np.zeros((0, 8, 8), dtype=np.float64)
     means[:, :4] = z
     std = np.multiply.outer(z[:, 3], _INIT_WEIGHTS)
     std[:, 2] = 1e-2

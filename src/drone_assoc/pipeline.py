@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .association import Tracker, TrackRecord
+from .association import FrameOrderError, Tracker, TrackRecord
 from .core import FrameDetections, box_centers
 from .metrics import EvalReport, evaluate, report_csv, report_table
 from .mot_io import (
@@ -77,8 +77,12 @@ def track_frames(
 ) -> Iterator[list[TrackRecord]]:
     """Feed the tracker frames 1..last in order, an empty frame where the
     input has no rows, each with its camera motion `camera(fd)`; yields
-    each frame's records."""
-    by_frame = {fd.frame: fd for fd in frames}
+    each frame's records. A frame given twice is a FrameOrderError."""
+    by_frame: dict[int, FrameDetections] = {}
+    for fd in frames:
+        if fd.frame in by_frame:
+            raise FrameOrderError(f"frame {fd.frame} appears twice")
+        by_frame[fd.frame] = fd
     for t in range(1, max(by_frame, default=0) + 1):
         fd = by_frame.get(t)
         if fd is None:

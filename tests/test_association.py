@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from conftest import (
@@ -542,11 +544,85 @@ class TestTracker:
         assert 5.0 < recs[0].x + recs[0].w / 2.0 <= 11.0
 
     def test_non_finite_posterior_box_raises(self):
-        # a finite but huge box overflows the filter's covariance, so the
-        # second frame's posterior is NaN
+        # a finite but huge box overflows the new filter's covariance, so the
+        # frame that founds its track raises, and the track is never added
         tr = Tracker()
         fd = [FrameDetections(f, [[0.0, 0.0, 1.0, 1e160]], [0.9], [1]) for f in (1, 2)]
         with np.errstate(over="ignore", invalid="ignore"):
-            assert len(tr.associate_frame(fd[0], None)) == 1
-            with pytest.raises(ValueError, match="must be finite"):
-                tr.associate_frame(fd[1], None)
+            for frame in fd:
+                with pytest.raises(ValueError, match="track 1 must be finite"):
+                    tr.associate_frame(frame, None)
+        assert (len(tr.tracks), tr.last_frame, tr.next_id) == (0, 0, 1)
+
+    def test_a_frame_that_raises_leaves_the_tracker_as_it_was(self):
+        # frame 1 founds track 1; frames 2-5 also hold a box whose filter
+        # overflows, so each raises before any write, and frame 6 matches
+        # track 1 as if frames 2-5 had never arrived
+        tr = Tracker()
+        assert len(feed(tr, 1, [det(50, 50, 5, 5)])) == 1
+        before = tracker_state(tr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for frame in range(2, 6):
+                fd = FrameDetections(frame, [[0, 0, 1, 1e160], [50, 50, 5, 5]],
+                                     [0.9, 0.9], [1, 1])
+                with pytest.raises(ValueError, match="track 2 must be finite"):
+                    tr.associate_frame(fd, None)
+                assert_same_state(tracker_state(tr), before)
+        (rec,) = feed(tr, 6, [det(50, 50, 5, 5)])
+        assert rec.track_id == 1
+        assert (tr.last_frame, tr.next_id, tr.tracks[0].consecutive_hits) == (6, 2, 2)
+
+
+def tracker_state(tr: Tracker) -> tuple:
+    """Copies of every TrackTable column, last_frame and next_id."""
+    columns = {name: getattr(tr.tracks, name).copy()
+               for name in association.TrackTable._COLUMNS}
+    return columns, tr.last_frame, tr.next_id
+
+
+def assert_same_state(got: tuple, want: tuple) -> None:
+    assert got[1:] == want[1:]
+    for name, column in want[0].items():
+        assert got[0][name].shape == column.shape, name
+        assert got[0][name].tobytes() == column.tobytes(), name
+
+
+# boxes up to 1e200 across: the largest overflow the filters
+_magnitude = st.floats(1e-3, 1e200, allow_nan=False, allow_infinity=False)
+_box = st.tuples(st.floats(-1e200, 1e200, allow_nan=False, allow_infinity=False),
+                 st.floats(-1e200, 1e200, allow_nan=False, allow_infinity=False),
+                 _magnitude, _magnitude)
+_direction = st.lists(st.floats(-1, 1, allow_nan=False), min_size=3, max_size=3).filter(
+    lambda v: np.linalg.norm(v) > 0.1)
+_detection = st.tuples(_box, st.floats(0, 1), _direction)
+_affine = st.tuples(st.floats(-0.5, 0.5), st.floats(0.5, 2.0),
+                    st.floats(-50, 50), st.floats(-50, 50))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.lists(_detection, max_size=4), st.none() | _affine),
+                min_size=1, max_size=5),
+       st.booleans())
+def test_each_frame_returns_finite_rows_or_changes_nothing(stream, with_embeddings):
+    tr = Tracker()
+    for frame, (dets, affine) in enumerate(stream, start=1):
+        emb = np.array([d[2] for d in dets]).reshape(-1, 3)
+        fd = FrameDetections(frame, [d[0] for d in dets], [d[1] for d in dets],
+                             [1] * len(dets),
+                             emb / np.linalg.norm(emb, axis=1, keepdims=True)
+                             if with_embeddings else None)
+        m = None
+        if affine is not None:
+            angle, scale, tx, ty = affine
+            c, s = scale * np.cos(angle), scale * np.sin(angle)
+            m = AffineTransform(np.array([[c, -s, tx], [s, c, ty]]))
+        before = tracker_state(tr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                records = tr.associate_frame(fd, m)
+            except ValueError as e:
+                assert "must be finite" in str(e)
+                assert_same_state(tracker_state(tr), before)
+                continue
+        assert np.isfinite(np.array([r[2:7] for r in records]).reshape(-1, 5)).all()
+        assert tr.last_frame == frame

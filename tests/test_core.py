@@ -174,6 +174,13 @@ class TestDetectionAndFrame:
         with pytest.raises(ValueError):
             FrameDetections(0, ())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embedding_is_refused(self, bad):
+        b = [(0.0, 0.0, 1.0, 1.0), (5.0, 0.0, 1.0, 1.0)]
+        FrameDetections(1, b, [0.9, 0.9], [1, 1], [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="embeddings must be finite"):
+            FrameDetections(1, b, [0.9, 0.9], [1, 1], [[1.0, 0.0], [bad, 0.0]])
+
 
 class TestTrackerConfig:
     def test_defaults_are_valid(self):

@@ -537,6 +537,52 @@ class TestEmbeddingJoin:
         assert [(fd.frame, len(fd)) for fd in frames] == [(1, 0), (2, 1)]
         assert frames[0].boxes.shape == (0, 4) and frames[0].embeddings is None
 
+    def test_csv_frame_past_the_u32_range_attaches(self, tmp_path):
+        big = 2 ** 32 + 5
+        det = tmp_path / "det.txt"
+        det.write_text(f"3,1,0,0,10,10,0.9,1\n{big},1,20,0,10,10,0.9,1\n")
+        emb = str(tmp_path / "e.csv")
+        write_csv_sidecar(emb, [(big, 0, basis(1)), (3, 0, basis(0))])
+        frames = parse_detections(str(det), emb, 16)
+        assert [fd.frame for fd in frames] == [3, big]
+        assert np.array_equal(frames[1].embeddings, basis(1)[None])
+
+    @pytest.mark.parametrize("text", ["", "# no detections\n"])
+    def test_no_detections_with_a_sidecar_give_no_frames(self, tmp_path, text):
+        det = tmp_path / "det.txt"
+        det.write_text(text)
+        emb = str(tmp_path / "e.bin")
+        write_embeddings(emb, [(1, 0, basis(0)), (2, 3, basis(1))], 16)
+        assert parse_detections(str(det), emb, 16) == []
+
+    @pytest.mark.parametrize("suffix", ["bin", "csv"])
+    def test_records_that_match_no_detection_are_ignored(self, tmp_path, suffix):
+        det = tmp_path / "det.txt"
+        det.write_text("3,1,0,0,10,10,0.9,1\n1,1,10,0,10,10,0.9,1\n"
+                       "1,1,20,0,10,10,0.9,1\n")
+        emb = str(tmp_path / f"e.{suffix}")
+        records = [(1, 0, basis(0)), (1, 1, basis(1)), (3, 0, basis(2))]
+        # a frame with no rows, an ordinal at and past its frame's count,
+        # frames before the first and after the last, and in CSV negatives
+        strays = [(2, 0, basis(3)), (1, 2, basis(4)), (3, 7, basis(5)), (9, 0, basis(6)),
+                  (0, 0, basis(7))]
+        if suffix == "csv":
+            strays += [(1, -1, basis(8)), (-3, 0, basis(9))]
+            write_csv_sidecar(emb, strays[:2] + records + strays[2:])
+        else:
+            write_embeddings(emb, strays[:2] + records + strays[2:], 16)
+        frames = parse_detections(str(det), emb, 16)
+        assert [fd.frame for fd in frames] == [1, 3]
+        assert np.array_equal(frames[0].embeddings, np.stack([basis(0), basis(1)]))
+        assert np.array_equal(frames[1].embeddings, basis(2)[None])
+        # every detection still needs its own record; a stray stands in for none
+        if suffix == "csv":
+            write_csv_sidecar(emb, records[:2] + strays)
+        else:
+            write_embeddings(emb, records[:2] + strays, 16)
+        with pytest.raises(FormatError, match=r"no embedding for frame 3 ordinal 0$"):
+            parse_detections(str(det), emb, 16)
+
 
 # -- the chunked sidecar reader ----------------------------------------------
 

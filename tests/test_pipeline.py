@@ -9,7 +9,7 @@ import pytest
 
 from conftest import det, frame_detections, grid_error, reference_estimate_affine
 from drone_assoc import pipeline
-from drone_assoc.association import Tracker
+from drone_assoc.association import FrameOrderError, Tracker
 from drone_assoc.core import FrameDetections
 from drone_assoc.metrics import evaluate, report_csv, report_table
 from drone_assoc.motion import AffineEstimationError
@@ -200,6 +200,13 @@ class TestTrackFrames:
         tracker = Tracker()
         assert list(track_frames([], lambda fd: None, tracker)) == []
         assert tracker.last_frame == 0
+
+    def test_a_repeated_frame_is_refused_before_any_frame_runs(self):
+        tracker = Tracker()
+        frames = [frame_of(1, [(10, 10)]), frame_of(2, [(10, 10)]), frame_of(1, [(50, 50)])]
+        with pytest.raises(FrameOrderError, match="frame 1 appears twice"):
+            list(track_frames(frames, lambda fd: None, tracker))
+        assert (tracker.last_frame, len(tracker.tracks)) == (0, 0)
 
 
 class TestRunTracking:
