@@ -27,7 +27,8 @@ a track has none. A frame arrives as the arrays of a FrameDetections, with
 the camera motion the run hands the tracker (None for none), and each step
 is an array operation over rows: predict every row under that motion, score
 the galleries, match, correct the matched rows and advance the lifecycle by
-masks, into locals. Once every kept and new row's filter and box are finite,
+masks, into locals. Once every kept and new row's filter and box are finite
+and the stage-1 matches' local features are blended (a blend can raise),
 the locals are written; one rebuild drops the removed rows and appends a row
 per new track, and the new rows take the writes of the matched ones: with
 the stage-1 matches, the local feature and one key-bank offer call; with
@@ -400,6 +401,19 @@ class Tracker:
             bad = np.append(t.ids[keep], self.next_id + np.arange(spawn.size))[~finite][0]
             raise ValueError(f"frame {frame}: the box of track {bad} must be finite")
 
+        # the stage-1 matches and the new tracks fold in their embeddings:
+        # blended into a present local feature, else adopted. The blend can
+        # raise ZeroNormError, so it runs before the first write.
+        if emb is not None and offer.size:
+            feats = emb[np.concatenate([hi[cols1], spawn])]
+            had = np.flatnonzero(t.has_local[rows1])  # stage-1 matches only
+            if cfg.use_afs:
+                alphas = ap.adaptive_alphas(scores[hi[cols1[had]]], cfg.theta_high, cfg.alpha_f)
+            else:
+                alphas = np.full(had.size, cfg.alpha_f)
+            local = feats.copy()
+            local[had] = ap.blend_rows(gallery[rows1[had], 0], feats[had], alphas)
+
         t.means, t.covs, t.gallery = means, covs, gallery
         t.states, t.hits, t.lost_age = states, hits, lost_age
         # one rebuild drops the removed rows and appends the new ones; a
@@ -413,22 +427,16 @@ class Tracker:
         self.next_id += spawn.size
 
         # the new rows take the matched rows' writes, placed after the
-        # stage-1 matches: those two fold in their embeddings (blended into a
-        # present local feature, else adopted) and, with AFS, offer them to
-        # the key banks; every row takes its descriptor, frame and score
+        # stage-1 matches: those two store their local features and, with
+        # AFS, offer their embeddings to the key banks; every row takes its
+        # descriptor, frame and score
         new, n1 = np.arange(len(t) - spawn.size, len(t)), rows1.size
         rows = np.concatenate([rows[:n1], new, rows[n1:]])
         pos = np.concatenate([pos[:n1], spawn, pos[n1:]])
         inserted = np.zeros(0, dtype=bool)
         if emb is not None and offer.size:
-            fed, at = rows[:offer.size], pos[:offer.size]
-            feats, had = emb[at], t.has_local[fed]
-            if cfg.use_afs:
-                alphas = ap.adaptive_alphas(scores[at[had]], cfg.theta_high, cfg.alpha_f)
-            else:
-                alphas = np.full(int(had.sum()), cfg.alpha_f)
-            t.local[fed[had]] = ap.blend_rows(t.local[fed[had]], feats[had], alphas)
-            t.local[fed[~had]] = feats[~had]
+            fed = rows[:offer.size]
+            t.local[fed] = local
             t.has_local[fed] = True
             if cfg.use_afs:
                 inserted = ap.insert_keys(t.bank, t.last_used, t.fill, fed[offer],

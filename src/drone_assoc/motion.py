@@ -12,7 +12,9 @@ rotation_descriptor, rotation_cost) are one-row calls of it.
 
 Camera motion without a sidecar comes from estimate_affine, a RANSAC search
 that draws all of its minimal 3-point models in one generator call and fits
-and scores them in one batch.
+and scores them in one batch. A determinant bound certifies the minimal
+samples' rank test for all but near-collinear triples, so the SVD that
+defines that test runs only on the few the bound cannot decide.
 
 The filter state is [cx, cy, a, h, vcx, vcy, va, vh] where a = w / h.
 Noise scales with box height: weight 1/20 on position terms, 1/160 on
@@ -270,7 +272,10 @@ def estimate_affine(
     picks = _draw_picks(rng, n, max_iterations)
     homog = np.column_stack([prev, np.ones(n)])  # rows [x y 1]
     coef, valid = _fit_minimal_models(homog[picks], cur[picks])
-    resid = np.linalg.norm(homog @ coef - cur, axis=2)  # (K, N), one matmul
+    diff = homog @ coef - cur  # (K, N, 2), one matmul
+    # np.linalg.norm's arithmetic over the last axis
+    dx, dy = diff[:, :, 0], diff[:, :, 1]
+    resid = np.sqrt(dx * dx + dy * dy)
     inliers = (resid <= inlier_threshold) & valid[:, None]
     # a skipped pick counts 0 inliers; only a count of 3 or more is kept
     best_inliers = inliers[np.argmax(inliers.sum(axis=1))]
@@ -280,6 +285,10 @@ def estimate_affine(
     if refit is None:
         raise AffineEstimationError("consensus points are collinear")
     return refit
+
+
+# a triple with |det B| > this * |B|_F^3 passes the SVD rank rule for certain
+_RANK_CERTIFICATE = 1e-12
 
 
 def _draw_picks(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -301,9 +310,34 @@ def _fit_minimal_models(
     singular values of the 3x3 basis, each twice, so it is rank-deficient
     when the smallest of those is <= the largest * 6 * eps; and the model
     must be finite with |det| > 1e-9.
+
+    A determinant bound decides the rank rule for most triples without the
+    SVD. Since |det B| = s1 s2 s3 <= s_max^2 s_min and s_max <= |B|_F,
+
+        s_min / s_max >= |det B| / |B|_F^3.
+
+    det B is computed from coordinate differences, (x1 - x0)(y2 - y0) -
+    (x2 - x0)(y1 - y0), with a rounding error of at most about
+    32 eps |B|_F^3 (|B|_F >= sqrt(3) for the column of ones). A triple with
+    det^2 > c^2 |B|_F^6, c = _RANK_CERTIFICATE = 1e-12, therefore has
+    s_min / s_max above c - 32 eps, about 4470 eps: some 700x above the
+    6 eps cut, which covers LAPACK's singular-value error of order 100 eps
+    relative to s_max with a wide margin. Such a triple meets the SVD rule
+    for certain. Only the others go through the SVD, which stays the
+    definition of the rule: near-collinear triples, and those whose
+    coordinates are non-finite or so large or small that the bound
+    overflows or underflows (a NaN still raises LinAlgError there).
     """
-    sv = np.linalg.svd(basis, compute_uv=False)
-    valid = sv[:, -1] > sv[:, 0] * (6 * np.finfo(np.float64).eps)
+    x, y = basis[:, :, 0], basis[:, :, 1]
+    # a bound that overflows is inf or NaN, certifies nothing and is not an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_b = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
+        frob2 = (basis * basis).sum(axis=(1, 2))
+        valid = det_b * det_b > _RANK_CERTIFICATE**2 * (frob2 * frob2 * frob2)
+    unsure = np.flatnonzero(~valid)
+    if unsure.size:
+        sv = np.linalg.svd(basis[unsure], compute_uv=False)
+        valid[unsure] = sv[:, -1] > sv[:, 0] * (6 * np.finfo(np.float64).eps)
     coef = np.linalg.solve(np.where(valid[:, None, None], basis, np.eye(3)), targets)
     det = coef[:, 0, 0] * coef[:, 1, 1] - coef[:, 1, 0] * coef[:, 0, 1]
     valid &= np.isfinite(coef).all(axis=(1, 2)) & (np.abs(det) > 1e-9)

@@ -58,7 +58,10 @@ class OnlineAffineEstimator:
         prev, self._prev = self._prev, centers
         if prev is None or not len(prev) or not len(centers):
             return None
-        d = np.linalg.norm(prev[:, None, :] - centers[None, :, :], axis=2)
+        # np.linalg.norm's arithmetic over the last axis
+        dx = prev[:, None, 0] - centers[None, :, 0]
+        dy = prev[:, None, 1] - centers[None, :, 1]
+        d = np.sqrt(dx * dx + dy * dy)
         fwd = d.argmin(axis=1)
         bwd = d.argmin(axis=0)
         (pi,) = np.nonzero(bwd[fwd] == np.arange(len(fwd)))

@@ -33,6 +33,7 @@ from drone_assoc.core import (
     FrameDetections,
     TrackState,
     TrackerConfig,
+    ZeroNormError,
     iou_matrix,
 )
 from drone_assoc.motion import AffineTransform, rotation_cost
@@ -571,6 +572,22 @@ class TestTracker:
         (rec,) = feed(tr, 6, [det(50, 50, 5, 5)])
         assert rec.track_id == 1
         assert (tr.last_frame, tr.next_id, tr.tracks[0].consecutive_hits) == (6, 2, 2)
+
+    def test_a_blend_that_cancels_leaves_the_tracker_as_it_was(self):
+        # at a fixed weight of 0.5, frame 2's embedding cancels track 1's
+        # local feature: the blend is a zero vector and raises before any
+        # write, and frame 3 matches track 1 as if frame 2 had never arrived
+        tr = Tracker(TrackerConfig(alpha_f=0.5, use_afs=False))
+        box = [[0.0, 0.0, 10.0, 10.0]]
+        tr.associate_frame(FrameDetections(1, box, [0.9], [1], [[1.0, 0.0]]), None)
+        before = tracker_state(tr)
+        with pytest.raises(ZeroNormError):
+            tr.associate_frame(FrameDetections(2, box, [0.9], [1], [[-1.0, 0.0]]), None)
+        assert_same_state(tracker_state(tr), before)
+        (rec,) = tr.associate_frame(FrameDetections(3, box, [0.9], [1], [[0.0, 1.0]]), None)
+        assert rec.track_id == 1
+        assert (tr.last_frame, tr.next_id, tr.tracks[0].consecutive_hits) == (3, 2, 2)
+        assert np.allclose(tr.tracks[0].local_feature, [0.5 ** 0.5, 0.5 ** 0.5])
 
 
 def tracker_state(tr: Tracker) -> tuple:

@@ -1,5 +1,6 @@
 """Kalman filtering, affine warps and estimation, rotation descriptors."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import (
     box_measurement,
     grid_error,
     reference_estimate_affine,
+    reference_fit_minimal_models,
     reference_rotation_descriptor,
     textbook_init,
     textbook_predict,
@@ -488,6 +490,102 @@ class TestEstimateAffineLockstep:
         cur = self.moved(prev) + g.normal(0.0, 0.2, prev.shape)
         m = estimate_affine(prev, cur, rng=np.random.default_rng(5), inlier_threshold=1.0)
         assert grid_error(m.m, self.TRUTH) < 0.5
+
+
+def _minimal_outcome(fn, basis, targets):
+    """(coef bytes, valid list) of a minimal-model fit, or the type of the
+    exception it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            coef, valid = fn(basis, targets)
+    except np.linalg.LinAlgError as e:
+        return type(e)
+    return coef.tobytes(), valid.tolist()
+
+
+# one triple: log10 of its size and of its distance from the origin
+# relative to the size (capped at 1e150), the direction of its line and of
+# its offset from the origin, three positions along the line, which point
+# leaves it, and log10 of how far, relative to the size
+_triple = st.tuples(
+    st.floats(-150, 150), st.floats(-10, 10),
+    st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi),
+    st.lists(st.floats(-1, 1), min_size=3, max_size=3),
+    st.integers(0, 2), st.floats(-20, 0.5),
+)
+
+
+def _triple_points(size_e, shift_e, line, heading, along, moved, off_e) -> np.ndarray:
+    u = np.array([math.cos(line), math.sin(line)])
+    shift = 10.0**min(size_e + shift_e, 150.0)
+    pts = shift * np.array([math.cos(heading), math.sin(heading)]) \
+        + 10.0**size_e * np.outer(along, u)
+    pts[moved] += 10.0**(size_e + off_e) * np.array([-u[1], u[0]])
+    return pts
+
+
+class TestRankCertificate:
+    """The determinant bound in _fit_minimal_models decides only what the SVD
+    rank rule would: the mask and models equal the rule applied to every
+    triple, and an input the bound cannot decide reaches the SVD as before."""
+
+    TRUTH = TestEstimateAffineLockstep.TRUTH
+
+    def assert_matches_reference(self, prev_triples):
+        prev = np.asarray(prev_triples, dtype=np.float64).reshape(-1, 3, 2)
+        basis = np.concatenate([prev, np.ones((prev.shape[0], 3, 1))], axis=2)
+        with np.errstate(all="ignore"):
+            targets = prev @ self.TRUTH[:, :2].T + self.TRUTH[:, 2]
+        want = _minimal_outcome(reference_fit_minimal_models, basis, targets)
+        assert _minimal_outcome(_fit_minimal_models, basis, targets) == want
+
+    def every_triple(self, pts):
+        return pts[np.array(list(itertools.combinations(range(len(pts)), 3)))]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_triple, min_size=1, max_size=12))
+    def test_mask_matches_the_svd_rule(self, triples):
+        """Coordinates from 1e-150 to 1e150, off-line offsets from 1e-20 to 3
+        times the triple's size."""
+        self.assert_matches_reference([_triple_points(*t) for t in triples])
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e155, 1e200, 1.7e308])
+    def test_extreme_scales_match_the_svd_rule(self, scale):
+        prev = np.random.default_rng(11).uniform(0, 600, (15, 2))
+        with np.errstate(over="ignore"):
+            moved = (prev * scale, prev + scale)
+        for pts in moved:
+            self.assert_matches_reference(self.every_triple(pts))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_triples_match_the_svd_rule(self, bad):
+        prev = np.random.default_rng(11).uniform(0, 600, (6, 2))
+        prev[2, 0] = bad
+        self.assert_matches_reference(self.every_triple(prev))
+
+    @pytest.mark.parametrize("where,value,error", [
+        ((3, 0), np.nan, np.linalg.LinAlgError),  # the SVD does not converge
+        ((slice(None), 1), np.nan, np.linalg.LinAlgError),
+        ((slice(None), 1), np.inf, AffineEstimationError),
+        ((slice(None), 1), -np.inf, AffineEstimationError),
+        ((slice(None), slice(None)), 1e200, AffineEstimationError),  # overflow
+        ((slice(None), slice(None)), 1.7e308, AffineEstimationError),
+    ])
+    def test_bad_coordinates_raise_as_the_svd_rule_does(self, where, value, error):
+        prev = np.random.default_rng(11).uniform(0, 600, (15, 2))
+        cur = prev @ self.TRUTH[:, :2].T + self.TRUTH[:, 2]
+        with np.errstate(all="ignore"):
+            prev[where] = prev[where] * value if math.isfinite(value) else value
+        with np.errstate(all="ignore"), pytest.raises(error):
+            estimate_affine(prev, cur, rng=np.random.default_rng(5))
+
+    def test_one_infinite_coordinate_is_outvoted(self):
+        prev = np.random.default_rng(11).uniform(0, 600, (15, 2))
+        cur = prev @ self.TRUTH[:, :2].T + self.TRUTH[:, 2]
+        prev[3, 0] = np.inf
+        with np.errstate(all="ignore"):
+            m = estimate_affine(prev, cur, rng=np.random.default_rng(5))
+        assert np.allclose(m.m, self.TRUTH, atol=1e-6)
 
 
 class TestRotationDescriptor:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import det, frame_detections, grid_error, reference_estimate_affine
-from drone_assoc import pipeline
+from drone_assoc import motion, pipeline
 from drone_assoc.association import FrameOrderError, Tracker
 from drone_assoc.core import FrameDetections
 from drone_assoc.metrics import evaluate, report_csv, report_table
@@ -134,6 +134,32 @@ class TestOnlineAffineAccuracy:
             again = twin.step(fd)
             assert (again is None) == (m is None)
             assert again is None or np.array_equal(again.m, m.m)
+
+    def test_moving_camera_triples_skip_the_svd(self, tmp_path, monkeypatch):
+        """On a moving-camera scene the determinant bound decides every
+        drawn triple's rank test, so no (3, 3) block reaches the SVD."""
+        svd_triples = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            if a.ndim == 3 and a.shape[1:] == (3, 3):
+                svd_triples.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(motion.np.linalg, "svd", spy)
+        paths = generate_scenario(ScenarioConfig(
+            seed=9, n_objects=12, n_frames=40, world_extent=500.0,
+            camera_script=(translate(8.0, -3.0, 20), rotate(0.03, 20)),
+            detection_noise_sigma=1.0, false_positive_rate=0.5, embedding_dim=8,
+        ), str(tmp_path / "data"))
+        est = OnlineAffineEstimator(0.6, seed=1901)
+        fits = [est.step(fd) for fd in parse_detections(paths.detections, paths.embeddings, 8)]
+        assert sum(m is not None for m in fits) >= 35
+        assert sum(svd_triples) == 0
+        # the spy sees a triple the bound cannot decide
+        collinear = np.array([[[0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 1.0]]])
+        motion._fit_minimal_models(collinear, np.zeros((1, 3, 2)))
+        assert svd_triples == [1]
 
 
 def scenario_inputs(tmp_path):
