@@ -62,9 +62,16 @@ def adaptive_alphas(scores: Sequence[float], theta: float, alpha_f: float) -> np
 def blend_rows(prev: np.ndarray, feats: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Row-wise alpha-weighted average of (R, D) unit features, renormalized:
     row r is alphas[r] * prev[r] + (1 - alphas[r]) * feats[r], scaled to
-    unit norm."""
+    unit norm. A blend with norm below 1e-12 (a weight of 0.5 on opposite
+    features cancels) has no direction, and its row is prev[r] as it was."""
     a = alphas[:, None]
-    return normalize_rows(a * prev + (1.0 - a) * feats)
+    blend = a * prev + (1.0 - a) * feats
+    cancel = np.sqrt((blend[:, None, :] @ blend[:, :, None]).reshape(-1)) < 1e-12
+    if not cancel.any():
+        return normalize_rows(blend)
+    out = prev.copy()
+    out[~cancel] = normalize_rows(blend[~cancel])
+    return out
 
 
 def update_local_feature(

@@ -17,7 +17,11 @@ columns. Appearance and rotation are scored only at the cells that pass
 the gates, pair by pair, and added into them. On dense scenes the gates
 reject nearly every pair, and most of those that remain are a track and a
 detection with no other feasible partner: linear_assignment matches such
-isolated pairs directly and solves only the contested rest.
+isolated pairs directly and solves only the contested rest. The solver is
+in the package: a plain-Python port of the shortest augmenting path method
+of Crouse (IEEE TAES 52(4), 2016) in SciPy's order of operations, which
+breaks a tie between columns for an unassigned one and so returns what
+scipy.optimize.linear_sum_assignment returns, ties included.
 
 The live tracks are a TrackTable, one row per track in creation order:
 (N,) ids, classes, state codes, consecutive hits, lost ages, last frames and
@@ -28,9 +32,9 @@ the camera motion the run hands the tracker (None for none), and each step
 is an array operation over rows: predict every row under that motion, score
 the galleries, match, correct the matched rows and advance the lifecycle by
 masks, into locals. Once every kept and new row's filter and box are finite
-and the stage-1 matches' local features are blended (a blend can raise),
-the locals are written; one rebuild drops the removed rows and appends a row
-per new track, and the new rows take the writes of the matched ones: with
+and the stage-1 matches' local features are blended, the locals are
+written; one rebuild drops the removed rows and appends a row per new
+track, and the new rows take the writes of the matched ones: with
 the stage-1 matches, the local feature and one key-bank offer call; with
 every matched row, the descriptor, last frame and last score. Creation order
 keeps the cost-matrix row order, so assignment ties resolve as they did when
@@ -46,12 +50,12 @@ in MOT result order (frame, id, x, y, w, h, score, class), taken from one
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import appearance as ap
 from . import motion as mo
@@ -130,9 +134,12 @@ def linear_assignment(cost: np.ndarray) -> AssignmentResult:
     total cost, its matches in ascending row order. A feasible cell that is
     the only one in its row and in its column belongs to every such
     matching and is taken directly. The other rows and columns holding
-    feasible cells go through one solve of their sub-block, with the
-    infeasible cells lifted to a large finite constant so the solver always
-    runs; a match landing on one is dropped afterwards.
+    feasible cells go through one solve of their sub-block by
+    _shortest_augmenting_path, the in-package port of Crouse's method, with
+    the infeasible cells lifted to a large finite constant so the solver
+    always runs; a match landing on one is dropped afterwards. Among tied
+    columns the solver prefers an unassigned one, and its column order is
+    SciPy's, so ties resolve as linear_sum_assignment resolves them.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -151,7 +158,7 @@ def linear_assignment(cost: np.ndarray) -> AssignmentResult:
         live_c[cols[alone]] = False
         sub_r, sub_c = np.flatnonzero(live_r), np.flatnonzero(live_c)
         sub = cost[np.ix_(sub_r, sub_c)]
-        a, b = linear_sum_assignment(np.where(np.isfinite(sub), sub, _LARGE))
+        a, b = _shortest_augmenting_path(np.where(np.isfinite(sub), sub, _LARGE))
         ok = np.isfinite(sub[a, b])
         rows = np.concatenate([rows[alone], sub_r[a[ok]]])
         cols = np.concatenate([cols[alone], sub_c[b[ok]]])
@@ -163,6 +170,81 @@ def linear_assignment(cost: np.ndarray) -> AssignmentResult:
     free_c[cols] = False
     return AssignmentResult(np.column_stack([rows, cols]),
                             np.flatnonzero(free_r), np.flatnonzero(free_c))
+
+
+def _shortest_augmenting_path(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of a minimum-cost assignment of a dense float64 block,
+    in ascending row order, min(N, M) pairs.
+
+    The shortest augmenting path method of Crouse ("On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 52(4), 2016), a variant of
+    the Hungarian method, in the order of operations of SciPy's
+    linear_sum_assignment, so it returns what SciPy returns, ties included.
+    A block with fewer columns than rows is solved transposed. Each search
+    scans the free columns, kept in a list filled in reverse index order
+    from which a taken column is removed by moving the last entry into its
+    place; the reduced cost is ((min_val + c) - u) - v, and a column wins
+    when its path cost is strictly lower than the best so far, or equal to
+    it and the column is unassigned. Plain Python over lists: the blocks
+    are small, and a numpy call per scan costs more than the loop.
+
+    Raises ValueError for a NaN or -inf entry, and when some row has no
+    finite column left to take.
+    """
+    if not (cost > -math.inf).all():
+        raise ValueError("cost matrix contains NaN or -inf")
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    nr, nc = cost.shape
+    c = cost.tolist()
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        spc = [math.inf] * nc  # shortest path cost to each column
+        remaining = list(range(nc - 1, -1, -1))
+        seen_rows, seen_cols = [cur], []
+        min_val, i, sink = 0.0, cur, -1
+        while sink < 0:
+            ci, ui = c[i], u[i]
+            lowest, index = math.inf, -1
+            for it, j in enumerate(remaining):
+                r, best = min_val + ci[j] - ui - v[j], spc[j]
+                if r < best:
+                    path[j] = i
+                    spc[j] = best = r
+                if best < lowest or (best == lowest and row4col[j] < 0):
+                    lowest, index = best, it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+                seen_rows.append(i)
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        cols = sorted(range(nr), key=col4row.__getitem__)
+        rows = [col4row[j] for j in cols]
+    else:
+        rows, cols = range(nr), col4row
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
 
 
 class TrackTable(Sequence):
@@ -402,8 +484,8 @@ class Tracker:
             raise ValueError(f"frame {frame}: the box of track {bad} must be finite")
 
         # the stage-1 matches and the new tracks fold in their embeddings:
-        # blended into a present local feature, else adopted. The blend can
-        # raise ZeroNormError, so it runs before the first write.
+        # blended into a present local feature, else adopted; a blend that
+        # cancels keeps the feature it had
         if emb is not None and offer.size:
             feats = emb[np.concatenate([hi[cols1], spawn])]
             had = np.flatnonzero(t.has_local[rows1])  # stage-1 matches only

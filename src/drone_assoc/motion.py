@@ -254,9 +254,10 @@ def estimate_affine(
     consensus set under `inlier_threshold` (px), and refits on that set by
     least squares.
 
-    Raises AffineEstimationError with fewer than 3 pairs, with no models to
-    draw, or when every candidate support is collinear; callers treat that
-    as identity.
+    A pair with a non-finite coordinate supports no model, so one such pair
+    is outvoted. Raises AffineEstimationError with fewer than 3 pairs, with
+    no models to draw, or when every candidate support is collinear; callers
+    treat that as identity.
     """
     prev = np.asarray(prev_points, dtype=np.float64).reshape(-1, 2)
     cur = np.asarray(cur_points, dtype=np.float64).reshape(-1, 2)
@@ -325,8 +326,11 @@ def _fit_minimal_models(
     relative to s_max with a wide margin. Such a triple meets the SVD rule
     for certain. Only the others go through the SVD, which stays the
     definition of the rule: near-collinear triples, and those whose
-    coordinates are non-finite or so large or small that the bound
-    overflows or underflows (a NaN still raises LinAlgError there).
+    coordinates are so large or small that the bound overflows or
+    underflows. An undecided triple with a non-finite coordinate is invalid
+    without the SVD, which gives that verdict for +-inf and raises
+    LinAlgError for NaN; a pair with a NaN coordinate is thus outvoted as an
+    infinite one is.
     """
     x, y = basis[:, :, 0], basis[:, :, 1]
     # a bound that overflows is inf or NaN, certifies nothing and is not an error
@@ -336,6 +340,8 @@ def _fit_minimal_models(
         valid = det_b * det_b > _RANK_CERTIFICATE**2 * (frob2 * frob2 * frob2)
     unsure = np.flatnonzero(~valid)
     if unsure.size:
+        # a non-finite triple is invalid; the SVD cannot converge on NaN
+        unsure = unsure[np.isfinite(basis[unsure]).all(axis=(1, 2))]
         sv = np.linalg.svd(basis[unsure], compute_uv=False)
         valid[unsure] = sv[:, -1] > sv[:, 0] * (6 * np.finfo(np.float64).eps)
     coef = np.linalg.solve(np.where(valid[:, None, None], basis, np.eye(3)), targets)

@@ -269,11 +269,13 @@ def reference_estimate_affine(
 
 def reference_fit_minimal_models(basis: np.ndarray, targets: np.ndarray):
     """_fit_minimal_models by the rule that defines it, with the SVD run on
-    every triple: rank-deficient when the smallest singular value of the
-    (3, 3) [x y 1] block is <= the largest * 6 * eps; then finite models
+    every triple without a NaN: rank-deficient when the smallest singular
+    value of the (3, 3) [x y 1] block is <= the largest * 6 * eps, and
+    always with a NaN, on which the SVD cannot converge; then finite models
     with |det| > 1e-9."""
-    sv = np.linalg.svd(basis, compute_uv=False)
-    valid = sv[:, -1] > sv[:, 0] * (6 * np.finfo(np.float64).eps)
+    nan = np.isnan(basis).any(axis=(1, 2))
+    sv = np.linalg.svd(np.where(nan[:, None, None], 0.0, basis), compute_uv=False)
+    valid = ~nan & (sv[:, -1] > sv[:, 0] * (6 * np.finfo(np.float64).eps))
     coef = np.linalg.solve(np.where(valid[:, None, None], basis, np.eye(3)), targets)
     det = coef[:, 0, 0] * coef[:, 1, 1] - coef[:, 1, 0] * coef[:, 0, 1]
     valid &= np.isfinite(coef).all(axis=(1, 2)) & (np.abs(det) > 1e-9)

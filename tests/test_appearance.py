@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     make_track,
     reference_appearance_cost_matrix,
+    reference_normalize,
     track_table,
     unit_vector,
 )
@@ -76,6 +77,16 @@ class TestBlendRows:
         new = unit_vector(rng, 16)
         out = blend_one(unit_vector(rng, 16), new, 0.0)
         assert np.allclose(out, new, atol=1e-12)
+
+    def test_a_cancelling_row_keeps_its_previous_feature(self, rng):
+        prev = np.array([unit_vector(rng, 16) for _ in range(3)])
+        feats = np.array([unit_vector(rng, 16), -prev[1], unit_vector(rng, 16)])
+        alphas = np.array([0.9, 0.5, 0.5])
+        out = blend_rows(prev, feats, alphas)
+        assert out[1].tobytes() == prev[1].tobytes()
+        for r in (0, 2):
+            mixed = alphas[r] * prev[r] + (1.0 - alphas[r]) * feats[r]
+            assert out[r].tobytes() == reference_normalize(mixed).tobytes()
 
 
 class TestUpdateLocalFeature:

@@ -33,7 +33,6 @@ from drone_assoc.core import (
     FrameDetections,
     TrackState,
     TrackerConfig,
-    ZeroNormError,
     iou_matrix,
 )
 from drone_assoc.motion import AffineTransform, rotation_cost
@@ -182,11 +181,74 @@ class TestLinearAssignment:
         def no_solve(_):
             raise AssertionError("isolated pairs need no solve")
 
-        monkeypatch.setattr(association, "linear_sum_assignment", no_solve)
+        monkeypatch.setattr(association, "_shortest_augmenting_path", no_solve)
         res = linear_assignment(cost)
         assert res.matches.tolist() == pairs
         assert res.unmatched_rows.tolist() == [2]
         assert res.unmatched_cols.tolist() == [1, 3]
+
+
+# small blocks, wide, tall, square and empty: distinct costs, ties among
+# 0, 1 and 2, tenths (whose sums round, so only the same order of
+# operations ties alike), constant blocks, and the 1e9 lift on some cells
+_solver_block = st.tuples(
+    st.integers(0, 8), st.integers(0, 8),
+    st.sampled_from(["uniform", "tied", "tenths", "constant"]),
+    st.floats(0.0, 0.5), st.integers(0, 2**32 - 1),
+)
+
+
+def _solver_cost(n, m, kind, lifted, seed) -> np.ndarray:
+    g = np.random.default_rng(seed)
+    if kind == "uniform":
+        cost = g.uniform(0.0, 1.0, (n, m))
+    elif kind == "tied":
+        cost = g.integers(0, 3, (n, m)).astype(np.float64)
+    elif kind == "tenths":
+        cost = g.integers(0, 10, (n, m)) / 10
+    else:
+        cost = np.full((n, m), float(g.integers(0, 3)))
+    cost[g.uniform(size=(n, m)) < lifted] = 1e9
+    return cost
+
+
+def _solver_outcome(solve, cost):
+    """(rows, cols) as lists, or ValueError when the solver raised it."""
+    try:
+        rows, cols = solve(cost.copy())
+    except ValueError:
+        return ValueError
+    return np.asarray(rows).tolist(), np.asarray(cols).tolist()
+
+
+class TestSolverLockstep:
+    """The in-package solver returns exactly what SciPy's
+    linear_sum_assignment returns, ties included, and raises where it does."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_solver_block)
+    def test_matches_linear_sum_assignment(self, block):
+        cost = _solver_cost(*block)
+        want = _solver_outcome(linear_sum_assignment, cost)
+        assert want is not ValueError
+        assert _solver_outcome(association._shortest_augmenting_path, cost) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(_solver_block, st.sampled_from(["nan", "-inf", "infeasible"]))
+    def test_raises_where_linear_sum_assignment_does(self, block, bad):
+        n, m = max(block[0], 1), max(block[1], 1)
+        cost = _solver_cost(n, m, *block[2:])
+        if bad == "infeasible":
+            # all +inf along the side that is matched in full: a row of a
+            # wide or square block, a column of a tall one
+            if n <= m:
+                cost[n // 2] = np.inf
+            else:
+                cost[:, m // 2] = np.inf
+        else:
+            cost.flat[block[-1] % cost.size] = float(bad)
+        assert _solver_outcome(linear_sum_assignment, cost) is ValueError
+        assert _solver_outcome(association._shortest_augmenting_path, cost) is ValueError
 
 
 def stage_one_cost(tracks, predicted, boxes, classes, emb, descriptors, cfg) -> np.ndarray:
@@ -573,20 +635,21 @@ class TestTracker:
         assert rec.track_id == 1
         assert (tr.last_frame, tr.next_id, tr.tracks[0].consecutive_hits) == (6, 2, 2)
 
-    def test_a_blend_that_cancels_leaves_the_tracker_as_it_was(self):
+    def test_a_blend_that_cancels_keeps_the_previous_feature(self):
         # at a fixed weight of 0.5, frame 2's embedding cancels track 1's
-        # local feature: the blend is a zero vector and raises before any
-        # write, and frame 3 matches track 1 as if frame 2 had never arrived
+        # local feature: the blend has no direction, so the frame commits,
+        # emits track 1 and leaves its feature at [1, 0], and frame 3's
+        # blend starts from it
         tr = Tracker(TrackerConfig(alpha_f=0.5, use_afs=False))
         box = [[0.0, 0.0, 10.0, 10.0]]
         tr.associate_frame(FrameDetections(1, box, [0.9], [1], [[1.0, 0.0]]), None)
-        before = tracker_state(tr)
-        with pytest.raises(ZeroNormError):
-            tr.associate_frame(FrameDetections(2, box, [0.9], [1], [[-1.0, 0.0]]), None)
-        assert_same_state(tracker_state(tr), before)
+        (rec,) = tr.associate_frame(FrameDetections(2, box, [0.9], [1], [[-1.0, 0.0]]), None)
+        assert rec.track_id == 1
+        assert (tr.last_frame, tr.next_id, tr.tracks[0].consecutive_hits) == (2, 2, 2)
+        assert tr.tracks[0].local_feature.tolist() == [1.0, 0.0]
         (rec,) = tr.associate_frame(FrameDetections(3, box, [0.9], [1], [[0.0, 1.0]]), None)
         assert rec.track_id == 1
-        assert (tr.last_frame, tr.next_id, tr.tracks[0].consecutive_hits) == (3, 2, 2)
+        assert (tr.last_frame, tr.next_id, tr.tracks[0].consecutive_hits) == (3, 2, 3)
         assert np.allclose(tr.tracks[0].local_feature, [0.5 ** 0.5, 0.5 ** 0.5])
 
 

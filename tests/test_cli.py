@@ -2,10 +2,15 @@
 
 import dataclasses
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drone_assoc
 from drone_assoc import cli
 from drone_assoc.cli import main
 from drone_assoc.pipeline import RunSummary
@@ -379,3 +384,41 @@ class TestLoggingState:
             main(["simulate", "--config", cfg_path])
         assert pkg.level == level
         assert pkg.handlers == handlers
+
+
+# run in a fresh interpreter where every scipy import fails
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from drone_assoc.cli import main
+d = sys.argv[1]
+data = d + "/data/"
+runs = [
+    ["simulate", "--config", d + "/scenario.txt", "--out", d + "/data"],
+    ["track", "--detections", data + "det.txt", "--embeddings", data + "embeddings.bin",
+     "--affines", data + "affines.csv", "--output", d + "/sidecar.txt"],
+    ["track", "--detections", data + "det.txt", "--embeddings", data + "embeddings.bin",
+     "--output", d + "/online.txt"],
+    ["eval", "--gt", data + "gt.txt", "--results", d + "/online.txt"],
+]
+for args in runs:
+    assert main(args) == 0, args
+loaded = [name for name, mod in sys.modules.items()
+          if name.partition(".")[0] == "scipy" and mod is not None]
+assert not loaded, loaded
+"""
+
+
+def test_the_commands_run_without_scipy(tmp_path):
+    save_scenario_config(ScenarioConfig(
+        seed=3, n_objects=10, n_frames=30, world_extent=250.0,
+        object_speed_range=(0.5, 2.0), embedding_dim=8,
+    ), str(tmp_path / "scenario.txt"))
+    src = str(Path(drone_assoc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "sidecar.txt").stat().st_size > 0
+    assert (tmp_path / "online.txt").stat().st_size > 0

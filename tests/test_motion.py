@@ -527,7 +527,9 @@ def _triple_points(size_e, shift_e, line, heading, along, moved, off_e) -> np.nd
 class TestRankCertificate:
     """The determinant bound in _fit_minimal_models decides only what the SVD
     rank rule would: the mask and models equal the rule applied to every
-    triple, and an input the bound cannot decide reaches the SVD as before."""
+    triple, and a finite input the bound cannot decide reaches the SVD as
+    before. A triple with a NaN coordinate, which the SVD cannot take, is
+    invalid."""
 
     TRUTH = TestEstimateAffineLockstep.TRUTH
 
@@ -564,8 +566,7 @@ class TestRankCertificate:
         self.assert_matches_reference(self.every_triple(prev))
 
     @pytest.mark.parametrize("where,value,error", [
-        ((3, 0), np.nan, np.linalg.LinAlgError),  # the SVD does not converge
-        ((slice(None), 1), np.nan, np.linalg.LinAlgError),
+        ((slice(None), 1), np.nan, AffineEstimationError),
         ((slice(None), 1), np.inf, AffineEstimationError),
         ((slice(None), 1), -np.inf, AffineEstimationError),
         ((slice(None), slice(None)), 1e200, AffineEstimationError),  # overflow
@@ -578,6 +579,14 @@ class TestRankCertificate:
             prev[where] = prev[where] * value if math.isfinite(value) else value
         with np.errstate(all="ignore"), pytest.raises(error):
             estimate_affine(prev, cur, rng=np.random.default_rng(5))
+
+    def test_one_nan_coordinate_is_outvoted(self):
+        prev = np.random.default_rng(11).uniform(0, 600, (15, 2))
+        cur = prev @ self.TRUTH[:, :2].T + self.TRUTH[:, 2]
+        prev[3, 0] = np.nan
+        with np.errstate(all="ignore"):
+            m = estimate_affine(prev, cur, rng=np.random.default_rng(5))
+        assert np.allclose(m.m, self.TRUTH, atol=1e-6)
 
     def test_one_infinite_coordinate_is_outvoted(self):
         prev = np.random.default_rng(11).uniform(0, 600, (15, 2))
