@@ -22,8 +22,6 @@ from .core import (
     BoundingBox,
     ConfigError,
     FrameDetections,
-    Track,
-    TrackState,
     TrackerConfig,
     ZeroNormError,
     iou_matrix,

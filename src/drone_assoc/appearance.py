@@ -15,8 +15,9 @@ many rows at once:
   present slots of its track's gallery. The tracker gates first and scores
   only the pairs that pass the IoU and class gates.
 
-The Track-based functions (update_local_feature, maybe_insert_key,
-appearance_cost_matrix) are one-row or all-pairs calls of them.
+The one-row and all-pairs adapters (update_local_feature, maybe_insert_key
+with its KeyFeatureBank, appearance_cost_matrix) have no caller in the
+package. They stay only because the benchmark's tracer looks them up by name.
 
 All features are unit-norm float64 vectors. Cosine similarity is therefore
 a plain dot product. Two rounding rules keep the batched forms equal bit for
@@ -30,11 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from .core import Track, normalize_rows
+from .core import normalize_rows
 
 
 def adaptive_alpha(s: float, theta: float, alpha_f: float) -> float:
@@ -75,10 +76,11 @@ def blend_rows(prev: np.ndarray, feats: np.ndarray, alphas: np.ndarray) -> np.nd
 
 
 def update_local_feature(
-    track: Track, f: np.ndarray, s: float, theta: float, alpha_f: float
+    track: Any, f: np.ndarray, s: float, theta: float, alpha_f: float
 ) -> np.ndarray:
-    """Fold a matched detection's feature into the track's local feature;
-    the one-row call of blend_rows."""
+    """Fold a matched detection's feature into `track.local_feature`, the
+    one attribute of `track` it reads and sets; the one-row call of
+    blend_rows."""
     f = np.asarray(f, dtype=np.float64)
     if track.local_feature is None:
         track.local_feature = f
@@ -205,11 +207,12 @@ def gallery_pair_costs(
     return costs
 
 
-def appearance_cost_matrix(tracks: list[Track], feats: np.ndarray) -> np.ndarray:
+def appearance_cost_matrix(tracks: Sequence[Any], feats: np.ndarray) -> np.ndarray:
     """(N, M) appearance costs of N tracks against an (M, D) block of
     features: gallery_pair_costs of every pair, each gallery the track's
-    local feature, then its key-bank features. Rows follow the track order;
-    a track without a feature scores a neutral 0."""
+    `local_feature` (or None), then its `key_bank` features (a
+    KeyFeatureBank or None), the only attributes of a track it reads. Rows
+    follow the track order; a track without a feature scores a neutral 0."""
     galleries = []
     for t in tracks:
         rows = [] if t.local_feature is None else [t.local_feature]

@@ -38,7 +38,7 @@ track, and the new rows take the writes of the matched ones: with
 the stage-1 matches, the local feature and one key-bank offer call; with
 every matched row, the descriptor, last frame and last score. Creation order
 keeps the cost-matrix row order, so assignment ties resolve as they did when
-tracks were objects. Indexing the table gives Track snapshots.
+tracks were objects.
 
 linear_assignment returns index arrays: the matches as (K, 2) (row, column)
 pairs, and the unmatched rows and columns. A frame's output is one
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -59,14 +58,7 @@ import numpy as np
 
 from . import appearance as ap
 from . import motion as mo
-from .core import (
-    FrameDetections,
-    Track,
-    TrackState,
-    TrackerConfig,
-    box_centers,
-    iou_matrix,
-)
+from .core import FrameDetections, TrackerConfig, box_centers, iou_matrix
 
 log = logging.getLogger("drone_assoc.association")
 
@@ -75,8 +67,6 @@ _LARGE = 1e9
 
 # state codes of the table's `states` column
 TENTATIVE, CONFIRMED, LOST, REMOVED = range(4)
-_STATES = (TrackState.TENTATIVE, TrackState.CONFIRMED, TrackState.LOST,
-           TrackState.REMOVED)
 
 
 class FrameOrderError(ValueError):
@@ -247,13 +237,13 @@ def _shortest_augmenting_path(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
 
 
-class TrackTable(Sequence):
+class TrackTable:
     """The live tracks as columns, one row per track in creation order.
 
-    Rows are read as Track snapshots (`table[j]`, iteration); the tracker
-    writes the columns. `gallery` is (N, 1 + K, D): slot 0 the local feature
-    (present where `has_local`), slots 1..K the key bank, filled to `fill`
-    with `last_used` frames. D is 0 until the first embedding arrives.
+    `states` holds the module's state codes. `gallery` is (N, 1 + K, D):
+    slot 0 the local feature (present where `has_local`), slots 1..K the key
+    bank, filled to `fill` with `last_used` frames. D is 0 until the first
+    embedding arrives.
     """
 
     _COLUMNS = ("ids", "classes", "states", "hits", "lost_age", "last_frame",
@@ -279,27 +269,6 @@ class TrackTable(Sequence):
 
     def __len__(self) -> int:
         return self.ids.shape[0]
-
-    def __getitem__(self, j: int) -> Track:
-        j = range(len(self))[j]
-        bank = ap.KeyFeatureBank(self.capacity, [
-            ap.BankEntry(self.gallery[j, 1 + k].copy(), int(self.last_used[j, k]))
-            for k in range(self.fill[j])
-        ])
-        rotation = self.rotation[j]
-        return Track(
-            track_id=int(self.ids[j]),
-            class_id=int(self.classes[j]),
-            state=_STATES[self.states[j]],
-            motion=mo.MotionState(self.means[j].copy(), self.covs[j].copy()),
-            local_feature=self.gallery[j, 0].copy() if self.has_local[j] else None,
-            key_bank=bank,
-            rotation=rotation.copy() if rotation.any() else None,
-            consecutive_hits=int(self.hits[j]),
-            lost_age=int(self.lost_age[j]),
-            last_frame=int(self.last_frame[j]),
-            last_score=float(self.last_score[j]),
-        )
 
     @property
     def local(self) -> np.ndarray:

@@ -8,22 +8,17 @@ A frame's detections are columns, not objects: FrameDetections holds an
 (M, 4) box block, (M,) scores and classes, and an (M, D) embedding block or
 None, in file order. The tracker splits and gathers them with masks.
 normalize_rows scales a whole embedding block in place, for loading and for
-the tracker's feature blend; normalize is its one-row call on a copy. Track
-is a snapshot of one row of the tracker's table.
+the tracker's feature blend; normalize is its one-row call on a copy.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .appearance import KeyFeatureBank
-    from .motion import MotionState
 
 class ZeroNormError(ValueError):
     """Raised when a zero-length or non-finite vector is asked to be
@@ -177,32 +172,6 @@ class FrameDetections:
 
     def __len__(self) -> int:
         return self.boxes.shape[0]
-
-
-class TrackState(enum.Enum):
-    TENTATIVE = "tentative"
-    CONFIRMED = "confirmed"
-    LOST = "lost"
-    REMOVED = "removed"
-
-
-@dataclass
-class Track:
-    """Per-identity state as one object: what indexing the tracker's track
-    table returns, and what the one-row appearance and lifecycle functions
-    take."""
-
-    track_id: int
-    class_id: int
-    state: TrackState
-    motion: "MotionState"
-    local_feature: Optional[np.ndarray] = None
-    key_bank: Optional["KeyFeatureBank"] = None
-    rotation: Optional[np.ndarray] = None
-    consecutive_hits: int = 0
-    lost_age: int = 0
-    last_frame: int = 0
-    last_score: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ from .core import (
     ZeroNormError,
     normalize_rows,
 )
-from .motion import AffineTransform
+from .motion import BOX_BOUND, AffineTransform
 
 log = logging.getLogger("drone_assoc.io")
 
@@ -175,10 +175,11 @@ def parse_mot_lines(path: str) -> tuple[MotTable, IngestStats]:
     which notes the short and non-numeric rows. The rules then run once, as
     masks over the converted block, each row charged to the first rule it
     breaks: a non-finite or non-int64 frame, id or class, a non-finite box
-    field or score, frame < 1 (all malformed), then a non-positive extent
-    (skipped). Each charged row is named as `path:line`, in line order; a
-    bulk-read block takes its line numbers from one pass that converts
-    nothing. Scores outside [0, 1] are clamped and counted.
+    field or score, frame < 1 (all malformed), a non-positive extent
+    (skipped), then a box past motion.BOX_BOUND (malformed). Each charged
+    row is named as `path:line`, in line order; a bulk-read block takes its
+    line numbers from one pass that converts nothing. Scores outside [0, 1]
+    are clamped and counted.
     """
     rows = _bulk_rows(path)
     linenos, notes = None, []
@@ -255,6 +256,11 @@ def _rule_masks(rows: np.ndarray) -> tuple[np.ndarray, tuple]:
     row is charged."""
     # int(float(v)) truncates, and its zero has no sign
     ints = np.trunc(rows[:, _INT_COLUMNS]) + 0.0
+    w, h = rows[:, 4], rows[:, 5]
+    # rows the earlier rules charge may divide by zero or hold NaN here
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        huge = ((np.abs(rows[:, 2:6]) > BOX_BOUND).any(axis=1) | (h < 1.0 / BOX_BOUND)
+                | (w / h > BOX_BOUND))
     return ints, (
         # int(float(v)) cannot convert these at all
         (~np.isfinite(ints).all(axis=1), "%s:%d: non-numeric field", True),
@@ -263,8 +269,9 @@ def _rule_masks(rows: np.ndarray) -> tuple[np.ndarray, tuple]:
         (~np.isfinite(rows[:, 2:7]).all(axis=1),
          "%s:%d: non-finite box or score", True),
         (ints[:, 0] < 1, "%s:%d: frame indices are 1-based", True),
-        ((rows[:, 4] <= 0) | (rows[:, 5] <= 0),
-         "%s:%d: skipping box with non-positive extent", False),
+        ((w <= 0) | (h <= 0), "%s:%d: skipping box with non-positive extent", False),
+        # boxes whose Kalman filter would overflow (motion.BOX_BOUND)
+        (huge, "%s:%d: box outside the filter's range", True),
     )
 
 

@@ -19,6 +19,8 @@ defines that test runs only on the few the bound cannot decide.
 The filter state is [cx, cy, a, h, vcx, vcy, va, vh] where a = w / h.
 Noise scales with box height: weight 1/20 on position terms, 1/160 on
 velocity terms. Camera compensation always runs before prediction.
+BOX_BOUND, derived from those weights, is the box magnitude the filter
+holds without overflow; ingest charges a box past it as malformed.
 """
 
 from __future__ import annotations
@@ -84,10 +86,6 @@ class AffineTransform:
         if abs(self.det()) <= 1e-9:
             raise DegenerateTransformError("affine transform is numerically singular")
 
-    @classmethod
-    def identity(cls) -> "AffineTransform":
-        return cls(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-
     def det(self) -> float:
         m = self.m
         return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
@@ -99,16 +97,6 @@ class AffineTransform:
     @property
     def translation(self) -> np.ndarray:
         return self.m[:, 2]
-
-    def apply_points(self, pts: np.ndarray) -> np.ndarray:
-        """Transform an (N, 2) point array."""
-        pts = np.asarray(pts, dtype=np.float64)
-        return pts @ self.linear.T + self.translation
-
-    def inverse(self) -> "AffineTransform":
-        inv = np.linalg.inv(self.linear)
-        t = -inv @ self.translation
-        return AffineTransform(np.column_stack([inv, t]))
 
 
 def _measurements(xywh: np.ndarray) -> np.ndarray:
@@ -134,6 +122,45 @@ def kalman_init(box: BoundingBox) -> MotionState:
 # initial standard deviations per unit of box height; the aspect-ratio
 # components are constants and get overwritten
 _INIT_WEIGHTS = np.array([2 * STD_WEIGHT_POSITION] * 4 + [10 * STD_WEIGHT_VELOCITY] * 4)
+
+# The box magnitude B the filter holds without overflow; ingest charges a
+# box with |x|, |y|, w, h or w / h above B, or h below 1 / B.
+#
+# With wp = STD_WEIGHT_POSITION and wv = STD_WEIGHT_VELOCITY, every
+# covariance entry is the squared box height h^2 times a factor that the
+# weights set. multi_init starts a position variance at p0 = (2 wp)^2 and
+# a velocity variance at v0 = (10 wv)^2, uncorrelated; each prediction
+# adds wp^2 and wv^2 and its F carries velocity into position. After k
+# predictions without an update a position variance is therefore
+#
+#     p_k = p0 + k wp^2 + k^2 v0 + wv^2 (k - 1) k (2k - 1) / 6,
+#
+# and every other entry is smaller. An update never increases the
+# covariance (in the positive semi-definite order) and a prediction keeps
+# that order, so a track matched on some frames holds no more than one
+# never matched since its first. The innovation covariance adds wp^2 h^2,
+# and the predict and update products sum at most four entries before
+# they form one, so each intermediate stays below 4 (p_K + wp^2) h^2; B
+# leaves a further factor of 4. At h >= 1 / B the smallest noise term,
+# wv^2 h^2, is still a normal float, so the innovation covariance does not
+# round to singular. B^2 is finite too, so the box areas and squared centre
+# distances of IoU and the descriptors stay finite.
+#
+# Assumed: at most K = _COVERED_PREDICTIONS predictions in a row without an
+# update (max_lost_age defaults to 30), and a filter height that stays
+# within B. A box that grows frame after frame, by its own velocity or by
+# camera warps, can still overflow. With K = 10 000, B is about 9.2e149.
+_COVERED_PREDICTIONS = 10_000
+
+
+def _box_bound(k: int) -> float:
+    p0, v0 = (_INIT_WEIGHTS[[0, 4]] ** 2).tolist()
+    wp2, wv2 = (_Q_WEIGHTS[[0, 4]] ** 2).tolist()
+    p_k = p0 + k * wp2 + k * k * v0 + wv2 * (k - 1) * k * (2 * k - 1) / 6
+    return math.sqrt(np.finfo(np.float64).max / (16 * (p_k + wp2)))
+
+
+BOX_BOUND = _box_bound(_COVERED_PREDICTIONS)
 
 
 def multi_init(xywh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -277,6 +277,7 @@ def simulate(cfg: ScenarioConfig) -> SimulationResult:
         det_noise_s = rng.normal(0.0, cfg.detection_noise_sigma / 2.0, (n, 2))
         miss_draws = rng.random(n)
         hit_scores = rng.normal(cfg.score_model.mean_hit, cfg.score_model.sigma_hit, n)
+        hit_scores = np.clip(hit_scores, 0.0, 1.0).tolist()
         feat_noise = rng.normal(0.0, _FEATURE_NOISE_SIGMA, (n, dim))
 
         drift = cum_rotation * cfg.view_drift_rate
@@ -294,10 +295,9 @@ def simulate(cfg: ScenarioConfig) -> SimulationResult:
             h_d = max(h + det_noise_s[i, 1], 1.0)
             cx = x + w / 2.0 + det_noise_c[i, 0]
             cy = y + h / 2.0 + det_noise_c[i, 1]
-            score = float(np.clip(hit_scores[i], 0.0, 1.0))
             dets.append(MotLine(frame, -1,
                                 BoundingBox(cx - w_d / 2.0, cy - h_d / 2.0, w_d, h_d),
-                                score, int(classes[i]), 1.0))
+                                hit_scores[i], int(classes[i]), 1.0))
             embs.append((frame, ordinal, feats[i].astype(np.float64)))
             ordinal += 1
 

@@ -1,13 +1,16 @@
 """Shared helpers for the test suite, and the reference implementations
 that the batched code is checked against."""
 
+import enum
 import logging
 import math
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
 
+from drone_assoc import association
 from drone_assoc import motion as mo
 from drone_assoc.appearance import BankEntry, KeyFeatureBank
 from drone_assoc.association import (
@@ -19,9 +22,7 @@ from drone_assoc.association import (
 from drone_assoc.core import (
     BoundingBox,
     FrameDetections,
-    Track,
     TrackerConfig,
-    TrackState,
     ZeroNormError,
     box_centers,
     boxes_array,
@@ -37,8 +38,10 @@ from drone_assoc.mot_io import (
     MotTable,
 )
 from drone_assoc.motion import (
+    BOX_BOUND,
     AffineEstimationError,
     AffineTransform,
+    MotionState,
     _fit_affine_lstsq,
     kalman_init,
 )
@@ -47,6 +50,44 @@ from drone_assoc.motion import (
 def unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(0.0, 1.0, dim)
     return v / np.linalg.norm(v)
+
+
+def apply_affine(m: AffineTransform, pts) -> np.ndarray:
+    """(N, 2) points mapped by the 2x3 matrix of m."""
+    return np.asarray(pts, dtype=np.float64) @ m.linear.T + m.translation
+
+
+class TrackState(enum.Enum):
+    TENTATIVE = "tentative"
+    CONFIRMED = "confirmed"
+    LOST = "lost"
+    REMOVED = "removed"
+
+
+# the code of each state in a TrackTable's `states` column
+STATE_CODES = {TrackState.TENTATIVE: association.TENTATIVE,
+               TrackState.CONFIRMED: association.CONFIRMED,
+               TrackState.LOST: association.LOST,
+               TrackState.REMOVED: association.REMOVED}
+
+
+@dataclass
+class Track:
+    """One track as one object: the model of ReferenceTracker, and what the
+    one-row appearance and lifecycle references take. track_table turns a
+    list of them into the tracker's TrackTable."""
+
+    track_id: int
+    class_id: int
+    state: TrackState
+    motion: MotionState
+    local_feature: Optional[np.ndarray] = None
+    key_bank: Optional[KeyFeatureBank] = None
+    rotation: Optional[np.ndarray] = None
+    consecutive_hits: int = 0
+    lost_age: int = 0
+    last_frame: int = 0
+    last_score: float = 0.0
 
 
 def make_track(
@@ -76,12 +117,10 @@ def make_track(
     )
 
 
-_STATE_CODES = {TrackState.TENTATIVE: 0, TrackState.CONFIRMED: 1, TrackState.LOST: 2}
-
-
 def track_table(tracks, capacity: int = 10) -> TrackTable:
-    """The TrackTable holding `tracks` as rows, in the given order; its rows
-    read back as equal Track snapshots."""
+    """The TrackTable holding `tracks` as rows, in the given order: a track
+    without a descriptor holds a zero row, and the gallery's D is that of
+    the tracks' features, 0 when they hold none."""
     n = len(tracks)
     dims = {len(f) for t in tracks
             for f in ([] if t.local_feature is None else [t.local_feature])
@@ -90,7 +129,7 @@ def track_table(tracks, capacity: int = 10) -> TrackTable:
     for j, t in enumerate(tracks):
         table.ids[j] = t.track_id
         table.classes[j] = t.class_id
-        table.states[j] = _STATE_CODES[t.state]
+        table.states[j] = STATE_CODES[t.state]
         table.hits[j] = t.consecutive_hits
         table.lost_age[j] = t.lost_age
         table.last_frame[j] = t.last_frame
@@ -167,9 +206,10 @@ def reference_normalize(values) -> np.ndarray:
 def reference_parse_mot_lines(path: str):
     """The per-row MOT reader that parse_mot_lines replaces with masks:
     returns (MotLine list, IngestStats) and logs its warnings to the same
-    logger, or raises the same FormatError. One rule is newer than the
+    logger, or raises the same FormatError. Two rules are newer than the
     per-row reader: a frame, id or class past the int64 range is malformed
-    rather than kept as a Python int."""
+    rather than kept as a Python int, and so is a box past BOX_BOUND, whose
+    filter would overflow."""
     stats = IngestStats()
     out = []
     warn = logging.getLogger("drone_assoc.io").warning
@@ -217,6 +257,11 @@ def reference_parse_mot_lines(path: str):
             stats.skipped_empty_box += 1
             warn("%s:%d: skipping box with non-positive extent", path, lineno)
             continue
+        if not (abs(x) <= BOX_BOUND and abs(y) <= BOX_BOUND and w <= BOX_BOUND
+                and 1.0 / BOX_BOUND <= h <= BOX_BOUND and w / h <= BOX_BOUND):
+            stats.malformed += 1
+            warn("%s:%d: box outside the filter's range", path, lineno)
+            continue
         if score < 0.0 or score > 1.0:
             stats.clamped_scores += 1
             score = min(1.0, max(0.0, score))
@@ -252,7 +297,7 @@ def reference_estimate_affine(
         model = _fit_affine_lstsq(prev[pick], cur[pick])
         if model is None:
             continue
-        resid = np.linalg.norm(model.apply_points(prev) - cur, axis=1)
+        resid = np.linalg.norm(apply_affine(model, prev) - cur, axis=1)
         inliers = resid <= inlier_threshold
         if best_inliers is None or inliers.sum() > best_inliers.sum():
             best_inliers = inliers

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from conftest import (
+    STATE_CODES,
+    TrackState,
     det,
     frame_detections,
     make_track,
@@ -19,6 +21,10 @@ from conftest import (
 )
 from drone_assoc import association
 from drone_assoc.association import (
+    CONFIRMED,
+    LOST,
+    REMOVED,
+    TENTATIVE,
     AssignmentResult,
     FrameOrderError,
     TrackRecord,
@@ -28,13 +34,7 @@ from drone_assoc.association import (
     lifecycle,
     linear_assignment,
 )
-from drone_assoc.core import (
-    BoundingBox,
-    FrameDetections,
-    TrackState,
-    TrackerConfig,
-    iou_matrix,
-)
+from drone_assoc.core import BoundingBox, FrameDetections, TrackerConfig, iou_matrix
 from drone_assoc.motion import AffineTransform, rotation_cost
 
 
@@ -400,45 +400,46 @@ class TestLifecycleStep:
     cfg = TrackerConfig()
 
     def step(self, state, matched, hits=1, lost_age=0):
-        """One track advanced by lifecycle as a one-row table, checked
-        against reference_lifecycle_step."""
+        """(state code, hits, lost age) of one track advanced by lifecycle
+        as a one-row table, checked against reference_lifecycle_step."""
         t = make_track(state=state)
         t.consecutive_hits = hits
         t.lost_age = lost_age
         table = track_table([t])
         lifecycle(table.states, table.hits, table.lost_age, np.array([matched]), self.cfg)
-        got, want = table[0], reference_lifecycle_step(t, matched, self.cfg)
-        assert (got.state, got.consecutive_hits, got.lost_age) == \
-            (want.state, want.consecutive_hits, want.lost_age)
+        got = (int(table.states[0]), int(table.hits[0]), int(table.lost_age[0]))
+        want = reference_lifecycle_step(t, matched, self.cfg)
+        assert got == (STATE_CODES[want.state], want.consecutive_hits, want.lost_age)
         return got
 
     def test_tentative_needs_three_hits(self):
-        t = self.step(TrackState.TENTATIVE, True, hits=1)
-        assert t.state is TrackState.TENTATIVE and t.consecutive_hits == 2
-        t = self.step(TrackState.TENTATIVE, True, hits=2)
-        assert t.state is TrackState.CONFIRMED and t.consecutive_hits == 3
+        state, hits, _ = self.step(TrackState.TENTATIVE, True, hits=1)
+        assert (state, hits) == (TENTATIVE, 2)
+        state, hits, _ = self.step(TrackState.TENTATIVE, True, hits=2)
+        assert (state, hits) == (CONFIRMED, 3)
 
     def test_confirmed_stays_confirmed_on_match(self):
-        t = self.step(TrackState.CONFIRMED, True, hits=5)
-        assert t.state is TrackState.CONFIRMED and t.consecutive_hits == 6
+        state, hits, _ = self.step(TrackState.CONFIRMED, True, hits=5)
+        assert (state, hits) == (CONFIRMED, 6)
 
     def test_lost_reconfirms_on_match(self):
-        t = self.step(TrackState.LOST, True, lost_age=7)
-        assert t.state is TrackState.CONFIRMED and t.lost_age == 0
+        state, _, lost_age = self.step(TrackState.LOST, True, lost_age=7)
+        assert (state, lost_age) == (CONFIRMED, 0)
 
     def test_tentative_dies_on_miss(self):
-        t = self.step(TrackState.TENTATIVE, False, hits=2)
-        assert t.state is TrackState.REMOVED and t.consecutive_hits == 0
+        state, hits, _ = self.step(TrackState.TENTATIVE, False, hits=2)
+        assert (state, hits) == (REMOVED, 0)
 
     def test_confirmed_becomes_lost_on_miss(self):
-        t = self.step(TrackState.CONFIRMED, False, hits=9)
-        assert t.state is TrackState.LOST and t.lost_age == 1
+        state, _, lost_age = self.step(TrackState.CONFIRMED, False, hits=9)
+        assert (state, lost_age) == (LOST, 1)
 
     def test_lost_ages_until_removal(self):
-        t = self.step(TrackState.LOST, False, lost_age=self.cfg.max_lost_age - 1)
-        assert t.state is TrackState.LOST and t.lost_age == self.cfg.max_lost_age
-        t = self.step(TrackState.LOST, False, lost_age=self.cfg.max_lost_age)
-        assert t.state is TrackState.REMOVED
+        state, _, lost_age = self.step(TrackState.LOST, False,
+                                       lost_age=self.cfg.max_lost_age - 1)
+        assert (state, lost_age) == (LOST, self.cfg.max_lost_age)
+        state, _, _ = self.step(TrackState.LOST, False, lost_age=self.cfg.max_lost_age)
+        assert state == REMOVED
 
     def test_mixed_rows_advance_as_one_batch(self):
         tracks = []
@@ -451,10 +452,10 @@ class TestLifecycleStep:
         table = track_table([t for t, _ in tracks])
         matched = np.array([m for _, m in tracks])
         lifecycle(table.states, table.hits, table.lost_age, matched, self.cfg)
-        for got, (t, m) in zip(table, tracks):
+        for j, (t, m) in enumerate(tracks):
             want = reference_lifecycle_step(t, m, self.cfg)
-            assert (got.state, got.consecutive_hits, got.lost_age) == \
-                (want.state, want.consecutive_hits, want.lost_age)
+            assert (table.states[j], table.hits[j], table.lost_age[j]) == \
+                (STATE_CODES[want.state], want.consecutive_hits, want.lost_age)
 
 
 class BasisEmbeddings:
@@ -476,7 +477,7 @@ class TestTracker:
         recs = feed(tr, 1, [det(0, 0), det(100, 100)])
         assert len(recs) == 2
         assert all(isinstance(r, TrackRecord) and r.frame == 1 for r in recs)
-        assert {t.state for t in tr.tracks} == {TrackState.CONFIRMED}
+        assert tr.tracks.states.tolist() == [CONFIRMED, CONFIRMED]
 
     def test_later_spawns_are_tentative_until_three_hits(self):
         tr = Tracker()
@@ -498,7 +499,7 @@ class TestTracker:
         feed(tr, 1, [det(0, 0)])
         # an overlapping sub-threshold detection cannot even continue a track
         feed(tr, 2, [det(0, 0, score=0.05)])
-        assert tr.tracks[0].state is TrackState.LOST
+        assert tr.tracks.states[0] == LOST
 
     def test_stage_two_continues_confirmed_track_on_low_score(self):
         tr = Tracker()
@@ -507,47 +508,43 @@ class TestTracker:
         assert len(recs) == 1
         assert recs[0].track_id == 1
         assert recs[0].score == pytest.approx(0.3)
-        assert tr.tracks[0].state is TrackState.CONFIRMED
+        assert tr.tracks.states[0] == CONFIRMED
 
     def test_lost_tracks_sit_out_stage_two(self):
         tr = Tracker()
         feed(tr, 1, [det(0, 0)])
         feed(tr, 2, [])
-        assert tr.tracks[0].state is TrackState.LOST
+        assert tr.tracks.states[0] == LOST
         recs = feed(tr, 3, [det(0, 0, score=0.3)])
         assert recs == []
-        assert tr.tracks[0].state is TrackState.LOST
-        assert tr.tracks[0].lost_age == 2
+        assert (tr.tracks.states[0], tr.tracks.lost_age[0]) == (LOST, 2)
 
     def test_lost_track_reacquired_in_stage_one_keeps_id(self):
         emb = BasisEmbeddings()
         tr = Tracker()
         feed(tr, 1, [det(0, 0, embedding=emb())])
         feed(tr, 2, [])
-        assert tr.tracks[0].state is TrackState.LOST
-        bank_before = len(tr.tracks[0].key_bank.entries)
+        assert tr.tracks.states[0] == LOST
+        bank_before = tr.tracks.fill[0]
         feed(tr, 3, [det(0, 0, embedding=emb())])
-        # tracks read back as snapshots: read the row again after each frame
-        track = tr.tracks[0]
-        assert track.state is TrackState.CONFIRMED
-        assert track.track_id == 1
+        assert (tr.tracks.states[0], tr.tracks.ids[0]) == (CONFIRMED, 1)
         # novel feature, but the bank is frozen on the re-acquisition frame
-        assert len(track.key_bank.entries) == bank_before
+        assert tr.tracks.fill[0] == bank_before
         feed(tr, 4, [det(0, 0, embedding=emb())])
-        assert len(tr.tracks[0].key_bank.entries) == bank_before + 1
+        assert tr.tracks.fill[0] == bank_before + 1
 
     def test_class_mismatch_spawns_a_second_track(self):
         tr = Tracker()
         feed(tr, 1, [det(0, 0, class_id=1)])
         feed(tr, 2, [det(0, 0, class_id=2)])
-        classes = {t.track_id: t.class_id for t in tr.tracks}
+        classes = dict(zip(tr.tracks.ids.tolist(), tr.tracks.classes.tolist()))
         assert classes == {1: 1, 2: 2}
 
     def test_track_ids_grow_monotonically(self):
         tr = Tracker()
         feed(tr, 1, [det(0, 0), det(300, 0), det(0, 300)])
         feed(tr, 2, [det(600, 600)])
-        assert [t.track_id for t in tr.tracks] == [1, 2, 3, 4]
+        assert tr.tracks.ids.tolist() == [1, 2, 3, 4]
 
     def test_out_of_order_frames_rejected(self):
         tr = Tracker()
@@ -562,18 +559,18 @@ class TestTracker:
         tr = Tracker(TrackerConfig(use_afs=False))
         for frame in range(1, 5):
             feed(tr, frame, [det(0, 0, embedding=emb())])
-        assert tr.tracks[0].key_bank.entries == []
-        assert tr.tracks[0].local_feature is not None
+        assert tr.tracks.fill[0] == 0
+        assert tr.tracks.has_local[0]
 
     def test_zero_rotation_weight_skips_descriptors(self):
         tr = Tracker(TrackerConfig(w_r=0.0))
         feed(tr, 1, [det(0, 0), det(30, 0), det(0, 40)])
-        assert all(t.rotation is None for t in tr.tracks)
+        assert len(tr.tracks) == 3 and not tr.tracks.rotation.any()
 
     def test_descriptors_recorded_with_rotation_enabled(self):
         tr = Tracker()
         feed(tr, 1, [det(0, 0), det(30, 0), det(0, 40)])
-        assert all(t.rotation is not None for t in tr.tracks)
+        assert len(tr.tracks) == 3 and tr.tracks.rotation.any(axis=1).all()
 
     def test_camera_shift_compensation_recovers_match(self):
         """A jump that breaks the IoU gate is healed by the matching warp."""
@@ -584,11 +581,10 @@ class TestTracker:
             feed(tr, 1, [det(0, 0)])
         feed(tr_warp, 2, [det(30, 0)], shift)
         feed(tr_none, 2, [det(30, 0)], None)
-        assert tr_warp.tracks[0].state is TrackState.CONFIRMED
-        assert tr_warp.tracks[0].last_frame == 2
+        assert (tr_warp.tracks.states[0], tr_warp.tracks.last_frame[0]) == (CONFIRMED, 2)
         assert len(tr_warp.tracks) == 1
         # without compensation the same detection founds a new track
-        assert tr_none.tracks[0].state is TrackState.LOST
+        assert tr_none.tracks.states[0] == LOST
         assert len(tr_none.tracks) == 2
 
     def test_removed_tracks_leave_the_pool(self):
@@ -633,7 +629,7 @@ class TestTracker:
                 assert_same_state(tracker_state(tr), before)
         (rec,) = feed(tr, 6, [det(50, 50, 5, 5)])
         assert rec.track_id == 1
-        assert (tr.last_frame, tr.next_id, tr.tracks[0].consecutive_hits) == (6, 2, 2)
+        assert (tr.last_frame, tr.next_id, tr.tracks.hits[0]) == (6, 2, 2)
 
     def test_a_blend_that_cancels_keeps_the_previous_feature(self):
         # at a fixed weight of 0.5, frame 2's embedding cancels track 1's
@@ -645,12 +641,12 @@ class TestTracker:
         tr.associate_frame(FrameDetections(1, box, [0.9], [1], [[1.0, 0.0]]), None)
         (rec,) = tr.associate_frame(FrameDetections(2, box, [0.9], [1], [[-1.0, 0.0]]), None)
         assert rec.track_id == 1
-        assert (tr.last_frame, tr.next_id, tr.tracks[0].consecutive_hits) == (2, 2, 2)
-        assert tr.tracks[0].local_feature.tolist() == [1.0, 0.0]
+        assert (tr.last_frame, tr.next_id, tr.tracks.hits[0]) == (2, 2, 2)
+        assert tr.tracks.has_local[0] and tr.tracks.local[0].tolist() == [1.0, 0.0]
         (rec,) = tr.associate_frame(FrameDetections(3, box, [0.9], [1], [[0.0, 1.0]]), None)
         assert rec.track_id == 1
-        assert (tr.last_frame, tr.next_id, tr.tracks[0].consecutive_hits) == (3, 2, 3)
-        assert np.allclose(tr.tracks[0].local_feature, [0.5 ** 0.5, 0.5 ** 0.5])
+        assert (tr.last_frame, tr.next_id, tr.tracks.hits[0]) == (3, 2, 3)
+        assert np.allclose(tr.tracks.local[0], [0.5 ** 0.5, 0.5 ** 0.5])
 
 
 def tracker_state(tr: Tracker) -> tuple:

@@ -21,11 +21,14 @@ from drone_assoc.mot_io import (
     IngestStats,
     SIDECAR_CHUNK_RECORDS,
     MotTable,
+    RunConfig,
     parse_detections,
     parse_embeddings,
     parse_mot_lines,
     write_embeddings,
 )
+from drone_assoc.motion import BOX_BOUND
+from drone_assoc.pipeline import run_tracking
 
 
 class _Collect(logging.Handler):
@@ -346,6 +349,104 @@ class TestInt64Fields:
             bad[0, col] = value
             with pytest.raises(ValueError):
                 MotTable(bad)
+
+
+# -- boxes past the filter's range ----------------------------------------------
+
+# boxes whose filters overflowed and made a frame raise before ingest charged
+# them: (x, y, w, h) and the frames that detect the box; the first three
+# frames of a run confirm their tracks, so a box seen at frames 1 and 2 is a
+# confirmed track when it is lost
+OVERFLOWING = {
+    "initial covariance": ((5.0, 1.0, 3.0, 1e156), (1,)),
+    "innovation covariance": ((5.0, 1.0, 3.0, 1e155), (1, 2)),
+    "covariance of a lost track": ((5.0, 1.0, 3.0, 1e154), (1, 2)),
+    "aspect ratio": ((5.0, 1.0, 10.0, 1e-308), (1,)),
+    "centre": ((1.7e308, 1.0, 1e308, 3.0), (1,)),
+}
+# boxes at the bound on each side it limits
+AT_BOUND = {
+    "corner": (-BOX_BOUND, BOX_BOUND, BOX_BOUND, BOX_BOUND),
+    "aspect ratio": (0.0, 0.0, BOX_BOUND, 1.0),
+    "smallest height": (0.0, 0.0, 1.0 / BOX_BOUND, 1.0 / BOX_BOUND),
+}
+
+
+def range_scene(tmp_path, extra_rows=(), n_frames=40, embed_extra=False):
+    """A detection file of two objects over n_frames frames, then
+    `extra_rows` appended as (frame, x, y, w, h), at most one a frame; the
+    sidecar holds the two objects' records and, with `embed_extra`, those
+    of the extra rows. Returns the detection path, the sidecar path and the
+    extra rows' lines."""
+    rows = [f"{f},-1,{10.0 + f!r},20.0,10.0,12.0,0.9,1,1" for f in range(1, n_frames + 1)]
+    rows += [f"{f},-1,200.0,{50.0 + 2 * f!r},15.0,15.0,0.8,1,1"
+             for f in range(1, n_frames + 1)]
+    records = [(f, o, basis(o)) for f in range(1, n_frames + 1) for o in range(2)]
+    rows += [f"{f},-1," + ",".join(repr(float(v)) for v in box) + ",0.9,1,1"
+             for f, *box in extra_rows]
+    if embed_extra:
+        records += [(row[0], 2, basis(2)) for row in extra_rows]
+    det = str(tmp_path / "det.txt")
+    with open(det, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(rows) + "\n")
+    emb = str(tmp_path / "emb.bin")
+    write_embeddings(emb, records, 16)
+    first = 2 * n_frames + 1
+    return det, emb, list(range(first, first + len(extra_rows)))
+
+
+def tracked_bytes(tmp_path, det, emb, **settings) -> bytes:
+    out = str(tmp_path / "results.txt")
+    run_tracking(RunConfig(detections=det, embeddings=emb, output=out, **settings))
+    with open(out, "rb") as fh:
+        return fh.read()
+
+
+class TestFilterRange:
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING))
+    def test_overflowing_box_is_charged_and_changes_no_byte(self, tmp_path, case):
+        box, frames = OVERFLOWING[case]
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        det, emb, lines = range_scene(tmp_path, [(f, *box) for f in frames])
+        result, err, log = logged(parse_mot_lines, det)
+        assert err is None
+        table, stats = result
+        assert (len(table), stats.malformed) == (80, len(frames))
+        assert log == [(logging.WARNING, f"{det}:{n}: box outside the filter's range")
+                       for n in lines]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            got = tracked_bytes(tmp_path, det, emb)
+        assert got == tracked_bytes(clean, *range_scene(clean)[:2])
+
+    @pytest.mark.parametrize("case", sorted(AT_BOUND))
+    def test_box_at_the_bound_is_kept_and_tracked_until_removed(self, tmp_path, case):
+        """Matched at frames 1 and 2, then lost for max_lost_age frames: no
+        frame raises, and the track is emitted until it is lost. A gate of 0
+        lets the smallest box, whose IoU with its own prediction is near 0,
+        match too."""
+        max_lost_age = RunConfig().max_lost_age
+        det, emb, _ = range_scene(tmp_path, [(f, *AT_BOUND[case]) for f in (1, 2)],
+                                  n_frames=max_lost_age + 3, embed_extra=True)
+        table, stats = parse_mot_lines(det)
+        assert stats.malformed == 0 and len(table) == 2 * (max_lost_age + 3) + 2
+        # online RANSAC scores these centres with residuals that overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = tracked_bytes(tmp_path, det, emb, iou_gate=0.0).decode().splitlines()
+        rows = [line.split(",") for line in results]
+        assert [int(r[0]) for r in rows if int(r[1]) == 3] == [1, 2]
+        assert all(np.isfinite([float(v) for v in r[2:7]]).all() for r in rows)
+
+    def test_each_field_past_the_bound_is_charged(self, tmp_path):
+        past = np.nextafter(BOX_BOUND, np.inf)
+        boxes = [(past, 0.0, 1.0, 1.0), (0.0, -past, 1.0, 1.0), (0.0, 0.0, past, 1.0),
+                 (0.0, 0.0, 1.0, past), (0.0, 0.0, 1.0, np.nextafter(1.0 / BOX_BOUND, 0.0)),
+                 (0.0, 0.0, BOX_BOUND, np.nextafter(1.0, 0.0))]
+        det, _, lines = range_scene(tmp_path, [(1, *box) for box in boxes])
+        result, err, log = logged(parse_mot_lines, det)
+        assert err is None and result[1].malformed == len(boxes)
+        assert [m for _, m in log] == [f"{det}:{n}: box outside the filter's range"
+                                       for n in lines]
 
 
 # -- the embedding block ----------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import apply_affine
 from drone_assoc.mot_io import FormatError, parse_embeddings
 from drone_assoc.simulator import (
     CameraPhase,
@@ -80,7 +81,7 @@ class TestGeometry:
         res = simulate(cfg)
         mid = np.array([200.0, 200.0])
         for m in res.affines.values():
-            assert np.allclose(m.apply_points(mid[None, :])[0], mid, atol=1e-9)
+            assert np.allclose(apply_affine(m, mid[None, :])[0], mid, atol=1e-9)
             assert m.det() == pytest.approx(1.0, abs=1e-12)
             assert m.m[0, 0] == pytest.approx(math.cos(0.05), abs=1e-12)
 
@@ -93,7 +94,7 @@ class TestGeometry:
                              ln.bbox.y + ln.bbox.h / 2.0] for ln in gt[frame]])
             nxt = np.array([[ln.bbox.x + ln.bbox.w / 2.0,
                              ln.bbox.y + ln.bbox.h / 2.0] for ln in gt[frame + 1]])
-            warped = res.affines[frame + 1].apply_points(cur)
+            warped = apply_affine(res.affines[frame + 1], cur)
             # objects also move on their own: small speeds plus jitter
             assert np.max(np.linalg.norm(warped - nxt, axis=1)) < 2.5
 

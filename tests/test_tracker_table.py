@@ -13,6 +13,7 @@ from conftest import (
     ReferenceTracker,
     reference_adaptive_alpha,
     reference_maybe_insert_key,
+    track_table,
     unit_vector,
 )
 from drone_assoc import simulator as sim
@@ -41,24 +42,28 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+# the TrackTable columns compared whole; the gallery is compared by slot
+_WHOLE_COLUMNS = ("ids", "classes", "states", "hits", "lost_age", "last_frame",
+                  "last_score", "means", "covs", "rotation", "has_local", "fill")
+
+
 def assert_same_state(tracker: Tracker, ref: ReferenceTracker, frame: int) -> None:
+    """The tracker's table against the reference tracks as a table, column
+    by column and bit for bit. The local feature is compared only where
+    has_local is set, and key-bank slots only below fill: slots past fill
+    may hold stale rows, and a table has D = 0 until its first feature."""
     assert tracker.next_id == ref.next_id, frame
-    assert len(tracker.tracks) == len(ref.tracks), frame
-    for got, want in zip(tracker.tracks, ref.tracks):
-        where = (frame, want.track_id)
-        assert (got.track_id, got.class_id, got.state) == \
-            (want.track_id, want.class_id, want.state), where
-        assert (got.consecutive_hits, got.lost_age, got.last_frame) == \
-            (want.consecutive_hits, want.lost_age, want.last_frame), where
-        assert got.last_score == want.last_score, where
-        assert same_bits(got.motion.mean, want.motion.mean), where
-        assert same_bits(got.motion.covariance, want.motion.covariance), where
-        assert same_bits(got.local_feature, want.local_feature), where
-        assert same_bits(got.rotation, want.rotation), where
-        assert len(got.key_bank.entries) == len(want.key_bank.entries), where
-        for g, w in zip(got.key_bank.entries, want.key_bank.entries):
-            assert same_bits(g.feature, w.feature), where
-            assert g.last_used == w.last_used, where
+    got = tracker.tracks
+    want = track_table(ref.tracks, tracker.config.key_bank_capacity)
+    for name in _WHOLE_COLUMNS:
+        assert same_bits(getattr(got, name), getattr(want, name)), (frame, name)
+    for j in np.flatnonzero(want.has_local).tolist():
+        assert same_bits(got.local[j], want.local[j]), (frame, want.ids[j])
+    for j, n in enumerate(want.fill.tolist()):
+        if n:
+            assert same_bits(got.bank[j, :n], want.bank[j, :n]), (frame, want.ids[j])
+            assert same_bits(got.last_used[j, :n], want.last_used[j, :n]), \
+                (frame, want.ids[j])
 
 
 def run_lockstep(config: TrackerConfig, stream) -> dict:
