@@ -19,8 +19,9 @@ The one-row and all-pairs adapters (update_local_feature, maybe_insert_key
 with its KeyFeatureBank, appearance_cost_matrix) have no caller in the
 package. They stay only because the benchmark's tracer looks them up by name.
 
-All features are unit-norm float64 vectors. Cosine similarity is therefore
-a plain dot product. Two rounding rules keep the batched forms equal bit for
+All features are unit-norm float64 vectors: the tracker normalizes each
+frame's detection embeddings, as given, before they reach this module.
+Cosine similarity is therefore a plain dot product. Two rounding rules keep the batched forms equal bit for
 bit to the one-vector arithmetic: the blend weight comes from math.exp once
 per row, and every similarity, novelty test and pair score alike, is a
 stacked (1, D) @ (D, 1) product, which runs np.dot's kernel, not a

@@ -29,7 +29,8 @@ last scores; (N, 8) Kalman means and (N, 8, 8) covariances; the appearance
 gallery of appearance.py; and (N, 3) rotation descriptors, a zero row where
 a track has none. A frame arrives as the arrays of a FrameDetections, with
 the camera motion the run hands the tracker (None for none), and each step
-is an array operation over rows: predict every row under that motion, score
+is an array operation over rows: scale the kept detections' embeddings,
+as given, to unit norm in float64, predict every row under that motion, score
 the galleries, match, correct the matched rows and advance the lifecycle by
 masks, into locals. Once every kept and new row's filter and box are finite
 and the stage-1 matches' local features are blended, the locals are
@@ -58,7 +59,14 @@ import numpy as np
 
 from . import appearance as ap
 from . import motion as mo
-from .core import FrameDetections, TrackerConfig, box_centers, iou_matrix
+from .core import (
+    FrameDetections,
+    TrackerConfig,
+    ZeroNormError,
+    box_centers,
+    iou_matrix,
+    normalize_rows,
+)
 
 log = logging.getLogger("drone_assoc.association")
 
@@ -377,6 +385,18 @@ def lifecycle(
     states[missed & (tentative | (lost & (lost_age > config.max_lost_age)))] = REMOVED
 
 
+def _first_singular(means: np.ndarray, covs: np.ndarray, boxes: np.ndarray) -> int:
+    """The first row whose one-row multi_update meets a singular innovation
+    covariance, for a batch whose update raised; the batched solve fails
+    exactly when some row's does."""
+    for i in range(means.shape[0]):
+        try:
+            mo.multi_update(means[i:i + 1], covs[i:i + 1], boxes[i:i + 1])
+        except np.linalg.LinAlgError:
+            return i
+    raise AssertionError("the batched update raised, but no row does alone")
+
+
 class Tracker:
     """Holds live tracks and consumes frames in strictly increasing order."""
 
@@ -391,7 +411,8 @@ class Tracker:
         self, frame_detections: FrameDetections, m: Optional[mo.AffineTransform]
     ) -> list[TrackRecord]:
         """Process one frame; returns the confirmed-track records for it. A frame
-        refused for its order, embedding width or a non-finite row writes nothing."""
+        refused for its order, embedding width, a zero-length embedding, a
+        non-finite row or a singular filter writes nothing."""
         cfg = self.config
         frame = frame_detections.frame
         if frame <= self.last_frame:
@@ -406,7 +427,13 @@ class Tracker:
         boxes, classes, scores = fd.boxes[kept], fd.classes[kept], fd.scores[kept]
         high = scores >= cfg.theta_high
         hi, lo = np.flatnonzero(high), np.flatnonzero(~high)
-        emb = None if fd.embeddings is None else fd.embeddings[kept]
+        emb = None
+        if fd.embeddings is not None:
+            # the gather copies, so the caller's rows are not scaled
+            try:
+                emb = normalize_rows(fd.embeddings[kept].astype(np.float64, copy=False))
+            except ZeroNormError as e:
+                raise ZeroNormError(f"frame {frame}: detection {kept[e.row]}: {e}") from e
         descriptors = (mo.frame_descriptors(box_centers(boxes), cfg.radius_R)
                        if cfg.w_r > 0 else np.zeros((kept.shape[0], 3)))
 
@@ -432,7 +459,12 @@ class Tracker:
         rows = np.concatenate([rows1, leftover[rows2]])
         pos = np.concatenate([hi[cols1], lo[cols2]])
         if rows.size:
-            means[rows], covs[rows] = mo.multi_update(means[rows], covs[rows], boxes[pos])
+            try:
+                means[rows], covs[rows] = mo.multi_update(means[rows], covs[rows], boxes[pos])
+            except np.linalg.LinAlgError as e:
+                bad = rows[_first_singular(means[rows], covs[rows], boxes[pos])]
+                raise ValueError(f"frame {frame}: the filter of track {t.ids[bad]} "
+                                 "is singular") from e
         # the bank stays frozen through the frame that re-acquires a lost
         # track, so the offers are read before the lifecycle step; inserts
         # resume once it is confirmed again. A new track offers its first.

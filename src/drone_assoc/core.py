@@ -1,14 +1,18 @@
 """Core domain types and geometry for the association engine.
 
 Boxes are axis-aligned, top-left (x, y, w, h) in pixels. Frames are 1-based,
-detection ordinals within a frame are 0-based. Embeddings are float64 numpy
-vectors kept at unit L2 norm once ingested.
+detection ordinals within a frame are 0-based. Embeddings are held as
+read, at their stored width: float32 rows from the binary sidecar, float64
+from CSV or from a caller. The tracker scales a frame's rows to unit L2
+norm when it reads them, so every feature it stores is unit-norm float64.
 
 A frame's detections are columns, not objects: FrameDetections holds an
 (M, 4) box block, (M,) scores and classes, and an (M, D) embedding block or
 None, in file order. The tracker splits and gathers them with masks.
-normalize_rows scales a whole embedding block in place, for loading and for
-the tracker's feature blend; normalize is its one-row call on a copy.
+normalize_rows scales a whole embedding block in place, for the tracker's
+frame rows and its feature blend; normalize is its one-row call on a copy.
+checked_norms is its norm and check alone, for a loader that keeps the rows
+as stored.
 """
 
 from __future__ import annotations
@@ -41,14 +45,12 @@ def normalize(values: np.ndarray) -> np.ndarray:
     return normalize_rows(v.reshape(1, -1)).reshape(v.shape)
 
 
-def normalize_rows(block: np.ndarray) -> np.ndarray:
-    """Scale every row of a C-contiguous float64 (N, D) block to unit L2
-    norm, in place, and return it.
+def checked_norms(block: np.ndarray) -> np.ndarray:
+    """The (N,) L2 norms of the rows of a float64 (N, D) block, each checked.
 
     The stacked (1, D) @ (D, 1) products run the same dot kernel as a
     vector's own `v.dot(v)`, row by row. A zero-length or non-finite row
-    raises ZeroNormError with `row` set to the first such index; the block
-    is left untouched then.
+    raises ZeroNormError with `row` set to the first such index.
     """
     norms = np.sqrt((block[:, None, :] @ block[:, :, None]).reshape(-1))
     bad = ~(norms >= 1e-12) | ~np.isfinite(norms)
@@ -57,7 +59,14 @@ def normalize_rows(block: np.ndarray) -> np.ndarray:
         err = _norm_error(float(norms[row]))
         err.row = row
         raise err
-    block /= norms[:, None]
+    return norms
+
+
+def normalize_rows(block: np.ndarray) -> np.ndarray:
+    """Scale every row of a C-contiguous float64 (N, D) block to unit L2
+    norm, in place, and return it. A zero-length or non-finite row raises
+    checked_norms' ZeroNormError, and the block is left untouched then."""
+    block /= checked_norms(block)[:, None]
     return block
 
 
@@ -135,7 +144,10 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class FrameDetections:
     """All detections of one frame, in file order, as columns: boxes (M, 4)
     xywh float64, scores (M,) in [0, 1], classes (M,) int64 and embeddings
-    (M, D) unit rows or None. `FrameDetections(t, ())` is an empty frame."""
+    (M, D) finite rows as given, or None. Float32 and float64 embeddings keep
+    their dtype, any other is widened to float64; the rows need not be unit
+    norm, since the tracker normalizes the rows it reads.
+    `FrameDetections(t, ())` is an empty frame."""
 
     frame: int
     boxes: np.ndarray = ()
@@ -163,7 +175,9 @@ class FrameDetections:
         setattr_(self, "scores", scores)
         setattr_(self, "classes", classes)
         if self.embeddings is not None:
-            emb = np.asarray(self.embeddings, dtype=np.float64)
+            emb = np.asarray(self.embeddings)
+            if emb.dtype not in (np.float32, np.float64):
+                emb = emb.astype(np.float64)
             if emb.ndim != 2 or emb.shape[0] != m:
                 raise ValueError("embeddings need one row per detection")
             if not np.isfinite(emb).all():

@@ -15,9 +15,10 @@ converted once, by np.loadtxt, or line by line when that rejects it or a
 
 Embeddings ride in a binary sidecar keyed by (frame, ordinal-within-frame);
 a CSV fallback with rows ``frame,ordinal,v0..v{D-1}`` is accepted. Either
-is read once, in chunks of records: one reader collects the keys,
-normalizes each chunk once, which checks every norm, and places the rows
-asked for in the block it returns. parse_embeddings asks for every record;
+is read once, in chunks of records: one reader collects the keys, checks
+every norm of each chunk, and places the rows asked for, as stored, in the
+block it returns: float32 rows from the binary form, float64 from CSV; the
+tracker normalizes them. parse_embeddings asks for every record;
 parse_detections places record (f, o) on row o of frame f's run, ignores
 records that match no detection, and slices its block by frame. Affine sidecars
 are CSV rows ``frame,a,b,tx,c,d,ty``. Results are written as
@@ -53,7 +54,7 @@ from .core import (
     FrameDetections,
     TrackerConfig,
     ZeroNormError,
-    normalize_rows,
+    checked_norms,
 )
 from .motion import BOX_BOUND, AffineTransform
 
@@ -318,7 +319,7 @@ def parse_detections(
     and ordinal before the min_score filter runs, so sidecar ordinals and
     file rows stay aligned. A detection without an embedding is fatal, kept
     or not. The sidecar is read in one pass, and the block the frames slice
-    holds only the kept detections' rows.
+    holds only the kept detections' rows, as stored.
     """
     table, stats = parse_mot_lines(path)
     order = np.argsort(table.frames, kind="stable")
@@ -347,14 +348,15 @@ def parse_detections(
 
 class Embeddings(NamedTuple):
     """A loaded sidecar, in file order: (count, 2) int64 (frame, ordinal)
-    keys and a (count, D) float64 block of unit rows."""
+    keys and a (count, D) block of the rows as stored, float32 from the
+    binary form and float64 from CSV."""
 
     keys: np.ndarray
     vectors: np.ndarray
 
 
 def parse_embeddings(path: str, expected_dim: Optional[int] = None) -> Embeddings:
-    """Load an embedding sidecar (binary or CSV), unit-normalizing vectors.
+    """Load an embedding sidecar (binary or CSV), its vectors as stored.
 
     Duplicate keys and zero-length or non-finite vectors are fatal; the
     error names the first bad record in file order.
@@ -362,7 +364,8 @@ def parse_embeddings(path: str, expected_dim: Optional[int] = None) -> Embedding
     return Embeddings(*_read_sidecar(path, expected_dim))
 
 
-# records a sidecar pass holds at a time, as stored and widened to float64
+# records a sidecar pass holds at a time, as stored and, to check their
+# norms, widened to float64
 SIDECAR_CHUNK_RECORDS = 1024
 
 # a run of consecutive sidecar records: the index of its first record, its
@@ -377,8 +380,9 @@ def _read_sidecar(
     keep: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one pass over a sidecar, binary or CSV: its keys in file order
-    and a block of unit rows. The normalize_rows call that checks a chunk
-    also makes the rows that are kept.
+    and a block of rows as stored, in the stored dtype. Each chunk's norms
+    are checked in float64, as the tracker normalizes them; a CSV chunk is
+    already float64 and is not scaled.
 
     The block holds every record in file order, or with `runs` (the sorted
     detections' ascending frames, and each one's first row and row count),
@@ -399,15 +403,16 @@ def _read_sidecar(
         for start, keys, vectors, linenos in _sidecar_chunks(path, expected_dim):
             key_chunks.append(keys)
             try:
-                unit = normalize_rows(vectors.astype(np.float64, copy=False))
+                checked_norms(vectors.astype(np.float64, copy=False))
             except ZeroNormError as e:
                 bad = (start + e.row, None if linenos is None else linenos[e.row], e)
                 break
             if block is None:
-                block = np.empty((0 if runs is None else int(keep.sum()), unit.shape[1]))
+                block = np.empty((0 if runs is None else int(keep.sum()), vectors.shape[1]),
+                                 dtype=vectors.dtype)
             if runs is None:  # no view of the block is out, so realloc may move it
-                block.resize((start + unit.shape[0], unit.shape[1]), refcheck=False)
-                block[start:] = unit
+                block.resize((start + vectors.shape[0], vectors.shape[1]), refcheck=False)
+                block[start:] = vectors
                 continue
             run = np.searchsorted(frames, keys[:, 0])
             hit = run < frames.shape[0]
@@ -416,7 +421,7 @@ def _read_sidecar(
             in_run = (ordinal >= 0) & (ordinal < counts[run])
             records, pos = records[in_run], starts[run[in_run]] + ordinal[in_run]
             filled[pos] = True
-            block[slot[pos[keep[pos]]]] = unit[records[keep[pos]]]
+            block[slot[pos[keep[pos]]]] = vectors[records[keep[pos]]]
     except FormatError as e:  # raised after the records before it
         broken = e
     keys = np.concatenate(key_chunks)

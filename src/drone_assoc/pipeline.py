@@ -1,5 +1,6 @@
 """End-to-end runs over the one frame loop, track_frames: it feeds a tracker
-frames 1..last, an empty frame where the input has none, each with its
+frames 1..last, an empty frame where the input has none (skipping the empty
+frames of a gap once no track is left), each with its
 camera motion from camera_source, the one reader of a run's camera settings
 (the affine sidecar, online estimation, or none, which is all a run with
 use_dmp off hands the tracker; such a run never opens the sidecar).
@@ -9,6 +10,7 @@ feature-toggle cell, each with a fresh tracker and camera source."""
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import logging
 import os
@@ -80,17 +82,33 @@ def track_frames(
 ) -> Iterator[list[TrackRecord]]:
     """Feed the tracker frames 1..last in order, an empty frame where the
     input has no rows, each with its camera motion `camera(fd)`; yields
-    each frame's records. A frame given twice is a FrameOrderError."""
+    the records of each frame it feeds. A frame given twice is a
+    FrameOrderError.
+
+    Once the tracker holds no track, an empty frame changes nothing but its
+    last frame, and the camera source has seen a frame without detections.
+    So after the first such empty frame, the loop jumps to the next frame
+    that holds rows (or to the last frame): a gap in the frame numbers costs
+    the empty frames until the last track is removed, not one per missing
+    frame."""
     by_frame: dict[int, FrameDetections] = {}
     for fd in frames:
         if fd.frame in by_frame:
             raise FrameOrderError(f"frame {fd.frame} appears twice")
         by_frame[fd.frame] = fd
-    for t in range(1, max(by_frame, default=0) + 1):
+    last = max(by_frame, default=0)
+    busy = sorted(t for t, fd in by_frame.items() if len(fd))
+    t = 1
+    while t <= last:
         fd = by_frame.get(t)
         if fd is None:
             fd = FrameDetections(t, ())
         yield tracker.associate_frame(fd, camera(fd))
+        if len(fd) or len(tracker.tracks):
+            t += 1
+        else:
+            i = bisect.bisect_right(busy, t)
+            t = busy[i] if i < len(busy) else max(t + 1, last)
 
 
 def camera_source(cfg: RunConfig) -> Camera:

@@ -590,9 +590,9 @@ class ReferenceTracker:
         high = scores >= cfg.theta_high
         hi_pos, lo_pos = np.flatnonzero(high).tolist(), np.flatnonzero(~high).tolist()
         scores = scores.tolist()
-        emb = fd.embeddings
-        features = ([None] * len(scores) if emb is None
-                    else [emb[r] for r in kept.tolist()])
+        # each kept detection's embedding, normalized on read
+        features = ([None] * len(scores) if fd.embeddings is None
+                    else [normalize(fd.embeddings[r]) for r in kept.tolist()])
         if cfg.w_r > 0:
             rows = mo.frame_descriptors(box_centers(boxes), cfg.radius_R)
             descriptors = [r if r.any() else None for r in rows]
@@ -610,7 +610,8 @@ class ReferenceTracker:
 
         hi = np.array(hi_pos, dtype=np.intp)
         cost, ious = self._costs(pool, predicted, boxes[hi], classes[hi],
-                                 None if emb is None else emb[kept[hi]],
+                                 None if fd.embeddings is None else
+                                 [features[p] for p in hi_pos],
                                  [descriptors[p] for p in hi_pos], True)
         stage1 = linear_assignment(cost)
         matches1 = stage1.matches.tolist()

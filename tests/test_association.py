@@ -648,6 +648,48 @@ class TestTracker:
         assert (tr.last_frame, tr.next_id, tr.tracks.hits[0]) == (3, 2, 3)
         assert np.allclose(tr.tracks.local[0], [0.5 ** 0.5, 0.5 ** 0.5])
 
+    def test_embeddings_are_normalized_as_the_tracker_reads_them(self):
+        # rows of any length go in; the stored feature is the unit row, and
+        # the caller's rows are not scaled
+        tr = Tracker()
+        rows = np.array([[3.0, 4.0], [0.0, 0.5]])
+        fd = FrameDetections(1, [[0.0, 0.0, 10.0, 10.0], [50.0, 0.0, 10.0, 10.0]],
+                             [0.9, 0.9], [1, 1], rows)
+        tr.associate_frame(fd, None)
+        assert tr.tracks.local.tolist() == [[0.6, 0.8], [0.0, 1.0]]
+        assert tr.tracks.local.dtype == np.float64
+        assert fd.embeddings.tolist() == [[3.0, 4.0], [0.0, 0.5]]
+
+    def test_a_zero_length_embedding_refuses_its_frame(self):
+        # frame 2's second row has no direction: the frame raises before any
+        # write; below theta_low the same row is dropped unread, and the frame
+        # commits
+        tr = Tracker()
+        boxes = [[0.0, 0.0, 10.0, 10.0], [50.0, 0.0, 10.0, 10.0]]
+        tr.associate_frame(FrameDetections(1, boxes, [0.9, 0.9], [1, 1],
+                                           [[1.0, 0.0], [0.0, 1.0]]), None)
+        before = tracker_state(tr)
+        zero = [[1.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(ValueError, match="frame 2: detection 1: .*zero-length"):
+            tr.associate_frame(FrameDetections(2, boxes, [0.9, 0.9], [1, 1], zero), None)
+        assert_same_state(tracker_state(tr), before)
+        records = tr.associate_frame(FrameDetections(2, boxes, [0.9, 0.05], [1, 1], zero), None)
+        assert [r.track_id for r in records] == [1]
+        assert tr.last_frame == 2
+
+    def test_a_singular_filter_refuses_its_frame(self):
+        # at iou_gate = 0 the 1e-200 box's track matches its next box, and
+        # its innovation covariance rounds to singular: the frame raises,
+        # naming the track, before any write
+        tr = Tracker(TrackerConfig(iou_gate=0.0))
+        fd = [FrameDetections(f, [[0.0, 0.0, 1e-200, 1e-200], [50.0, 50.0, 5.0, 5.0]],
+                              [0.9, 0.9], [1, 1]) for f in (1, 2)]
+        assert len(tr.associate_frame(fd[0], None)) == 2
+        before = tracker_state(tr)
+        with pytest.raises(ValueError, match="frame 2: the filter of track 1 is singular"):
+            tr.associate_frame(fd[1], None)
+        assert_same_state(tracker_state(tr), before)
+
 
 def tracker_state(tr: Tracker) -> tuple:
     """Copies of every TrackTable column, last_frame and next_id."""

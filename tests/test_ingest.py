@@ -496,24 +496,27 @@ class TestEmbeddingBlock:
         # float32 values, so both formats hold the same numbers
         return [(f, o, g.normal(size=dim).astype(np.float32)) for f, o in keys]
 
-    def test_binary_and_csv_give_the_same_block(self, tmp_path):
+    def test_binary_and_csv_give_the_same_values(self, tmp_path):
+        """The binary block is float32 and the CSV block float64, as stored;
+        widened, the binary block is the CSV block bit for bit."""
         records = self.records()
         binary, csv = str(tmp_path / "e.bin"), str(tmp_path / "e.csv")
         write_embeddings(binary, records, 16)
         write_csv_sidecar(csv, records)
         a, b = parse_embeddings(binary, 16), parse_embeddings(csv, 16)
         assert a.keys.tolist() == b.keys.tolist() == [[f, o] for f, o, _ in records]
-        assert same_bits(a.vectors, b.vectors)
+        assert (a.vectors.dtype, b.vectors.dtype) == (np.float32, np.float64)
+        assert same_bits(a.vectors.astype(np.float64), b.vectors)
         assert len(a[0]) == len(records)
 
-    def test_rows_equal_normalize_of_each_record(self, tmp_path):
+    def test_rows_are_the_records_as_stored(self, tmp_path):
         records = self.records()
         path = str(tmp_path / "e.bin")
         write_embeddings(path, records, 16)
         block = parse_embeddings(path).vectors
-        assert block.dtype == np.float64 and block.flags.c_contiguous
+        assert block.dtype == np.float32 and block.flags.c_contiguous
         for row, (_, _, vec) in zip(block, records):
-            assert same_bits(row, normalize(vec.astype(np.float64)))
+            assert row.tobytes() == vec.tobytes()
 
     @pytest.mark.parametrize("fmt", ["binary", "csv"])
     @pytest.mark.parametrize("case,want", [
@@ -690,17 +693,16 @@ class TestEmbeddingJoin:
 CHUNK = SIDECAR_CHUNK_RECORDS
 
 
-def reference_unit_rows(path):
-    """{(frame, ordinal): unit row} of a binary sidecar, with the whole file
-    widened to float64 and normalized in one normalize_rows call."""
+def reference_stored_rows(path):
+    """{(frame, ordinal): float32 row as stored} of a binary sidecar, read
+    whole."""
     with open(path, "rb") as fh:
         blob = fh.read()
     _, _, dim, _ = struct.unpack("<4sIII", blob[:16])
     rec = np.dtype([("frame", "<u4"), ("ordinal", "<u4"), ("vec", "<f4", (dim,))])
     records = np.frombuffer(blob, dtype=rec, offset=16)
-    block = normalize_rows(records["vec"].astype(np.float64))
     keys = zip(records["frame"].tolist(), records["ordinal"].tolist())
-    return dict(zip(keys, block))
+    return dict(zip(keys, records["vec"]))
 
 
 def detection_scene(tmp_path, count, dim=16, seed=0, per_frame=7):
@@ -728,16 +730,16 @@ def detection_scene(tmp_path, count, dim=16, seed=0, per_frame=7):
 class TestChunkedSidecar:
     @pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
     @pytest.mark.parametrize("min_score", [0.0, 0.35])
-    def test_block_equals_the_whole_file_normalized_then_gathered(
-            self, tmp_path, count, min_score):
+    def test_block_equals_the_whole_file_gathered(self, tmp_path, count, min_score):
         det, emb, keys = detection_scene(tmp_path, count, seed=count)
-        ref = reference_unit_rows(emb)
+        ref = reference_stored_rows(emb)
         frames = parse_detections(det, emb, 16, min_score=min_score)
         got = np.concatenate([fd.embeddings for fd in frames])
         # x holds each row's file index, which names its (frame, ordinal)
         want = [ref[keys[int(x)]] for fd in frames for x in fd.boxes[:, 0]]
         assert len(want) == sum(k / count >= min_score for k in range(count))
-        assert same_bits(got, np.array(want).reshape(-1, 16))
+        assert got.dtype == np.float32
+        assert got.tobytes() == np.array(want, dtype=np.float32).reshape(-1, 16).tobytes()
         assert all(fd.embeddings.base is frames[0].embeddings.base for fd in frames)
 
     @pytest.mark.parametrize("count", [0, CHUNK - 1, CHUNK, CHUNK + 1])
@@ -747,17 +749,40 @@ class TestChunkedSidecar:
         g.shuffle(records)
         path = str(tmp_path / "e.bin")
         write_embeddings(path, records, 8)
-        ref = reference_unit_rows(path)
+        ref = reference_stored_rows(path)
         emb = parse_embeddings(path)
         assert emb.keys.tolist() == [[f, o] for f, o, _ in records]
-        want = np.array([ref[(f, o)] for f, o, _ in records]).reshape(-1, 8)
-        assert same_bits(emb.vectors, want)
-        assert emb.vectors.dtype == np.float64 and emb.vectors.flags.c_contiguous
+        want = np.array([ref[(f, o)] for f, o, _ in records], dtype=np.float32)
+        assert emb.vectors.tobytes() == want.tobytes()
+        assert emb.vectors.shape == (count, 8)
+        assert emb.vectors.dtype == np.float32 and emb.vectors.flags.c_contiguous
 
     def test_peak_memory_stays_near_the_returned_blocks(self, tmp_path):
         """The traced peak of a parse stays under 1.3x the blocks it hands
-        back: no whole-file copy and no second float64 block."""
+        back: no whole-file copy and no float64 copy of the vectors."""
         self.assert_peak_near_the_blocks(tmp_path, "binary")
+
+    def test_binary_sidecar_keeps_a_float32_block(self, tmp_path):
+        """The frames slice one float32 block of R * D * 4 bytes, and the
+        traced peak of the parse stays below the detection block and classes
+        with a float64 block of the vectors, which a parse that widened them
+        would hold at the end."""
+        count, dim = 20_000, 64
+        det = tmp_path / "det.txt"
+        det.write_text("".join(f"{k // 100 + 1},-1,{k}.5,3.0,10.0,12.0,0.8,1,1.0\n"
+                               for k in range(count)))
+        emb = self.sidecar(tmp_path, "binary", count, dim)
+        tracemalloc.start()
+        try:
+            frames = parse_detections(str(det), emb, dim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = frames[0].embeddings.base
+        assert all(fd.embeddings.base is block for fd in frames)
+        assert block.dtype == np.float32 and block.nbytes == count * dim * 4
+        widened = count * (9 + 1) * 8 + count * dim * 8
+        assert peak < widened, f"peak {peak / 1e6:.1f} MB"
 
     def test_peak_memory_with_a_csv_sidecar(self, tmp_path):
         """The same bound with the sidecar in CSV form: the file is not held
@@ -774,7 +799,8 @@ class TestChunkedSidecar:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        returned = count * (2 + dim) * 8  # keys, embeddings
+        # keys, and the embeddings at their stored width
+        returned = count * 2 * 8 + count * dim * (4 if fmt == "binary" else 8)
         assert peak < 1.3 * returned, f"peak {peak / 1e6:.1f} MB"
 
     @staticmethod
@@ -802,7 +828,8 @@ class TestChunkedSidecar:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        returned = count * (9 + 1 + dim) * 8  # rows, classes, embeddings
+        # rows, classes, and the embeddings at their stored width
+        returned = count * (9 + 1) * 8 + count * dim * (4 if fmt == "binary" else 8)
         assert sum(len(fd) for fd in frames) == count
         assert peak < 1.3 * returned, f"peak {peak / 1e6:.1f} MB"
 

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import det, frame_detections, grid_error, reference_estimate_affine
 from drone_assoc import motion, pipeline
-from drone_assoc.association import FrameOrderError, Tracker
+from drone_assoc.association import FrameOrderError, Tracker, TrackTable
 from drone_assoc.core import FrameDetections
 from drone_assoc.metrics import evaluate, report_csv, report_table
 from drone_assoc.motion import AffineEstimationError
@@ -210,6 +210,74 @@ class TestTrackFrames:
         assert got == want
         assert sum(map(len, got)) > 0
         assert all(got[t - 1] == [] for t in self.GAPS)
+
+    @pytest.mark.parametrize("source", ["sidecar", "online", "none"])
+    def test_skipped_empty_frames_change_no_record(self, tmp_path, source):
+        """A scene with gaps longer than a lost track lives, some of them
+        holding explicit empty frames: track_frames skips the empty frames
+        once no track is left, and its records and final tracker equal those
+        of the loop that feeds every frame, kept here as the reference."""
+        paths = generate_scenario(ScenarioConfig(
+            seed=5, n_objects=8, n_frames=200, world_extent=400.0,
+            camera_script=(translate(4.0, -1.5, 100), rotate(0.01, 100)),
+            detection_noise_sigma=0.5, miss_prob=0.02, false_positive_rate=0.2,
+            embedding_dim=8,
+        ), str(tmp_path / "data"))
+        gaps = {*range(1, 4), *range(20, 80), *range(100, 105), *range(120, 201)}
+        frames = [fd for fd in parse_detections(paths.detections, paths.embeddings, 8, 0.1)
+                  if fd.frame not in gaps]
+        frames += [FrameDetections(45, ()), FrameDetections(60, ()), FrameDetections(200, ())]
+        sidecar = paths.affines if source == "sidecar" else None
+        cfg = RunConfig(use_dmp=source != "none", seed=3, affines=sidecar)
+
+        reference, camera = Tracker(cfg.tracker_config()), camera_source(cfg)
+        by_frame = {fd.frame: fd for fd in frames}
+        want = []
+        for t in range(1, 201):
+            fd = by_frame.get(t, FrameDetections(t, ()))
+            want += reference.associate_frame(fd, camera(fd))
+
+        source_camera, seen = camera_source(cfg), []
+
+        def spy(fd):
+            seen.append(fd.frame)
+            return source_camera(fd)
+
+        tracker = Tracker(cfg.tracker_config())
+        got = [r for out in track_frames(frames, spy, tracker) for r in out]
+        assert repr(got) == repr(want)
+        assert {r.frame for r in got} & {80, 105}  # tracks form again after the gaps
+        assert (tracker.last_frame, tracker.next_id) == (reference.last_frame, reference.next_id)
+        for name in TrackTable._COLUMNS:
+            assert (getattr(tracker.tracks, name).tobytes()
+                    == getattr(reference.tracks, name).tobytes()), name
+        # the empty frames of the two long gaps ran only until no track was left
+        assert len(seen) < 200 - 60
+        assert 45 in seen and 60 not in seen and seen[-1] == 200
+
+    def test_a_long_gap_runs_only_until_the_last_track_is_removed(
+            self, tmp_path, monkeypatch):
+        """Rows at frames 1 and 10^9: the track of frame 1 is removed after
+        max_lost_age + 1 empty frames, and the loop then jumps to 10^9."""
+        det_path = tmp_path / "det.txt"
+        det_path.write_text("1,1,0,0,10,10,0.9,1,1.0\n"
+                            "1000000000,1,3,0,10,10,0.9,1,1.0\n")
+        emb_path = tmp_path / "e.csv"
+        emb_path.write_text("1,0,1.0,0.0\n1000000000,0,0.0,1.0\n")
+        calls = []
+        associate = Tracker.associate_frame
+
+        def spy(tracker, fd, m):
+            calls.append(fd.frame)
+            return associate(tracker, fd, m)
+
+        monkeypatch.setattr(Tracker, "associate_frame", spy)
+        out = str(tmp_path / "results.txt")
+        cfg = RunConfig(detections=str(det_path), embeddings=str(emb_path), output=out)
+        summary = run_tracking(cfg)
+        assert calls == list(range(1, cfg.max_lost_age + 3)) + [10 ** 9]
+        assert (summary.frames, summary.tracks_created, summary.records) == (10 ** 9, 2, 1)
+        assert parse_mot_lines(out)[0].frames.tolist() == [1]
 
     def test_camera_source_follows_the_run_config(self, tmp_path):
         paths = scenario_inputs(tmp_path)

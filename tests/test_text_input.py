@@ -73,7 +73,7 @@ class TestLineSplitting:
         lines, newline = split_lines(split, data, [])
         emb = parse_embeddings(write_raw(tmp_path / "e.csv", lines, newline))
         assert emb.keys.tolist() == [[1, 0], [1, 1], [2, 0]]
-        assert emb.vectors.tolist() == [[0.6, 0.8], [1.0, 0.0], [0.0, 1.0]]
+        assert emb.vectors.tolist() == [[3.0, 4.0], [1.0, 0.0], [0.0, 2.0]]
         lines, newline = split_lines(split, data, ["2,1,0.0,0.0"])
         path = write_raw(tmp_path / "bad.csv", lines, newline)
         with pytest.raises(FormatError) as exc:

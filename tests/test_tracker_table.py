@@ -25,7 +25,7 @@ from drone_assoc.appearance import (
     insert_keys,
     maybe_insert_key,
 )
-from drone_assoc.association import FrameStats, Tracker
+from drone_assoc.association import FrameStats, Tracker, TrackTable
 from drone_assoc.core import FrameDetections, TrackerConfig
 from drone_assoc.mot_io import RunConfig, parse_affines, parse_detections
 from drone_assoc.motion import AffineTransform
@@ -214,6 +214,21 @@ def test_embedding_width_is_set_by_the_first_frame_that_has_embeddings():
     for fd in (first, second):
         assert tr.associate_frame(fd, None) == ref.associate_frame(fd, None)
         assert_same_state(tr, ref, fd.frame)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_embeddings_scaled_by_two_give_the_same_records(seed):
+    """The tracker normalizes the rows it reads. A power-of-two scale leaves
+    each normalized row exact, so rows scaled by 2.0 track to the same
+    records and the same table, bit for bit."""
+    stream = random_stream(seed)
+    a, b = Tracker(), Tracker()
+    for fd, m in stream:
+        scaled = FrameDetections(fd.frame, fd.boxes, fd.scores, fd.classes,
+                                 None if fd.embeddings is None else fd.embeddings * 2.0)
+        assert repr(a.associate_frame(fd, m)) == repr(b.associate_frame(scaled, m)), fd.frame
+    for name in TrackTable._COLUMNS:
+        assert same_bits(getattr(a.tracks, name), getattr(b.tracks, name)), name
 
 
 # -- batched pieces against their one-vector forms ------------------------------
