@@ -14,7 +14,6 @@ from .association import (
     FrameOrderError,
     FrameStats,
     Tracker,
-    TrackRecord,
     TrackTable,
     linear_assignment,
 )

@@ -10,18 +10,23 @@ Stage 2 sweeps the remaining low-confidence detections against the
 still-unmatched tentative/confirmed tracks on IoU alone. Unmatched
 high-confidence detections found new tracks.
 
-Gating comes first. One gated IoU block, every live track against every
-kept detection, serves both stages: stage 1 reads its high-confidence
-columns, stage 2 the sub-block of its leftover tracks and low-confidence
-columns. Appearance and rotation are scored only at the cells that pass
-the gates, pair by pair, and added into them. On dense scenes the gates
-reject nearly every pair, and most of those that remain are a track and a
-detection with no other feasible partner: linear_assignment matches such
-isolated pairs directly and solves only the contested rest. The solver is
-in the package: a plain-Python port of the shortest augmenting path method
-of Crouse (IEEE TAES 52(4), 2016) in SciPy's order of operations, which
-breaks a tie between columns for an unassigned one and so returns what
-scipy.optimize.linear_sum_assignment returns, ties included.
+Gating comes first, and the work grows with the pairs that pass it, not
+with tracks x detections. gated_pairs lists every (track, detection) pair
+that passes the gates, with its IoU, ascending by (track, detection): above
+a zero gate it cuts each track's window out of the detections sorted by
+left edge, since a nonzero IoU needs the boxes to overlap in x; at a zero
+gate every same-class pair is a candidate. Both stages read those pairs:
+stage 1 the high-confidence ones, whose appearance and rotation terms are
+scored pair by pair and added in, stage 2 those of its leftover tracks and
+the low-confidence detections. assign_pairs solves an assignment given as
+pairs. On dense scenes most pairs are a track and a detection with no other
+feasible partner; such isolated pairs are matched directly and only the
+contested rest is laid out as a block for one solve. linear_assignment is
+its dense call. The solver is in the package: a plain-Python port of the
+shortest augmenting path method of Crouse (IEEE TAES 52(4), 2016) in SciPy's
+order of operations, which breaks a tie between columns for an unassigned
+one and so returns what scipy.optimize.linear_sum_assignment returns, ties
+included.
 
 The live tracks are a TrackTable, one row per track in creation order:
 (N,) ids, classes, state codes, consecutive hits, lost ages, last frames and
@@ -29,23 +34,26 @@ last scores; (N, 8) Kalman means and (N, 8, 8) covariances; the appearance
 gallery of appearance.py; and (N, 3) rotation descriptors, a zero row where
 a track has none. A frame arrives as the arrays of a FrameDetections, with
 the camera motion the run hands the tracker (None for none), and each step
-is an array operation over rows: scale the kept detections' embeddings,
-as given, to unit norm in float64, predict every row under that motion, score
-the galleries, match, correct the matched rows and advance the lifecycle by
-masks, into locals. Once every kept and new row's filter and box are finite
+is an array operation over rows: scale the high-confidence detections'
+embeddings, the only ones the tracker reads, as given, to unit norm in
+float64, predict every row under that motion, score the gated pairs,
+match, correct the matched rows and advance the lifecycle by masks, into
+locals. Once every kept and new row's filter and box are finite
 and the stage-1 matches' local features are blended, the locals are
 written; one rebuild drops the removed rows and appends a row per new
 track, and the new rows take the writes of the matched ones: with
 the stage-1 matches, the local feature and one key-bank offer call; with
 every matched row, the descriptor, last frame and last score. Creation order
-keeps the cost-matrix row order, so assignment ties resolve as they did when
+keeps the pairs' row order, so assignment ties resolve as they did when
 tracks were objects.
 
-linear_assignment returns index arrays: the matches as (K, 2) (row, column)
-pairs, and the unmatched rows and columns. A frame's output is one
-TrackRecord per confirmed track matched that frame: a tuple of plain values
-in MOT result order (frame, id, x, y, w, h, score, class), taken from one
-(K, 4) block of posterior boxes.
+assign_pairs returns index arrays: the matches as (K, 2) (row, column)
+pairs, and the unmatched rows and columns. A frame's output is one record
+per confirmed track matched that frame: a plain tuple of Python ints and
+floats in MOT result order (frame, id, x, y, w, h, score, class), zipped
+from columns of the (K, 4) block of posterior boxes. A tuple of atomic
+values is one the garbage collector stops tracking, so the records a
+caller holds cost its collections nothing.
 """
 
 from __future__ import annotations
@@ -53,7 +61,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from itertools import repeat
+from typing import Optional
 
 import numpy as np
 
@@ -64,13 +73,13 @@ from .core import (
     TrackerConfig,
     ZeroNormError,
     box_centers,
-    iou_matrix,
+    iou_matrix,  # noqa: F401  a module attribute: the benchmark's tracer wraps it by name
+    iou_pairs,
     normalize_rows,
 )
 
 log = logging.getLogger("drone_assoc.association")
 
-INFEASIBLE = np.inf
 _LARGE = 1e9
 
 # state codes of the table's `states` column
@@ -89,19 +98,6 @@ class AssignmentResult:
     matches: np.ndarray
     unmatched_rows: np.ndarray
     unmatched_cols: np.ndarray
-
-
-class TrackRecord(NamedTuple):
-    """One output row: a confirmed track's posterior xywh box at a frame."""
-
-    frame: int
-    track_id: int
-    x: float
-    y: float
-    w: float
-    h: float
-    score: float
-    class_id: int
 
 
 @dataclass(frozen=True)
@@ -126,38 +122,56 @@ class FrameStats:
 
 
 def linear_assignment(cost: np.ndarray) -> AssignmentResult:
-    """Minimum-cost one-to-one assignment; +inf entries are never matched.
-
-    Of the matchings with the most feasible pairs, returns one of least
-    total cost, its matches in ascending row order. A feasible cell that is
-    the only one in its row and in its column belongs to every such
-    matching and is taken directly. The other rows and columns holding
-    feasible cells go through one solve of their sub-block by
-    _shortest_augmenting_path, the in-package port of Crouse's method, with
-    the infeasible cells lifted to a large finite constant so the solver
-    always runs; a match landing on one is dropped afterwards. Among tied
-    columns the solver prefers an unassigned one, and its column order is
-    SciPy's, so ties resolve as linear_sum_assignment resolves them.
-    """
+    """Minimum-cost one-to-one assignment of a dense (N, M) block; +inf
+    (any non-finite) entries are never matched: assign_pairs over the
+    block's finite cells."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError("cost matrix must be 2-dimensional")
-    n, m = cost.shape
-    if n == 0 or m == 0:
+    rows, cols = np.nonzero(np.isfinite(cost))
+    return assign_pairs(cost.shape[0], cost.shape[1], rows, cols, cost[rows, cols])
+
+
+def assign_pairs(n: int, m: int, rows: np.ndarray, cols: np.ndarray,
+                 costs: np.ndarray) -> AssignmentResult:
+    """Minimum-cost one-to-one assignment of an (n, m) block given by its
+    feasible cells: distinct (row, column) pairs in ascending row order,
+    with (P,) costs; a pair whose cost is not finite is infeasible.
+
+    Of the matchings with the most feasible pairs, returns one of least
+    total cost, its matches in ascending row order. A pair that is the
+    only one in its row and in its column belongs to every such matching
+    and is taken directly. The other pairs' rows and columns go through one
+    solve of their sub-block by _shortest_augmenting_path, the in-package
+    port of Crouse's method, with the cells no pair names lifted to a large
+    finite constant so the solver always runs; a match landing on one is
+    dropped afterwards. Among tied columns the solver prefers an unassigned
+    one, and its column order is SciPy's, so ties resolve as
+    linear_sum_assignment resolves them on the dense block.
+    """
+    feasible = np.isfinite(costs)
+    if not feasible.all():
+        rows, cols, costs = rows[feasible], cols[feasible], costs[feasible]
+    if rows.size == 0:
         return AssignmentResult(np.zeros((0, 2), dtype=np.intp),
                                 np.arange(n, dtype=np.intp), np.arange(m, dtype=np.intp))
-    feasible = np.isfinite(cost)
-    row_n, col_n = feasible.sum(axis=1), feasible.sum(axis=0)
-    rows, cols = np.nonzero(feasible)
+    row_n, col_n = np.bincount(rows, minlength=n), np.bincount(cols, minlength=m)
     alone = (row_n[rows] == 1) & (col_n[cols] == 1)
     if not alone.all():
         live_r, live_c = row_n > 0, col_n > 0
         live_r[rows[alone]] = False
         live_c[cols[alone]] = False
         sub_r, sub_c = np.flatnonzero(live_r), np.flatnonzero(live_c)
-        sub = cost[np.ix_(sub_r, sub_c)]
-        a, b = _shortest_augmenting_path(np.where(np.isfinite(sub), sub, _LARGE))
-        ok = np.isfinite(sub[a, b])
+        # each contested pair's cell in the sub-block
+        contested = ~alone
+        i = (np.cumsum(live_r) - 1)[rows[contested]]
+        j = (np.cumsum(live_c) - 1)[cols[contested]]
+        sub = np.full((sub_r.size, sub_c.size), _LARGE)
+        sub[i, j] = costs[contested]
+        present = np.zeros(sub.shape, dtype=bool)
+        present[i, j] = True
+        a, b = _shortest_augmenting_path(sub)
+        ok = present[a, b]
         rows = np.concatenate([rows[alone], sub_r[a[ok]]])
         cols = np.concatenate([cols[alone], sub_c[b[ok]]])
         order = np.argsort(rows)
@@ -314,53 +328,85 @@ class TrackTable:
             setattr(self, name, np.concatenate([kept, added]) if len(added) else kept)
 
 
-def iou_cost_matrix(
+def gated_pairs(
     track_classes: np.ndarray,
     predicted_boxes: np.ndarray,
     det_boxes: np.ndarray,
     det_classes: np.ndarray,
-    config: TrackerConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The gated IoU block, shape (N, M): 1 - IoU of the (N, 4) predicted
-    and (M, 4) detected xywh boxes, +inf where IoU falls below the gate or
-    the (N,) track and (M,) detection classes differ. Returned with the IoU
-    matrix it was built from. Stage 2 is a sub-block of it as it stands;
-    stage 1 adds the fused terms to its high-confidence columns."""
-    shape = (track_classes.shape[0], det_boxes.shape[0])
-    if 0 in shape:
-        return np.zeros(shape, dtype=np.float64), np.zeros(shape, dtype=np.float64)
-    ious = iou_matrix(predicted_boxes, det_boxes)
-    cost = 1.0 - ious
-    cost[ious < config.iou_gate] = INFEASIBLE
-    cost[track_classes[:, None] != det_classes[None, :]] = INFEASIBLE
-    return cost, ious
+    iou_gate: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (track, detection) pairs that pass the gates: (P,) rows into the
+    (N, 4) predicted and (N,) track classes, (P,) columns into the (M, 4)
+    detected xywh boxes and (M,) detection classes, and the pairs' (P,)
+    IoUs, ascending by (row, column). A pair passes when the classes agree
+    and its IoU, core.iou_pairs' arithmetic and so iou_matrix's cell for
+    cell, is at least the gate.
+
+    Above a zero gate an IoU must be nonzero, so the two boxes overlap in
+    x: the detection's left edge lies below the track's right edge, and its
+    right edge above the track's left edge. With the detections sorted by
+    left edge, the first condition is a prefix. A detection's right edge,
+    left + w rounded, is at most left + W rounded for the widest W, and
+    that bound grows with the left edge; so the second condition holds only
+    past a point of the same order, and each track's window is cut by two
+    searchsorted calls, with no rounding margin to choose. At a zero gate
+    the candidates are every same-class pair.
+    """
+    n, m = predicted_boxes.shape[0], det_boxes.shape[0]
+    if n == 0 or m == 0:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, np.zeros(0, dtype=np.float64)
+    if iou_gate > 0:
+        order = np.argsort(det_boxes[:, 0], kind="stable")
+        left = det_boxes[order, 0]
+        x1 = predicted_boxes[:, 0]
+        start = np.searchsorted(left + det_boxes[:, 2].max(), x1, side="right")
+        stop = np.searchsorted(left, x1 + predicted_boxes[:, 2], side="left")
+        counts = np.maximum(stop - start, 0)
+        ends = np.cumsum(counts)
+        rows = np.repeat(np.arange(n), counts)
+        # pair k of the flattened windows sits at sorted place k - ends + stop
+        cols = order[np.arange(ends[-1]) + np.repeat(stop - ends, counts)]
+        same = track_classes[rows] == det_classes[cols]
+        rows, cols = rows[same], cols[same]
+        ious = iou_pairs(predicted_boxes[rows], det_boxes[cols])
+    else:
+        # every same-class pair is a candidate, so the IoUs are scored as
+        # one broadcast block, which gathers no box rows
+        same = track_classes[:, None] == det_classes[None, :]
+        rows, cols = np.nonzero(same)
+        ious = iou_pairs(predicted_boxes[:, None, :], det_boxes[None, :, :])[same]
+    keep = ious >= iou_gate
+    rows, cols, ious = rows[keep], cols[keep], ious[keep]
+    if iou_gate > 0:
+        order = np.argsort(rows * m + cols)
+        rows, cols, ious = rows[order], cols[order], ious[order]
+    return rows, cols, ious
 
 
-def fused_cost_matrix(
+def fused_pair_costs(
     tracks: TrackTable,
-    cost: np.ndarray,
-    det_embeddings: Optional[np.ndarray],
-    det_descriptors: np.ndarray,
+    rows: np.ndarray,
+    ious: np.ndarray,
+    feats: Optional[np.ndarray],
+    descriptors: np.ndarray,
     config: TrackerConfig,
 ) -> np.ndarray:
-    """Stage-1 cost: adds the weighted appearance and rotation terms of
-    each feasible (finite) cell of the gated (N, M) block `cost` into it, in
-    place, and returns it; infeasible cells stay +inf. Only the feasible
-    (track, detection) pairs are scored. A frame without embeddings (None)
-    adds no appearance term; (M, 3) detection descriptors are zero rows
-    where missing."""
-    rows, cols = np.nonzero(np.isfinite(cost))
+    """Stage-1 costs of P gated pairs: for pair p, 1 - ious[p], then plus
+    w_a times the appearance cost of track rows[p]'s gallery against
+    feats[p], then plus w_r times the rotation cost of its descriptor
+    against descriptors[p]. feats (P, D) is None for a frame without
+    embeddings, which adds no appearance term; (P, 3) descriptors are zero
+    rows where missing."""
+    costs = 1.0 - ious
     if rows.size == 0:
-        return cost
-    fused = cost[rows, cols]
-    if config.w_a > 0 and det_embeddings is not None:
-        fused += config.w_a * ap.gallery_pair_costs(
-            tracks.gallery, tracks.gallery_mask(), rows, det_embeddings[cols])
+        return costs
+    if config.w_a > 0 and feats is not None:
+        costs += config.w_a * ap.gallery_pair_costs(
+            tracks.gallery, tracks.gallery_mask(), rows, feats)
     if config.w_r > 0:
-        fused += config.w_r * mo.rotation_pair_costs(tracks.rotation[rows],
-                                                     det_descriptors[cols])
-    cost[rows, cols] = fused
-    return cost
+        costs += config.w_r * mo.rotation_pair_costs(tracks.rotation[rows], descriptors)
+    return costs
 
 
 def lifecycle(
@@ -409,10 +455,11 @@ class Tracker:
 
     def associate_frame(
         self, frame_detections: FrameDetections, m: Optional[mo.AffineTransform]
-    ) -> list[TrackRecord]:
-        """Process one frame; returns the confirmed-track records for it. A frame
-        refused for its order, embedding width, a zero-length embedding, a
-        non-finite row or a singular filter writes nothing."""
+    ) -> list[tuple]:
+        """Process one frame; returns the confirmed-track records for it, plain
+        (frame, id, x, y, w, h, score, class) tuples. A frame refused for its
+        order, embedding width, a zero-length embedding on a high-confidence
+        row, a non-finite row or a singular filter writes nothing."""
         cfg = self.config
         frame = frame_detections.frame
         if frame <= self.last_frame:
@@ -427,13 +474,15 @@ class Tracker:
         boxes, classes, scores = fd.boxes[kept], fd.classes[kept], fd.scores[kept]
         high = scores >= cfg.theta_high
         hi, lo = np.flatnonzero(high), np.flatnonzero(~high)
-        emb = None
+        emb = None  # the high-confidence rows' unit embeddings
         if fd.embeddings is not None:
-            # the gather copies, so the caller's rows are not scaled
+            # stage 2 is IoU alone, so only these rows are read; the gather
+            # copies, so the caller's rows are not scaled
+            read = kept[hi]
             try:
-                emb = normalize_rows(fd.embeddings[kept].astype(np.float64, copy=False))
+                emb = normalize_rows(fd.embeddings[read].astype(np.float64, copy=False))
             except ZeroNormError as e:
-                raise ZeroNormError(f"frame {frame}: detection {kept[e.row]}: {e}") from e
+                raise ZeroNormError(f"frame {frame}: detection {read[e.row]}: {e}") from e
         descriptors = (mo.frame_descriptors(box_centers(boxes), cfg.radius_R)
                        if cfg.w_r > 0 else np.zeros((kept.shape[0], 3)))
 
@@ -442,21 +491,32 @@ class Tracker:
         means, covs = mo.multi_predict(t.means, t.covs, m)
         predicted = mo.states_to_xywh(means)
 
-        # one gated block for both stages
-        gated, ious = iou_cost_matrix(t.classes, predicted, boxes, classes, cfg)
-        emb_hi = None if emb is None else emb[hi]
-        cost = fused_cost_matrix(t, gated[:, hi], emb_hi, descriptors[hi], cfg)
+        # one list of gated pairs for both stages; a pair's column becomes
+        # its detection's place among hi or lo
+        pair_rows, pair_cols, ious = gated_pairs(t.classes, predicted, boxes, classes,
+                                                 cfg.iou_gate)
+        place = np.empty(kept.shape[0], dtype=np.intp)
+        place[hi], place[lo] = np.arange(hi.size), np.arange(lo.size)
+        at_hi = high[pair_cols]
+        r1, c1, iou1 = pair_rows[at_hi], place[pair_cols[at_hi]], ious[at_hi]
+        costs = fused_pair_costs(t, r1, iou1, None if emb is None else emb[c1],
+                                 descriptors[hi[c1]], cfg)
         gallery_rows = (int(t.has_local.sum() + t.fill.sum())
-                        if cfg.w_a > 0 and emb is not None and cost.size else 0)
-        stage1 = linear_assignment(cost)
+                        if cfg.w_a > 0 and emb is not None and len(t) and hi.size else 0)
+        stage1 = assign_pairs(len(t), hi.size, r1, c1, costs)
         rows1, cols1 = stage1.matches.T
         spawn = hi[stage1.unmatched_cols]
 
-        free = stage1.unmatched_rows
-        leftover = free[t.states[free] != LOST]
-        rows2, cols2 = linear_assignment(gated[np.ix_(leftover, lo)]).matches.T
+        # stage 2: the pairs of unmatched tracks that are not lost with
+        # low-confidence detections
+        open_rows = np.zeros(len(t), dtype=bool)
+        open_rows[stage1.unmatched_rows] = True
+        open_rows &= t.states != LOST
+        at_lo = ~at_hi & open_rows[pair_rows]
+        rows2, cols2 = assign_pairs(len(t), lo.size, pair_rows[at_lo], place[pair_cols[at_lo]],
+                                    1.0 - ious[at_lo]).matches.T
 
-        rows = np.concatenate([rows1, leftover[rows2]])
+        rows = np.concatenate([rows1, rows2])
         pos = np.concatenate([hi[cols1], lo[cols2]])
         if rows.size:
             try:
@@ -488,7 +548,7 @@ class Tracker:
         # blended into a present local feature, else adopted; a blend that
         # cancels keeps the feature it had
         if emb is not None and offer.size:
-            feats = emb[np.concatenate([hi[cols1], spawn])]
+            feats = emb[np.concatenate([cols1, stage1.unmatched_cols])]
             had = np.flatnonzero(t.has_local[rows1])  # stage-1 matches only
             if cfg.use_afs:
                 alphas = ap.adaptive_alphas(scores[hi[cols1[had]]], cfg.theta_high, cfg.alpha_f)
@@ -531,17 +591,14 @@ class Tracker:
         t.last_score[rows] = scores[pos]
 
         emit = np.flatnonzero((t.states == CONFIRMED) & (t.last_frame == frame))
-        records = [
-            TrackRecord(frame, track_id, x, y, w, h, score, class_id)
-            for track_id, (x, y, w, h), score, class_id in zip(
-                t.ids[emit].tolist(), xywh[emit].tolist(),
-                t.last_score[emit].tolist(), t.classes[emit].tolist())
-        ]
+        x, y, w, h = xywh[emit].T.tolist()
+        records = list(zip(repeat(frame), t.ids[emit].tolist(), x, y, w, h,
+                           t.last_score[emit].tolist(), t.classes[emit].tolist()))
         n_inserts = int(inserted.sum())
         self.last_stats = FrameStats(
             frame, rows1.size, rows2.size, spawn.size, n_removed, len(t),
             gallery_rows, n_inserts, inserted.size - n_inserts,
-            tuple(ious[rows1, hi[cols1]].tolist()),
+            tuple(iou1[np.searchsorted(r1 * hi.size + c1, rows1 * hi.size + cols1)].tolist()),
         )
         log.debug("frame %d: %d dets, %d live tracks, %d emitted",
                   frame, kept.shape[0], len(t), len(records))

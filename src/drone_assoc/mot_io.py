@@ -590,7 +590,7 @@ def write_results(rows: Iterable, path: str) -> None:
     order among equal keys.
 
     Each row is a tuple of plain Python values (frame, track_id, x, y, w, h,
-    score, class_id), such as association.TrackRecord.
+    score, class_id), as Tracker.associate_frame returns them.
     """
     ordered = sorted(rows, key=itemgetter(0, 1))
     with open(path, "w", encoding="utf-8") as fh:

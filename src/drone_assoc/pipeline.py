@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .association import FrameOrderError, Tracker, TrackRecord
+from .association import FrameOrderError, Tracker
 from .core import FrameDetections, box_centers
 from .metrics import EvalReport, evaluate, report_csv, report_table
 from .mot_io import (
@@ -79,11 +79,11 @@ Camera = Callable[[FrameDetections], Optional[AffineTransform]]
 
 def track_frames(
     frames: Iterable[FrameDetections], camera: Camera, tracker: Tracker
-) -> Iterator[list[TrackRecord]]:
+) -> Iterator[list[tuple]]:
     """Feed the tracker frames 1..last in order, an empty frame where the
     input has no rows, each with its camera motion `camera(fd)`; yields
-    the records of each frame it feeds. A frame given twice is a
-    FrameOrderError.
+    the records of each frame it feeds, a list of plain (frame, id, x, y,
+    w, h, score, class) tuples. A frame given twice is a FrameOrderError.
 
     Once the tracker holds no track, an empty frame changes nothing but its
     last frame, and the camera source has seen a frame without detections.

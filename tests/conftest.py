@@ -10,12 +10,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 import pytest
 
+from drone_assoc import appearance as ap
 from drone_assoc import association
 from drone_assoc import motion as mo
 from drone_assoc.appearance import BankEntry, KeyFeatureBank
 from drone_assoc.association import (
     FrameOrderError,
-    TrackRecord,
     TrackTable,
     linear_assignment,
 )
@@ -518,16 +518,49 @@ def reference_lifecycle_step(track: Track, matched: bool, config) -> Track:
     return track
 
 
-def reference_record(frame: int, track: Track) -> TrackRecord:
+def reference_record(frame: int, track: Track) -> tuple:
     """A confirmed track's output row, one track at a time: the posterior box
     in Python float arithmetic, validated by BoundingBox as records were
-    before they became plain rows."""
+    before they became plain rows, as a plain tuple."""
     cx, cy, a, h = track.motion.mean[:4].tolist()
     h = max(h, 1e-3)
     w = max(a * h, 1e-3)
     box = BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
-    return TrackRecord(frame, track.track_id, box.x, box.y, box.w, box.h,
-                       track.last_score, track.class_id)
+    return (frame, track.track_id, box.x, box.y, box.w, box.h,
+            track.last_score, track.class_id)
+
+
+def reference_gated_block(track_classes, predicted, det_boxes, det_classes, iou_gate):
+    """The dense gated IoU block the tracker built before it listed gated
+    pairs: (N, M) 1 - IoU, +inf where IoU falls below the gate or the
+    classes differ, with the IoU matrix it was built from."""
+    shape = (track_classes.shape[0], det_boxes.shape[0])
+    if 0 in shape:
+        return np.zeros(shape), np.zeros(shape)
+    ious = iou_matrix(predicted, det_boxes)
+    cost = 1.0 - ious
+    cost[ious < iou_gate] = np.inf
+    cost[track_classes[:, None] != det_classes[None, :]] = np.inf
+    return cost, ious
+
+
+def reference_fused_block(table: TrackTable, cost, det_embeddings, det_descriptors, config):
+    """The dense stage-1 block: the appearance and rotation terms of each
+    finite cell of the gated block `cost` added into a copy of it, in the
+    tracker's order; (M, D) embeddings or None and (M, 3) descriptors."""
+    cost = cost.copy()
+    rows, cols = np.nonzero(np.isfinite(cost))
+    if rows.size == 0:
+        return cost
+    fused = cost[rows, cols]
+    if config.w_a > 0 and det_embeddings is not None:
+        fused += config.w_a * ap.gallery_pair_costs(
+            table.gallery, table.gallery_mask(), rows, det_embeddings[cols])
+    if config.w_r > 0:
+        fused += config.w_r * mo.rotation_pair_costs(table.rotation[rows],
+                                                     det_descriptors[cols])
+    cost[rows, cols] = fused
+    return cost
 
 
 class ReferenceTracker:
@@ -590,9 +623,11 @@ class ReferenceTracker:
         high = scores >= cfg.theta_high
         hi_pos, lo_pos = np.flatnonzero(high).tolist(), np.flatnonzero(~high).tolist()
         scores = scores.tolist()
-        # each kept detection's embedding, normalized on read
+        # each high-confidence detection's embedding, normalized on read; a
+        # low-confidence one is never read
         features = ([None] * len(scores) if fd.embeddings is None
-                    else [normalize(fd.embeddings[r]) for r in kept.tolist()])
+                    else [normalize(fd.embeddings[r]) if h else None
+                          for r, h in zip(kept.tolist(), high.tolist())])
         if cfg.w_r > 0:
             rows = mo.frame_descriptors(box_centers(boxes), cfg.radius_R)
             descriptors = [r if r.any() else None for r in rows]

@@ -24,7 +24,7 @@ from drone_assoc.appearance import (
     maybe_insert_key,
     update_local_feature,
 )
-from drone_assoc.association import fused_cost_matrix, iou_cost_matrix
+from drone_assoc.association import fused_pair_costs, gated_pairs
 from drone_assoc.core import BoundingBox, TrackerConfig
 
 
@@ -232,11 +232,11 @@ class TestAppearanceCost:
         t = make_track(bbox=BoundingBox(0.0, 0.0, 10.0, 10.0),
                        local_feature=np.array([1.0, 0.0]))
         table = track_table([t])
-        gated, ious = iou_cost_matrix(table.classes, np.array([[0.0, 0.0, 10.0, 10.0]]),
-                                      np.array([[0.0, 0.0, 10.0, 5.0]]),
-                                      np.array([t.class_id]), TrackerConfig())
-        cost = fused_cost_matrix(table, gated, None, np.zeros((1, 3)), TrackerConfig())
-        assert cost[0, 0] == 1.0 - ious[0, 0]
+        rows, cols, ious = gated_pairs(table.classes, np.array([[0.0, 0.0, 10.0, 10.0]]),
+                                       np.array([[0.0, 0.0, 10.0, 5.0]]),
+                                       np.array([t.class_id]), TrackerConfig().iou_gate)
+        costs = fused_pair_costs(table, rows, ious, None, np.zeros((1, 3)), TrackerConfig())
+        assert costs.tolist() == [1.0 - ious[0]]
 
     def test_featureless_track_is_neutral(self, rng):
         t = make_track()

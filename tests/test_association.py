@@ -1,5 +1,7 @@
-"""Assignment solver, fused cost construction, lifecycle, and the tracker."""
+"""Assignment solver, gated pairs and their fused costs, lifecycle, and the
+tracker."""
 
+import gc
 import itertools
 
 import numpy as np
@@ -15,6 +17,8 @@ from conftest import (
     frame_detections,
     make_track,
     reference_appearance_cost_matrix,
+    reference_fused_block,
+    reference_gated_block,
     reference_lifecycle_step,
     track_table,
     unit_vector,
@@ -27,15 +31,15 @@ from drone_assoc.association import (
     TENTATIVE,
     AssignmentResult,
     FrameOrderError,
-    TrackRecord,
     Tracker,
-    fused_cost_matrix,
-    iou_cost_matrix,
+    assign_pairs,
+    fused_pair_costs,
+    gated_pairs,
     lifecycle,
     linear_assignment,
 )
 from drone_assoc.core import BoundingBox, FrameDetections, TrackerConfig, iou_matrix
-from drone_assoc.motion import AffineTransform, rotation_cost
+from drone_assoc.motion import BOX_BOUND, AffineTransform, rotation_cost
 
 
 def brute_force_assignment(cost: np.ndarray) -> tuple[int, float]:
@@ -251,13 +255,168 @@ class TestSolverLockstep:
         assert _solver_outcome(association._shortest_augmenting_path, cost) is ValueError
 
 
+def pair_block(shape, rows, cols, costs) -> np.ndarray:
+    """The dense (N, M) block of pair costs, +inf where no pair is."""
+    block = np.full(shape, np.inf)
+    block[rows, cols] = costs
+    return block
+
+
+# boxes on a lattice: x = offset + unit * i and w = unit * j, so edges meet
+# (x1 + w equals another x1) and left edges repeat; at a unit of 0.1 or 1/3,
+# or near BOX_BOUND, x + w rounds. Some boxes move off the lattice by a
+# fraction of a unit in x and in w, so edges also fall just inside or
+# just outside another box.
+_lattices = st.sampled_from([
+    (0.0, 1.0), (0.0, 0.1), (0.0, 1 / 3), (0.0, BOX_BOUND / 64),
+    (0.75 * BOX_BOUND, 3 * BOX_BOUND * 2.0 ** -53), (-0.75 * BOX_BOUND, BOX_BOUND * 2.0 ** -50),
+])
+_off_lattice = st.one_of(st.just(0.0), st.floats(0.0, 0.999))
+_lattice_boxes = st.lists(st.tuples(st.integers(-20, 20), st.integers(-3, 3),
+                                    st.integers(1, 12), st.integers(1, 4),
+                                    st.integers(1, 2), _off_lattice, _off_lattice),
+                          max_size=14)
+
+
+def _lattice_block(offset, unit, cells):
+    """(K, 4) boxes and (K,) classes of lattice cells (i, k, j, l, class,
+    x shift, w shift)."""
+    cells = np.array(cells, dtype=np.float64).reshape(-1, 7)
+    boxes = np.column_stack([offset + unit * (cells[:, 0] + cells[:, 5]), unit * cells[:, 1],
+                             unit * (cells[:, 2] + cells[:, 6]), unit * cells[:, 3]])
+    return boxes, cells[:, 4].astype(np.int64)
+
+
+# the smallest positive gate: every pair whose IoU is nonzero passes it
+_TINIEST = float(np.nextafter(0.0, 1.0))
+
+
+class TestGatedPairs:
+    """gated_pairs lists exactly the finite cells of the dense gated block,
+    in row-major order, each IoU bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_lattices, _lattice_boxes, _lattice_boxes, st.booleans(),
+           st.sampled_from([0.0, _TINIEST, 0.1, 0.5, 0.99]))
+    def test_equals_the_dense_gated_block(self, lattice, tracks, dets, widest_left, gate):
+        predicted, track_classes = _lattice_block(*lattice, tracks)
+        boxes, det_classes = _lattice_block(*lattice, dets)
+        if widest_left and len(boxes):
+            # the widest detection is the leftmost one
+            boxes[np.argmin(boxes[:, 0]), 2] = 3 * boxes[:, 2].max()
+        rows, cols, ious = gated_pairs(track_classes, predicted, boxes, det_classes, gate)
+        cost, dense = reference_gated_block(track_classes, predicted, boxes, det_classes, gate)
+        want_rows, want_cols = np.nonzero(np.isfinite(cost))
+        assert rows.tolist() == want_rows.tolist()
+        assert cols.tolist() == want_cols.tolist()
+        assert ious.tobytes() == dense[want_rows, want_cols].tobytes()
+        assert rows.dtype == cols.dtype == np.intp and ious.dtype == np.float64
+
+    @pytest.mark.parametrize("x, w", [
+        (0.0, 10.0), (0.3, 0.7), (1 / 3, 0.1),
+        (0.75 * BOX_BOUND, BOX_BOUND * 2.0 ** -40), (-0.5 * BOX_BOUND, 3 * BOX_BOUND * 2.0 ** -53),
+    ])
+    def test_overlaps_of_a_few_ulps_are_paired(self, x, w):
+        # detections whose left edge lies a few ulps either side of the
+        # track's right edge x + w, and the widest ones, whose right edge
+        # left + W rounds to a few ulps either side of the track's left edge:
+        # at the smallest positive gate every overlap, however thin, pairs
+        def around(v):
+            """v and the four floats on either side of it."""
+            up, down = [v], [v]
+            for _ in range(4):
+                up.append(np.nextafter(up[-1], np.inf))
+                down.append(np.nextafter(down[-1], -np.inf))
+            return down[:0:-1] + up
+        wide = 3 * w
+        lefts = around(x + w) + around(x - wide)
+        widths = [w / 2] * 9 + [wide] * 9
+        boxes = np.array([[left, 0.0, width, 1.0] for left, width in zip(lefts, widths)])
+        track = np.array([[x, 0.0, w, 1.0]])
+        one, ones = np.ones(1, dtype=np.int64), np.ones(len(boxes), dtype=np.int64)
+        rows, cols, ious = gated_pairs(one, track, boxes, ones, _TINIEST)
+        cost, dense = reference_gated_block(one, track, boxes, ones, _TINIEST)
+        want = np.flatnonzero(np.isfinite(cost[0]))
+        assert cols.tolist() == want.tolist()
+        assert ious.tobytes() == dense[0, want].tobytes()
+        # both edges cut through the sweeps
+        assert 0 < np.isin(want, range(9)).sum() < 9
+        assert 0 < np.isin(want, range(9, 18)).sum() < 9
+
+    def test_touching_boxes_are_not_paired(self):
+        # x1 + w meets the other box's x1: zero overlap, so no pair above a
+        # zero gate, and an IoU of 0 at a zero gate
+        track = np.array([[0.0, 0.0, 10.0, 10.0]])
+        boxes = np.array([[10.0, 0.0, 10.0, 10.0], [-5.0, 0.0, 5.0, 10.0],
+                          [9.0, 0.0, 10.0, 10.0]])
+        one, three = np.ones(1, dtype=np.int64), np.ones(3, dtype=np.int64)
+        rows, cols, _ = gated_pairs(one, track, boxes, three, 1e-9)
+        assert (rows.tolist(), cols.tolist()) == ([0], [2])
+        rows, cols, ious = gated_pairs(one, track, boxes, three, 0.0)
+        assert cols.tolist() == [0, 1, 2] and ious[:2].tolist() == [0.0, 0.0]
+
+    def test_a_gate_of_zero_pairs_every_same_class_pair(self, rng):
+        predicted = np.column_stack([rng.uniform(0, 1e4, (6, 2)), np.full((6, 2), 5.0)])
+        boxes = np.column_stack([rng.uniform(0, 1e4, (7, 2)), np.full((7, 2), 5.0)])
+        t_cls, d_cls = rng.integers(1, 3, 6), rng.integers(1, 3, 7)
+        rows, cols, _ = gated_pairs(t_cls, predicted, boxes, d_cls, 0.0)
+        assert list(zip(rows.tolist(), cols.tolist())) == [
+            (j, i) for j in range(6) for i in range(7) if t_cls[j] == d_cls[i]]
+
+
+# pairs of an (n, m) block: each cell present with a probability, with costs
+# distinct, tied among 0, 1 and 2, or in tenths; some rows hold only +inf
+# pairs, and some pairs are NaN or +inf
+_pair_block = st.tuples(st.integers(0, 8), st.integers(0, 8), st.floats(0.0, 1.0),
+                        st.sampled_from(["uniform", "tied", "tenths"]),
+                        st.integers(0, 2**32 - 1))
+
+
+class TestAssignPairs:
+    @settings(max_examples=500, deadline=None)
+    @given(_pair_block)
+    def test_equals_linear_assignment_of_the_densified_block(self, block):
+        n, m, density, kind, seed = block
+        g = np.random.default_rng(seed)
+        rows, cols = np.nonzero(g.uniform(size=(n, m)) < density)
+        costs = {"uniform": lambda k: g.uniform(0.0, 1.0, k),
+                 "tied": lambda k: g.integers(0, 3, k).astype(np.float64),
+                 "tenths": lambda k: g.integers(0, 10, k) / 10}[kind](rows.size)
+        costs[g.uniform(size=rows.size) < 0.1] = np.inf
+        costs[g.uniform(size=rows.size) < 0.05] = np.nan
+        dead = g.uniform(size=n) < 0.2  # rows whose every pair is infeasible
+        costs[dead[rows]] = np.inf
+        got = assign_pairs(n, m, rows, cols, costs)
+        want = linear_assignment(pair_block((n, m), rows, cols, costs))
+        for a, b in ((got.matches, want.matches), (got.unmatched_rows, want.unmatched_rows),
+                     (got.unmatched_cols, want.unmatched_cols)):
+            assert a.dtype == b.dtype == np.intp
+            assert a.tolist() == b.tolist()
+        assert not set(got.matches[:, 0].tolist()) & set(np.flatnonzero(dead).tolist())
+
+    def test_no_pairs(self):
+        empty = np.zeros(0, dtype=np.intp)
+        res = assign_pairs(3, 2, empty, empty, np.zeros(0))
+        assert res.matches.shape == (0, 2)
+        assert res.unmatched_rows.tolist() == [0, 1, 2]
+        assert res.unmatched_cols.tolist() == [0, 1]
+
+
 def stage_one_cost(tracks, predicted, boxes, classes, emb, descriptors, cfg) -> np.ndarray:
-    """The fused block of Track objects against detections whose
-    descriptors are given as rows or None."""
-    rows = np.array([np.zeros(3) if d is None else d for d in descriptors]).reshape(-1, 3)
+    """The stage-1 costs of Track objects against detections whose
+    descriptors are given as rows or None, from gated_pairs and
+    fused_pair_costs, laid out as a dense block; it equals the dense
+    reference block bit for bit."""
+    desc = np.array([np.zeros(3) if d is None else d for d in descriptors]).reshape(-1, 3)
     table = track_table(tracks)
-    gated, _ = iou_cost_matrix(table.classes, predicted, boxes, classes, cfg)
-    return fused_cost_matrix(table, gated, emb, rows, cfg)
+    rows, cols, ious = gated_pairs(table.classes, predicted, boxes, classes, cfg.iou_gate)
+    costs = fused_pair_costs(table, rows, ious, None if emb is None else emb[cols],
+                             desc[cols], cfg)
+    block = pair_block((len(tracks), boxes.shape[0]), rows, cols, costs)
+    gated, _ = reference_gated_block(table.classes, predicted, boxes, classes, cfg.iou_gate)
+    want = reference_fused_block(table, gated, emb, desc, cfg)
+    assert block.tobytes() == want.tobytes()
+    return block
 
 
 def columns(*dets):
@@ -390,10 +549,11 @@ class TestBuildCostMatrix:
                            rotation=np.array([1.0, 0.0, 0.0]))
         d = det(0.0, 0.0, 10.0, 5.0, score=0.3, embedding=np.array([0.0, 1.0]))
         boxes, classes, _ = columns(d)
-        cost, _ = iou_cost_matrix(np.array([track.class_id]),
-                                  np.array([[0.0, 0.0, 10.0, 10.0]]),
-                                  boxes, classes, TrackerConfig())
-        assert cost[0, 0] == pytest.approx(0.5, abs=1e-12)
+        rows, cols, ious = gated_pairs(np.array([track.class_id]),
+                                       np.array([[0.0, 0.0, 10.0, 10.0]]),
+                                       boxes, classes, TrackerConfig().iou_gate)
+        assert (rows.tolist(), cols.tolist()) == ([0], [0])
+        assert 1.0 - ious[0] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestLifecycleStep:
@@ -476,18 +636,18 @@ class TestTracker:
         tr = Tracker()
         recs = feed(tr, 1, [det(0, 0), det(100, 100)])
         assert len(recs) == 2
-        assert all(isinstance(r, TrackRecord) and r.frame == 1 for r in recs)
+        assert all(type(r) is tuple and r[0] == 1 for r in recs)
         assert tr.tracks.states.tolist() == [CONFIRMED, CONFIRMED]
 
     def test_later_spawns_are_tentative_until_three_hits(self):
         tr = Tracker()
         feed(tr, 1, [det(0, 0)])
         recs2 = feed(tr, 2, [det(0, 0), det(200, 200)])
-        assert [r.track_id for r in recs2] == [1]  # newcomer not emitted yet
+        assert [r[1] for r in recs2] == [1]  # newcomer not emitted yet
         recs3 = feed(tr, 3, [det(0, 0), det(200, 200)])
-        assert [r.track_id for r in recs3] == [1]
+        assert [r[1] for r in recs3] == [1]
         recs4 = feed(tr, 4, [det(0, 0), det(200, 200)])
-        assert sorted(r.track_id for r in recs4) == [1, 2]
+        assert sorted(r[1] for r in recs4) == [1, 2]
 
     def test_low_scores_never_spawn(self):
         tr = Tracker()
@@ -506,8 +666,9 @@ class TestTracker:
         feed(tr, 1, [det(0, 0)])
         recs = feed(tr, 2, [det(1, 0, score=0.3)])
         assert len(recs) == 1
-        assert recs[0].track_id == 1
-        assert recs[0].score == pytest.approx(0.3)
+        _, track_id, *_, score, _ = recs[0]
+        assert track_id == 1
+        assert score == pytest.approx(0.3)
         assert tr.tracks.states[0] == CONFIRMED
 
     def test_lost_tracks_sit_out_stage_two(self):
@@ -600,7 +761,8 @@ class TestTracker:
         recs = feed(tr, 2, [det(6, 0)])
         # the reported center sits between prediction (0 velocity) and the
         # measured box, pulled strongly toward the measurement
-        assert 5.0 < recs[0].x + recs[0].w / 2.0 <= 11.0
+        _, _, x, _, w, *_ = recs[0]
+        assert 5.0 < x + w / 2.0 <= 11.0
 
     def test_non_finite_posterior_box_raises(self):
         # a finite but huge box overflows the new filter's covariance, so the
@@ -628,7 +790,7 @@ class TestTracker:
                     tr.associate_frame(fd, None)
                 assert_same_state(tracker_state(tr), before)
         (rec,) = feed(tr, 6, [det(50, 50, 5, 5)])
-        assert rec.track_id == 1
+        assert rec[1] == 1
         assert (tr.last_frame, tr.next_id, tr.tracks.hits[0]) == (6, 2, 2)
 
     def test_a_blend_that_cancels_keeps_the_previous_feature(self):
@@ -640,11 +802,11 @@ class TestTracker:
         box = [[0.0, 0.0, 10.0, 10.0]]
         tr.associate_frame(FrameDetections(1, box, [0.9], [1], [[1.0, 0.0]]), None)
         (rec,) = tr.associate_frame(FrameDetections(2, box, [0.9], [1], [[-1.0, 0.0]]), None)
-        assert rec.track_id == 1
+        assert rec[1] == 1
         assert (tr.last_frame, tr.next_id, tr.tracks.hits[0]) == (2, 2, 2)
         assert tr.tracks.has_local[0] and tr.tracks.local[0].tolist() == [1.0, 0.0]
         (rec,) = tr.associate_frame(FrameDetections(3, box, [0.9], [1], [[0.0, 1.0]]), None)
-        assert rec.track_id == 1
+        assert rec[1] == 1
         assert (tr.last_frame, tr.next_id, tr.tracks.hits[0]) == (3, 2, 3)
         assert np.allclose(tr.tracks.local[0], [0.5 ** 0.5, 0.5 ** 0.5])
 
@@ -674,8 +836,58 @@ class TestTracker:
             tr.associate_frame(FrameDetections(2, boxes, [0.9, 0.9], [1, 1], zero), None)
         assert_same_state(tracker_state(tr), before)
         records = tr.associate_frame(FrameDetections(2, boxes, [0.9, 0.05], [1, 1], zero), None)
-        assert [r.track_id for r in records] == [1]
+        assert [r[1] for r in records] == [1]
         assert tr.last_frame == 2
+
+    def test_a_zero_length_embedding_on_a_low_row_commits(self):
+        # stage 2 matches on IoU alone, so a row scored 0.3 is never read
+        # for its embedding: a zero row there gives the records and the
+        # table of a unit row in its place
+        boxes = [[0.0, 0.0, 10.0, 10.0], [50.0, 0.0, 10.0, 10.0]]
+        first = FrameDetections(1, boxes, [0.9, 0.9], [1, 1], [[1.0, 0.0], [0.0, 1.0]])
+        out = []
+        for row in ([0.0, 0.0], [0.0, 1.0]):
+            tr = Tracker()
+            tr.associate_frame(first, None)
+            fd = FrameDetections(2, [[1.0, 0.0, 10.0, 10.0], [51.0, 0.0, 10.0, 10.0]],
+                                 [0.9, 0.3], [1, 1], [[1.0, 0.0], row])
+            out.append((tr.associate_frame(fd, None), tracker_state(tr)))
+        (zero, zero_state), (unit, unit_state) = out
+        assert [r[1] for r in zero] == [1, 2]
+        assert repr(zero) == repr(unit)
+        assert_same_state(zero_state, unit_state)
+
+    def test_a_zero_length_embedding_on_a_high_row_names_its_file_index(self):
+        # a dropped row and a low row come first in the file: the error
+        # names the zero row by its place in the file, and the frame writes
+        # nothing
+        tr = Tracker()
+        boxes = [[0.0, 0.0, 10.0, 10.0], [50.0, 0.0, 10.0, 10.0], [90.0, 0.0, 10.0, 10.0]]
+        tr.associate_frame(FrameDetections(1, boxes, [0.9] * 3, [1] * 3, np.eye(3)), None)
+        before = tracker_state(tr)
+        rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+        with pytest.raises(ValueError, match="frame 2: detection 2: .*zero-length"):
+            tr.associate_frame(FrameDetections(2, boxes, [0.05, 0.3, 0.9], [1] * 3, rows),
+                               None)
+        assert_same_state(tracker_state(tr), before)
+
+    def test_records_are_plain_tuples_the_collector_drops(self):
+        # a tuple of ints and floats is untracked by the first collection
+        # that sees it, so a pass's records add nothing to later collections
+        tr = Tracker()
+        records = []
+        for frame in range(1, 41):
+            fd = FrameDetections(frame, [[30.0 * k + frame, 20.0 * k, 10.0, 10.0]
+                                         for k in range(12)], [0.9] * 12, [1] * 12)
+            records += tr.associate_frame(fd, None)
+        assert len(records) == 12 * 40
+        assert all(type(r) is tuple for r in records)
+        gc.collect()
+        assert not any(gc.is_tracked(r) for r in records)
+        held = len(gc.get_objects())
+        del records
+        gc.collect()
+        assert held - len(gc.get_objects()) <= 1  # the list that held them
 
     def test_a_singular_filter_refuses_its_frame(self):
         # at iou_gate = 0 the 1e-200 box's track matches its next box, and

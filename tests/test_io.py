@@ -325,13 +325,11 @@ class TestAffineSidecar:
 
 class TestWriteResults:
     def test_sorted_with_trailing_sentinels(self, tmp_path):
-        from drone_assoc.association import TrackRecord
-
         path = tmp_path / "res.txt"
         records = [
-            TrackRecord(2, 1, 0.5, 1.5, 10.0, 10.0, 0.9, 1),
-            TrackRecord(1, 2, 5.0, 5.0, 8.0, 8.0, 0.8, 1),
-            TrackRecord(1, 1, 0.0, 0.0, 10.0, 10.0, 0.7, 2),
+            (2, 1, 0.5, 1.5, 10.0, 10.0, 0.9, 1),
+            (1, 2, 5.0, 5.0, 8.0, 8.0, 0.8, 1),
+            (1, 1, 0.0, 0.0, 10.0, 10.0, 0.7, 2),
         ]
         write_results(records, str(path))
         lines = path.read_text().splitlines()
@@ -340,11 +338,9 @@ class TestWriteResults:
         assert all(ln.endswith(",-1,-1") for ln in lines)
 
     def test_written_floats_parse_back_exactly(self, tmp_path):
-        from drone_assoc.association import TrackRecord
-
         path = tmp_path / "res.txt"
         b = (1.0 / 3.0, 0.1, 10.7, 20.0000001)
-        write_results([TrackRecord(1, 1, *b, 0.123456789, 1)], str(path))
+        write_results([(1, 1, *b, 0.123456789, 1)], str(path))
         parts = path.read_text().strip().split(",")
         assert [float(v) for v in parts[2:6]] == list(b)
         assert float(parts[6]) == 0.123456789

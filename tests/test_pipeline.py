@@ -246,7 +246,7 @@ class TestTrackFrames:
         tracker = Tracker(cfg.tracker_config())
         got = [r for out in track_frames(frames, spy, tracker) for r in out]
         assert repr(got) == repr(want)
-        assert {r.frame for r in got} & {80, 105}  # tracks form again after the gaps
+        assert {r[0] for r in got} & {80, 105}  # tracks form again after the gaps
         assert (tracker.last_frame, tracker.next_id) == (reference.last_frame, reference.next_id)
         for name in TrackTable._COLUMNS:
             assert (getattr(tracker.tracks, name).tobytes()
