@@ -595,10 +595,12 @@ class Tracker:
         records = list(zip(repeat(frame), t.ids[emit].tolist(), x, y, w, h,
                            t.last_score[emit].tolist(), t.classes[emit].tolist()))
         n_inserts = int(inserted.sum())
+        # each stage-1 match is one of the pairs, which ascend by (row, column)
+        match_pairs = np.searchsorted(r1 * hi.size + c1, rows1 * hi.size + cols1)
         self.last_stats = FrameStats(
             frame, rows1.size, rows2.size, spawn.size, n_removed, len(t),
             gallery_rows, n_inserts, inserted.size - n_inserts,
-            tuple(iou1[np.searchsorted(r1 * hi.size + c1, rows1 * hi.size + cols1)].tolist()),
+            tuple(iou1[match_pairs].tolist()),
         )
         log.debug("frame %d: %d dets, %d live tracks, %d emitted",
                   frame, kept.shape[0], len(t), len(records))
