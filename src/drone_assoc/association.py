@@ -76,6 +76,7 @@ from .core import (
     iou_matrix,  # noqa: F401  a module attribute: the benchmark's tracer wraps it by name
     iou_pairs,
     normalize_rows,
+    window_pairs,
 )
 
 log = logging.getLogger("drone_assoc.association")
@@ -342,31 +343,16 @@ def gated_pairs(
     and its IoU, core.iou_pairs' arithmetic and so iou_matrix's cell for
     cell, is at least the gate.
 
-    Above a zero gate an IoU must be nonzero, so the two boxes overlap in
-    x: the detection's left edge lies below the track's right edge, and its
-    right edge above the track's left edge. With the detections sorted by
-    left edge, the first condition is a prefix. A detection's right edge,
-    left + w rounded, is at most left + W rounded for the widest W, and
-    that bound grows with the left edge; so the second condition holds only
-    past a point of the same order, and each track's window is cut by two
-    searchsorted calls, with no rounding margin to choose. At a zero gate
-    the candidates are every same-class pair.
+    Above a zero gate an IoU must be nonzero, so the candidates are the
+    x-windows of core.window_pairs over one block, same-class pairs among
+    them. At a zero gate the candidates are every same-class pair.
     """
     n, m = predicted_boxes.shape[0], det_boxes.shape[0]
     if n == 0 or m == 0:
         empty = np.zeros(0, dtype=np.intp)
         return empty, empty, np.zeros(0, dtype=np.float64)
     if iou_gate > 0:
-        order = np.argsort(det_boxes[:, 0], kind="stable")
-        left = det_boxes[order, 0]
-        x1 = predicted_boxes[:, 0]
-        start = np.searchsorted(left + det_boxes[:, 2].max(), x1, side="right")
-        stop = np.searchsorted(left, x1 + predicted_boxes[:, 2], side="left")
-        counts = np.maximum(stop - start, 0)
-        ends = np.cumsum(counts)
-        rows = np.repeat(np.arange(n), counts)
-        # pair k of the flattened windows sits at sorted place k - ends + stop
-        cols = order[np.arange(ends[-1]) + np.repeat(stop - ends, counts)]
+        rows, cols = window_pairs(predicted_boxes, det_boxes)
         same = track_classes[rows] == det_classes[cols]
         rows, cols = rows[same], cols[same]
         ious = iou_pairs(predicted_boxes[rows], det_boxes[cols])

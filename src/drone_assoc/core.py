@@ -13,6 +13,11 @@ normalize_rows scales a whole embedding block in place, for the tracker's
 frame rows and its feature blend; normalize is its one-row call on a copy.
 checked_norms is its norm and check alone, for a loader that keeps the rows
 as stored.
+
+iou_pairs is the one IoU arithmetic; iou_matrix is its broadcast call.
+window_pairs lists the candidate pairs of two box sets that can overlap in
+x, within one block or within each block of equal rank: the tracker's gate
+and the evaluation's same-frame pairs both start from it.
 """
 
 from __future__ import annotations
@@ -126,6 +131,68 @@ def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     union = (aw * ah) + (bw * bh) - inter
     return np.minimum(np.maximum(inter / union, 0.0), 1.0)
+
+
+def _complex_keys(ranks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """rank + 1j * value per row, built part by part: 1j * inf would put a
+    NaN in the real part."""
+    keys = np.empty(values.shape[0], dtype=np.complex128)
+    keys.real = ranks
+    keys.imag = values
+    return keys
+
+
+def window_pairs(
+    boxes: np.ndarray,
+    others: np.ndarray,
+    ranks: Optional[np.ndarray] = None,
+    other_ranks: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate pairs of (N, 4) xywh boxes and (M, 4) others: (P,) rows,
+    ascending, and (P,) columns. Every pair whose iou_pairs IoU is nonzero
+    is among them. With (N,) ranks and (M,) other_ranks, dense integer
+    block keys below 2^53, only pairs of one block are candidates, and
+    every box must be finite.
+
+    A nonzero IoU needs the boxes to overlap in x: the other's left edge
+    lies below the box's right edge, and its right edge above the box's
+    left edge. With the others sorted by left edge, the first condition is
+    a prefix. An other's right edge, left + w rounded, is at most left + W
+    rounded for the widest W, and that bound grows with the left edge; so
+    the second condition holds only past a point of the same order, and
+    each box's window is cut by two searchsorted calls, with no rounding
+    margin to choose. With blocks, the others are sorted by (rank, left
+    edge), W is the widest other of each block, and both searches run on
+    the complex keys rank + 1j * edge, which numpy compares
+    lexicographically, so a box's window stays inside its block.
+    """
+    n, m = boxes.shape[0], others.shape[0]
+    if n == 0 or m == 0:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty
+    x1, x2 = boxes[:, 0], boxes[:, 0] + boxes[:, 2]
+    if ranks is None:
+        order = np.argsort(others[:, 0], kind="stable")
+        left = others[order, 0]
+        reach = left + others[:, 2].max()
+    else:
+        order = np.lexsort((others[:, 0], other_ranks))
+        sorted_ranks = other_ranks[order]
+        lefts = others[order, 0]
+        starts = np.flatnonzero(np.diff(sorted_ranks, prepend=sorted_ranks[0] - 1))
+        widest = np.maximum.reduceat(others[order, 2], starts)
+        left = _complex_keys(sorted_ranks, lefts)
+        reach = _complex_keys(
+            sorted_ranks, lefts + np.repeat(widest, np.diff(np.append(starts, m))))
+        x1, x2 = _complex_keys(ranks, x1), _complex_keys(ranks, x2)
+    start = np.searchsorted(reach, x1, side="right")
+    stop = np.searchsorted(left, x2, side="left")
+    counts = np.maximum(stop - start, 0)
+    ends = np.cumsum(counts)
+    rows = np.repeat(np.arange(n), counts)
+    # pair k of the flattened windows sits at sorted place k - ends + stop
+    cols = order[np.arange(ends[-1]) + np.repeat(stop - ends, counts)]
+    return rows, cols
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

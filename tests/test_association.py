@@ -38,7 +38,14 @@ from drone_assoc.association import (
     lifecycle,
     linear_assignment,
 )
-from drone_assoc.core import BoundingBox, FrameDetections, TrackerConfig, iou_matrix
+from drone_assoc.core import (
+    BoundingBox,
+    FrameDetections,
+    TrackerConfig,
+    iou_matrix,
+    iou_pairs,
+    window_pairs,
+)
 from drone_assoc.motion import BOX_BOUND, AffineTransform, rotation_cost
 
 
@@ -342,6 +349,17 @@ class TestGatedPairs:
         # both edges cut through the sweeps
         assert 0 < np.isin(want, range(9)).sum() < 9
         assert 0 < np.isin(want, range(9, 18)).sum() < 9
+        # the cut keyed by block, as the metrics key it by frame: the track
+        # in block 1, the same sweep in blocks 0, 1 and 2, and only block 1
+        # pairs with it
+        others = np.concatenate([boxes, boxes, boxes])
+        block = np.repeat([0, 1, 2], len(boxes))
+        rows, cols = window_pairs(track, others, one, block)
+        assert (rows == 0).all() and (block[cols] == 1).all()
+        cols = np.sort(cols) - len(boxes)
+        ious = iou_pairs(track[np.zeros_like(cols)], boxes[cols])
+        assert cols[ious > 0].tolist() == want.tolist()
+        assert ious[ious > 0].tobytes() == dense[0, want].tobytes()
 
     def test_touching_boxes_are_not_paired(self):
         # x1 + w meets the other box's x1: zero overlap, so no pair above a

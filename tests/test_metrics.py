@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import by_frame, mot_table, reference_clear_mot, reference_id_measures
+from drone_assoc import metrics
 from drone_assoc.core import BoundingBox, iou_matrix
 from drone_assoc.metrics import (
     EvaluationError,
@@ -15,7 +16,8 @@ from drone_assoc.metrics import (
     report_csv,
     report_table,
 )
-from drone_assoc.mot_io import MotLine
+from drone_assoc.mot_io import MotLine, MotTable
+from drone_assoc.motion import BOX_BOUND
 
 
 def row(frame, obj_id, x, y=0.0, w=10.0, h=10.0):
@@ -173,27 +175,150 @@ def grid_sequence(rng, n_frames=40, n_gt=8):
     return mot_table(gt), mot_table([res[i] for i in order])
 
 
-class TestClearMotLockstep:
-    """clear_mot and id_measures against the per-id sweeps they replaced,
-    bit for bit."""
+def _with_rows(table, rows) -> MotTable:
+    return MotTable(np.concatenate([table.rows, rows]))
 
+
+def _near_box_bound(rng, gt, res):
+    """The grid scaled and moved to 0.75 BOX_BOUND, where x + w rounds."""
+    scale = BOX_BOUND * 2.0 ** -40
+    out = []
+    for table in (gt, res):
+        rows = table.rows.copy()
+        rows[:, 2:6] *= scale
+        rows[:, 2:4] += 0.75 * BOX_BOUND
+        out.append(MotTable(rows))
+    return tuple(out)
+
+
+def _widest_leftmost(rng, gt, res):
+    """Each frame gains a result box three cells wide, leftmost in its
+    frame, so the widest box sets every window; the grid itself makes edges
+    touch at IoU 0."""
+    frames = np.unique(res.frames)
+    extra = np.zeros((frames.shape[0], 9))
+    extra[:, 0] = frames
+    extra[:, 1] = 150
+    extra[:, 2] = [res.rows[res.frames == f, 2].min() - 5.0 for f in frames]
+    extra[:, 3] = rng.integers(0, 40, frames.shape[0]) * 5.0
+    extra[:, 4:6] = (30.0, 10.0)
+    extra[:, 6:] = 1.0
+    return gt, _with_rows(res, extra)
+
+
+def _gaps_and_one_sided(rng, gt, res):
+    """Frame numbers with gaps, the later ones past 2^53, and a frame of
+    each side alone mid-sequence."""
+    out = []
+    for table, alone in ((gt, 7), (res, 12)):
+        rows = table.rows[table.frames != alone].copy()
+        f = rows[:, 0]
+        rows[:, 0] = np.where(f < 20, 3 * f, 2.0 ** 60 + 256 * f)
+        out.append(MotTable(rows))
+    return tuple(out)
+
+
+def _repeated_ids(rng, gt, res):
+    """Ids repeated within a frame. Some rows come again a cell off, beside
+    the contested frames of the grid. Some frames hold a copy of themselves
+    about 1000 px to the right, results 1 px further than gt, whose pairs
+    are as isolated as the originals: the copy repeats the gt ids and the
+    result ids, or the gt ids alone while the original results take new
+    ids, or the result ids alone."""
+    g_extra, r_extra = [], []
+    for table, extra in ((gt, g_extra), (res, r_extra)):
+        rows = table.rows[rng.random(len(table)) < 0.1].copy()
+        rows[:, 2] += 5.0
+        extra.append(rows)
+    r_base = res.rows.copy()
+    for f in rng.choice(np.unique(gt.frames), 20):
+        g_rows, r_rows = gt.rows[gt.frames == f].copy(), res.rows[res.frames == f].copy()
+        g_rows[:, 2] += 1000.0
+        r_rows[:, 2] += 1001.0
+        side = rng.integers(3)
+        g_rows[:, 1] += 500 * (side == 2)
+        r_base[res.frames == f, 1] += 500 * (side == 1)
+        g_extra.append(g_rows)
+        r_extra.append(r_rows)
+    rows = np.concatenate([r_base] + r_extra)
+    return _with_rows(gt, np.concatenate(g_extra)), MotTable(rows[rng.permutation(len(rows))])
+
+
+def _non_finite(rng, gt, res):
+    """Boxes with a NaN or infinite field, which only a directly built
+    MotTable holds."""
+    out = []
+    for table in (gt, res):
+        rows = table.rows.copy()
+        bad = rng.random((len(rows), 4)) < 0.03
+        rows[:, 2:6][bad] = rng.choice([np.nan, np.inf, -np.inf], int(bad.sum()))
+        out.append(MotTable(rows))
+    return tuple(out)
+
+
+_VARIANTS = [None, _near_box_bound, _widest_leftmost, _gaps_and_one_sided, _repeated_ids,
+             _non_finite]
+
+
+def _variant_id(variant):
+    return "grid" if variant is None else variant.__name__.strip("_")
+
+
+class TestClearMotLockstep:
+    """clear_mot, id_measures and evaluate against the per-id sweeps they
+    replaced, bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_random_grid_sequences(self, rng):
         exact = 0
-        for _ in range(30):
-            gt, res = grid_sequence(rng)
-            for threshold in (0.5, 1.0 / 3.0, 0.25):
-                got, want = clear_mot(gt, res, threshold), reference_clear_mot(gt, res, threshold)
-                assert same_clear(got, want), (got, want)
-            exact += np.count_nonzero(
-                np.isclose(reference_ious(gt, res), 0.5, rtol=0, atol=0))
+        for variant in _VARIANTS:
+            for _ in range(30 if variant is None else 10):
+                gt, res = grid_sequence(rng)
+                if variant is not None:
+                    gt, res = variant(rng, gt, res)
+                for threshold in (0.5, 1.0 / 3.0, 0.25, 1.0):
+                    got = clear_mot(gt, res, threshold)
+                    want = reference_clear_mot(gt, res, threshold)
+                    assert same_clear(got, want), (_variant_id(variant), got, want)
+                    want_id = reference_id_measures(gt, res, threshold)
+                    assert same_report(evaluate(gt, res, threshold), want, want_id)
+                if variant is None:
+                    exact += np.count_nonzero(
+                        np.isclose(reference_ious(gt, res), 0.5, rtol=0, atol=0))
         assert exact > 0  # some pairs sat exactly on the 0.5 threshold
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_id_measures_on_random_grid_sequences(self, rng):
-        for _ in range(20):
+        for variant in _VARIANTS:
+            for _ in range(20 if variant is None else 5):
+                gt, res = grid_sequence(rng)
+                if variant is not None:
+                    gt, res = variant(rng, gt, res)
+                for threshold in (0.5, 0.25, 1.0):
+                    assert id_measures(gt, res, threshold) == \
+                        reference_id_measures(gt, res, threshold), _variant_id(variant)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 50])
+    def test_chunks_of_frames(self, rng, monkeypatch, chunk_rows):
+        """A sequence of many chunks counts as one: with one row a chunk,
+        every contested frame opens a chunk, and the sweep reads the last
+        chunk's matches."""
+        monkeypatch.setattr(metrics, "PAIR_CHUNK_ROWS", chunk_rows)
+        contested = 0
+        for _ in range(10):
             gt, res = grid_sequence(rng)
             for threshold in (0.5, 0.25):
-                assert id_measures(gt, res, threshold) == \
-                    reference_id_measures(gt, res, threshold)
+                want = reference_clear_mot(gt, res, threshold)
+                assert same_clear(clear_mot(gt, res, threshold), want)
+                want_id = reference_id_measures(gt, res, threshold)
+                assert id_measures(gt, res, threshold) == want_id
+                assert same_report(evaluate(gt, res, threshold), want, want_id)
+            res_frames = by_frame(res)
+            for frame, (_, g_boxes) in by_frame(gt).items():
+                if frame in res_frames:
+                    hit = iou_matrix(g_boxes, res_frames[frame][1]) >= 0.5
+                    contested += int((hit.sum(axis=0) > 1).any() or (hit.sum(axis=1) > 1).any())
+        assert contested > 0
 
     def test_threshold_is_inclusive_for_carried_over_pairs(self):
         gt = [row(1, 1, 0.0), row(2, 1, 0.0)]
@@ -207,6 +332,16 @@ class TestClearMotLockstep:
         res = [row(1, 7, 0.0), row(1, 8, 50.0), row(2, 8, 0.0), row(2, 7, 50.0)]
         got = clear_mot(mot_table(gt), mot_table(res))
         assert same_clear(got, reference_clear_mot(mot_table(gt), mot_table(res)))
+
+
+def same_report(report, clear: dict, identity: tuple) -> bool:
+    """evaluate's report equals the one built from the reference counts."""
+    idtp, idfp, idfn = identity
+    return (report.mota, report.fp, report.fn, report.id_switches, report.mt, report.ml,
+            report.gt_total, repr(report.motp)) == (
+        clear["mota"], clear["fp"], clear["fn"], clear["id_switches"], clear["mt"],
+        clear["ml"], clear["gt_total"], repr(clear["motp"])) and \
+        report.idf1 == (2 * idtp / (2 * idtp + idfp + idfn) if idtp + idfp + idfn else 0.0)
 
 
 def reference_ious(gt, res) -> np.ndarray:
@@ -318,6 +453,19 @@ class TestEvaluate:
     def test_empty_gt_raises(self):
         with pytest.raises(EvaluationError):
             evaluate(mot_table([]), mot_table([]))
+
+    @pytest.mark.parametrize("threshold", [float("nan"), 0.0, -1.0, 1.5])
+    def test_threshold_outside_the_unit_interval_raises(self, threshold):
+        # NaN would make every pair feasible for CLEAR and none for identity
+        gt = mot_table(straight_run(1, 0.0, 3))
+        for measure in (clear_mot, id_measures, evaluate):
+            with pytest.raises(EvaluationError, match="iou_threshold"):
+                measure(gt, gt, threshold)
+
+    def test_threshold_of_one_is_accepted(self):
+        gt = mot_table(straight_run(1, 0.0, 3))
+        rep = evaluate(gt, gt, 1.0)
+        assert rep.mota == 1.0 and rep.idf1 == 1.0
 
 
 class TestReports:
