@@ -3,12 +3,7 @@ compensated Kalman prediction, adaptive appearance memory, a rotation-aware
 fused matching cost, CLEAR/identity metrics, and a synthetic scenario
 generator."""
 
-from .appearance import (
-    KeyFeatureBank,
-    adaptive_alpha,
-    maybe_insert_key,
-    update_local_feature,
-)
+from .appearance import adaptive_alpha
 from .association import (
     AssignmentResult,
     FrameOrderError,

@@ -48,12 +48,14 @@ keeps the pairs' row order, so assignment ties resolve as they did when
 tracks were objects.
 
 assign_pairs returns index arrays: the matches as (K, 2) (row, column)
-pairs, and the unmatched rows and columns. A frame's output is one record
-per confirmed track matched that frame: a plain tuple of Python ints and
-floats in MOT result order (frame, id, x, y, w, h, score, class), zipped
-from columns of the (K, 4) block of posterior boxes. A tuple of atomic
-values is one the garbage collector stops tracking, so the records a
-caller holds cost its collections nothing.
+pairs, the unmatched rows and columns, and `pairs`, the index of each match
+among the pairs it was given, so a caller reads a match's IoU or cost from
+its own list. Both stages' columns are the frame's kept positions. A
+frame's output is one record per confirmed track matched that frame: a
+plain tuple of Python ints and floats in MOT result order (frame, id, x, y,
+w, h, score, class), zipped from columns of the (K, 4) block of posterior
+boxes. A tuple of atomic values is one the garbage collector stops
+tracking, so the records a caller holds cost its collections nothing.
 """
 
 from __future__ import annotations
@@ -93,12 +95,16 @@ class FrameOrderError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class AssignmentResult:
-    """Matches as a (K, 2) intp array of (row, column) pairs in solver
-    order; the unmatched rows and columns as ascending intp arrays."""
+    """Matches as a (K, 2) intp array of (row, column) pairs in ascending
+    row order; the unmatched rows and columns as ascending intp arrays; and
+    `pairs`, the (K,) intp indices of the matched pairs among the rows,
+    columns and costs the solver was given, in match order, so that
+    matches is column_stack([rows[pairs], cols[pairs]])."""
 
     matches: np.ndarray
     unmatched_rows: np.ndarray
     unmatched_cols: np.ndarray
+    pairs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,8 @@ class FrameStats:
 def linear_assignment(cost: np.ndarray) -> AssignmentResult:
     """Minimum-cost one-to-one assignment of a dense (N, M) block; +inf
     (any non-finite) entries are never matched: assign_pairs over the
-    block's finite cells."""
+    block's finite cells, so `pairs` indexes those cells in row-major
+    order."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError("cost matrix must be 2-dimensional")
@@ -140,49 +147,48 @@ def assign_pairs(n: int, m: int, rows: np.ndarray, cols: np.ndarray,
     with (P,) costs; a pair whose cost is not finite is infeasible.
 
     Of the matchings with the most feasible pairs, returns one of least
-    total cost, its matches in ascending row order. A pair that is the
-    only one in its row and in its column belongs to every such matching
-    and is taken directly. The other pairs' rows and columns go through one
-    solve of their sub-block by _shortest_augmenting_path, the in-package
-    port of Crouse's method, with the cells no pair names lifted to a large
-    finite constant so the solver always runs; a match landing on one is
-    dropped afterwards. Among tied columns the solver prefers an unassigned
-    one, and its column order is SciPy's, so ties resolve as
-    linear_sum_assignment resolves them on the dense block.
+    total cost, its matches in ascending row order, each with its index
+    among the given pairs. A pair that is the only one in its row and in its
+    column belongs to every such matching and is taken directly. The other
+    pairs' rows and columns go through one solve of their sub-block by
+    _shortest_augmenting_path, the in-package port of Crouse's method, with
+    the cells no pair names lifted to a large finite constant so the solver
+    always runs; a match landing on one is dropped afterwards. Among tied
+    columns the solver prefers an unassigned one, and its column order is
+    SciPy's, so ties resolve as linear_sum_assignment resolves them on the
+    dense block.
     """
-    feasible = np.isfinite(costs)
-    if not feasible.all():
-        rows, cols, costs = rows[feasible], cols[feasible], costs[feasible]
-    if rows.size == 0:
-        return AssignmentResult(np.zeros((0, 2), dtype=np.intp),
-                                np.arange(n, dtype=np.intp), np.arange(m, dtype=np.intp))
+    taken = np.flatnonzero(np.isfinite(costs))
+    if taken.size < costs.size:
+        rows, cols, costs = rows[taken], cols[taken], costs[taken]
+    if taken.size == 0:
+        return AssignmentResult(np.zeros((0, 2), dtype=np.intp), np.arange(n, dtype=np.intp),
+                                np.arange(m, dtype=np.intp), taken)
     row_n, col_n = np.bincount(rows, minlength=n), np.bincount(cols, minlength=m)
     alone = (row_n[rows] == 1) & (col_n[cols] == 1)
     if not alone.all():
         live_r, live_c = row_n > 0, col_n > 0
         live_r[rows[alone]] = False
         live_c[cols[alone]] = False
-        sub_r, sub_c = np.flatnonzero(live_r), np.flatnonzero(live_c)
-        # each contested pair's cell in the sub-block
-        contested = ~alone
+        # each contested pair's cell in the sub-block, and the pair in each
+        # cell (-1 where none)
+        contested = np.flatnonzero(~alone)
         i = (np.cumsum(live_r) - 1)[rows[contested]]
         j = (np.cumsum(live_c) - 1)[cols[contested]]
-        sub = np.full((sub_r.size, sub_c.size), _LARGE)
+        sub = np.full((np.count_nonzero(live_r), np.count_nonzero(live_c)), _LARGE)
         sub[i, j] = costs[contested]
-        present = np.zeros(sub.shape, dtype=bool)
-        present[i, j] = True
-        a, b = _shortest_augmenting_path(sub)
-        ok = present[a, b]
-        rows = np.concatenate([rows[alone], sub_r[a[ok]]])
-        cols = np.concatenate([cols[alone], sub_c[b[ok]]])
-        order = np.argsort(rows)
-        rows, cols = rows[order], cols[order]
+        cell = np.full(sub.shape, -1, dtype=np.intp)
+        cell[i, j] = contested
+        hit = cell[_shortest_augmenting_path(sub)]
+        picked = np.concatenate([np.flatnonzero(alone), hit[hit >= 0]])
+        picked = picked[np.argsort(rows[picked])]
+        taken, rows, cols = taken[picked], rows[picked], cols[picked]
     free_r = np.ones(n, dtype=bool)
     free_r[rows] = False
     free_c = np.ones(m, dtype=bool)
     free_c[cols] = False
     return AssignmentResult(np.column_stack([rows, cols]),
-                            np.flatnonzero(free_r), np.flatnonzero(free_c))
+                            np.flatnonzero(free_r), np.flatnonzero(free_c), taken)
 
 
 def _shortest_augmenting_path(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -454,21 +460,21 @@ class Tracker:
             )
 
         # the frame's rows at or above theta_low; positions below index
-        # them, and hi and lo split the positions between the two stages
+        # them, and both stages' columns are positions
         fd = frame_detections
         kept = np.flatnonzero(fd.scores >= cfg.theta_low)
         boxes, classes, scores = fd.boxes[kept], fd.classes[kept], fd.scores[kept]
         high = scores >= cfg.theta_high
-        hi, lo = np.flatnonzero(high), np.flatnonzero(~high)
-        emb = None  # the high-confidence rows' unit embeddings
+        emb = None  # the high-confidence rows' unit embeddings, read at emb_at
         if fd.embeddings is not None:
             # stage 2 is IoU alone, so only these rows are read; the gather
             # copies, so the caller's rows are not scaled
-            read = kept[hi]
+            read = kept[high]
             try:
                 emb = normalize_rows(fd.embeddings[read].astype(np.float64, copy=False))
             except ZeroNormError as e:
                 raise ZeroNormError(f"frame {frame}: detection {read[e.row]}: {e}") from e
+            emb_at = np.cumsum(high) - 1
         descriptors = (mo.frame_descriptors(box_centers(boxes), cfg.radius_R)
                        if cfg.w_r > 0 else np.zeros((kept.shape[0], 3)))
 
@@ -477,21 +483,19 @@ class Tracker:
         means, covs = mo.multi_predict(t.means, t.covs, m)
         predicted = mo.states_to_xywh(means)
 
-        # one list of gated pairs for both stages; a pair's column becomes
-        # its detection's place among hi or lo
+        # one list of gated pairs for both stages: stage 1 takes those at
+        # high-confidence positions
         pair_rows, pair_cols, ious = gated_pairs(t.classes, predicted, boxes, classes,
                                                  cfg.iou_gate)
-        place = np.empty(kept.shape[0], dtype=np.intp)
-        place[hi], place[lo] = np.arange(hi.size), np.arange(lo.size)
         at_hi = high[pair_cols]
-        r1, c1, iou1 = pair_rows[at_hi], place[pair_cols[at_hi]], ious[at_hi]
-        costs = fused_pair_costs(t, r1, iou1, None if emb is None else emb[c1],
-                                 descriptors[hi[c1]], cfg)
+        r1, c1, iou1 = pair_rows[at_hi], pair_cols[at_hi], ious[at_hi]
+        costs = fused_pair_costs(t, r1, iou1, None if emb is None else emb[emb_at[c1]],
+                                 descriptors[c1], cfg)
         gallery_rows = (int(t.has_local.sum() + t.fill.sum())
-                        if cfg.w_a > 0 and emb is not None and len(t) and hi.size else 0)
-        stage1 = assign_pairs(len(t), hi.size, r1, c1, costs)
+                        if cfg.w_a > 0 and emb is not None and len(t) and high.any() else 0)
+        stage1 = assign_pairs(len(t), kept.size, r1, c1, costs)
         rows1, cols1 = stage1.matches.T
-        spawn = hi[stage1.unmatched_cols]
+        spawn = stage1.unmatched_cols[high[stage1.unmatched_cols]]
 
         # stage 2: the pairs of unmatched tracks that are not lost with
         # low-confidence detections
@@ -499,11 +503,11 @@ class Tracker:
         open_rows[stage1.unmatched_rows] = True
         open_rows &= t.states != LOST
         at_lo = ~at_hi & open_rows[pair_rows]
-        rows2, cols2 = assign_pairs(len(t), lo.size, pair_rows[at_lo], place[pair_cols[at_lo]],
+        rows2, cols2 = assign_pairs(len(t), kept.size, pair_rows[at_lo], pair_cols[at_lo],
                                     1.0 - ious[at_lo]).matches.T
 
         rows = np.concatenate([rows1, rows2])
-        pos = np.concatenate([hi[cols1], lo[cols2]])
+        pos = np.concatenate([cols1, cols2])
         if rows.size:
             try:
                 means[rows], covs[rows] = mo.multi_update(means[rows], covs[rows], boxes[pos])
@@ -534,10 +538,10 @@ class Tracker:
         # blended into a present local feature, else adopted; a blend that
         # cancels keeps the feature it had
         if emb is not None and offer.size:
-            feats = emb[np.concatenate([cols1, stage1.unmatched_cols])]
+            feats = emb[emb_at[np.concatenate([cols1, spawn])]]
             had = np.flatnonzero(t.has_local[rows1])  # stage-1 matches only
             if cfg.use_afs:
-                alphas = ap.adaptive_alphas(scores[hi[cols1[had]]], cfg.theta_high, cfg.alpha_f)
+                alphas = ap.adaptive_alphas(scores[cols1[had]], cfg.theta_high, cfg.alpha_f)
             else:
                 alphas = np.full(had.size, cfg.alpha_f)
             local = feats.copy()
@@ -581,12 +585,10 @@ class Tracker:
         records = list(zip(repeat(frame), t.ids[emit].tolist(), x, y, w, h,
                            t.last_score[emit].tolist(), t.classes[emit].tolist()))
         n_inserts = int(inserted.sum())
-        # each stage-1 match is one of the pairs, which ascend by (row, column)
-        match_pairs = np.searchsorted(r1 * hi.size + c1, rows1 * hi.size + cols1)
         self.last_stats = FrameStats(
             frame, rows1.size, rows2.size, spawn.size, n_removed, len(t),
             gallery_rows, n_inserts, inserted.size - n_inserts,
-            tuple(iou1[match_pairs].tolist()),
+            tuple(iou1[stage1.pairs].tolist()),
         )
         log.debug("frame %d: %d dets, %d live tracks, %d emitted",
                   frame, kept.shape[0], len(t), len(records))

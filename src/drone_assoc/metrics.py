@@ -18,7 +18,9 @@ threshold is positive, a pair overlaps in x, and the candidates are the
 x-windows of core.window_pairs keyed by frame rank; a box that is not
 finite pairs with nothing. The pairs are listed for chunks of consecutive
 frames of about PAIR_CHUNK_ROWS rows, and the counts carry from chunk to
-chunk, so memory stays bounded on long sequences.
+chunk, so memory stays bounded on long sequences. One such pass feeds both
+the CLEAR sweep and the identity codes; evaluate reports from it, and
+clear_mot and id_measures each return one of its two parts.
 
 The identity counts are one bincount of the pairs' (gt id, result id)
 codes. For CLEAR, a pair that is the only pair of its gt row and of its
@@ -26,10 +28,14 @@ result row is matched by every sweep: carried over, or taken alone by the
 assignment. A frame whose pairs are all such, and which repeats no gt id
 and no result id, is matched in bulk, and a match there is carried over
 when its gt id's last match, in the frame before, was its result id. Any
-other frame holding pairs runs the per-frame sweep: the carried-over pairs
-first, then assign_pairs over the pairs the carried ones leave free.
-Matched IoUs are summed in the sweep's order, frame by frame, carried-over
-matches by gt row before new ones by gt row.
+other frame holding pairs runs the per-frame sweep, which reads its
+frame's pairs alone: the carried-over pairs first, each a pair whose gt id
+was matched to its result id in the frame before, on the first result row
+of that id, and not on a result row an earlier gt row has claimed; then
+assign_pairs over the pairs the carried ones leave free, whose matched
+IoUs are read back through AssignmentResult.pairs. Matched IoUs are summed
+in the sweep's order, frame by frame, carried-over matches by gt row before
+new ones by gt row.
 
 All rates are emitted as fractions; the table printer formats percents.
 """
@@ -37,7 +43,7 @@ All rates are emitted as fractions; the table printer formats percents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -131,30 +137,6 @@ def _pairs(g: _Rows, r: _Rows, iou_threshold: float):
     return rows[order], cols[order], ious[order]
 
 
-def _chunks(gt: MotTable, results: MotTable, iou_threshold: float):
-    """The two sides, and an iterator over chunks of consecutive frames:
-    (gt _Rows, result _Rows, pairs)."""
-    _check_threshold(iou_threshold)
-    g, r = _sides(gt, results)
-    if g.dense.shape[0] == 0:
-        raise EvaluationError("ground truth contains no boxes")
-    # a chunk ends where a frame starts past a multiple of PAIR_CHUNK_ROWS
-    bucket = (g.spans + r.spans)[:-1] // PAIR_CHUNK_ROWS
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(bucket)) + 1, [bucket.shape[0]]])
-
-    def chunks() -> Iterator:
-        for k0, k1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            g_rows, r_rows = _rows(g, k0, k1), _rows(r, k0, k1)
-            yield g_rows, r_rows, _pairs(g_rows, r_rows, iou_threshold)
-
-    return g, r, chunks()
-
-
-def _check_threshold(iou_threshold: float) -> None:
-    if not 0.0 < iou_threshold <= 1.0:
-        raise EvaluationError(f"iou_threshold must lie in (0, 1], got {iou_threshold!r}")
-
-
 def _repeat_ranks(rows: _Rows, n_ids: int) -> np.ndarray:
     """The frame ranks in which some dense id appears twice."""
     if rows.ranks.shape[0] == 0:
@@ -162,23 +144,6 @@ def _repeat_ranks(rows: _Rows, n_ids: int) -> np.ndarray:
     k0 = rows.ranks[0]
     keys = np.sort((rows.ranks - k0) * n_ids + rows.dense)
     return keys[1:][keys[1:] == keys[:-1]] // n_ids + k0
-
-
-def _carried_over(g_boxes, r_ids, r_boxes, want, iou_threshold):
-    """Yesterday's pairs that still overlap enough: (gt rows, result rows,
-    IoUs), gt rows ascending. `want` holds the result id each gt row was
-    matched to in the previous frame, or -1; a gt row looks up the first
-    row of that id, and a result row goes to the first gt row that keeps
-    it."""
-    seen, first = np.unique(r_ids, return_index=True)
-    pos = np.minimum(np.searchsorted(seen, want), seen.shape[0] - 1)
-    gi = np.flatnonzero((want >= 0) & (seen[pos] == want))
-    ri = first[pos[gi]]
-    ious = iou_pairs(g_boxes[gi], r_boxes[ri])
-    ok = ious >= iou_threshold
-    gi, ri, ious = gi[ok], ri[ok], ious[ok]
-    keep = np.sort(np.unique(ri, return_index=True)[1])
-    return gi[keep], ri[keep], ious[keep]
 
 
 class _ClearSweep:
@@ -189,8 +154,8 @@ class _ClearSweep:
     rank K is rank K - 1, so a match in rank K - 1 is the previous frame's.
     """
 
-    def __init__(self, g: _Side, r: _Side, iou_threshold: float):
-        self.g, self.r, self.iou_threshold = g, r, iou_threshold
+    def __init__(self, g: _Side, r: _Side):
+        self.g, self.r = g, r
         n = g.ids.shape[0]
         self.last_r = np.full(n, -1)
         self.last_rank = np.full(n, -1)
@@ -219,26 +184,29 @@ class _ClearSweep:
         self._add(ranks[done:], g.dense[pg[done:]], r.dense[pr[done:]], piou[done:])
 
     def _sweep_frame(self, k, g: _Rows, r: _Rows, pg, pr, piou) -> None:
-        """Frame rank k as the per-frame sweep matches it, from its pairs."""
+        """Frame rank k as the per-frame sweep matches it, from its pairs.
+        A pair is carried over when its gt row's id was matched to its
+        result row's id in the frame before, its result row is the first
+        row of that id in the frame, and no earlier gt row claims it."""
         g0, g1 = np.searchsorted(g.ranks, [k, k + 1]).tolist()
         r0, r1 = np.searchsorted(r.ranks, [k, k + 1]).tolist()
-        g_ids, g_boxes = g.dense[g0:g1], g.boxes[g0:g1]
-        r_ids, r_boxes = r.dense[r0:r1], r.boxes[r0:r1]
-        want = np.where(self.last_rank[g_ids] == k - 1, self.last_r[g_ids], -1)
-        gi, ri, ious = _carried_over(g_boxes, r_ids, r_boxes, want, self.iou_threshold)
-        free_g = np.ones(g1 - g0, dtype=bool)
-        free_g[gi] = False
-        free_r = np.ones(r1 - r0, dtype=bool)
-        free_r[ri] = False
         pg, pr = pg - g0, pr - r0
-        keep = free_g[pg] & free_r[pr]
-        fg, fr = np.flatnonzero(free_g), np.flatnonzero(free_r)
-        a, b = assign_pairs(fg.shape[0], fr.shape[0], (np.cumsum(free_g) - 1)[pg[keep]],
-                            (np.cumsum(free_r) - 1)[pr[keep]], 1.0 - piou[keep]).matches.T
-        carried = np.arange(gi.shape[0] + a.shape[0]) < gi.shape[0]
-        gi, ri = np.concatenate([gi, fg[a]]), np.concatenate([ri, fr[b]])
-        ious = np.concatenate([ious, iou_pairs(g_boxes[fg[a]], r_boxes[fr[b]])])
-        self._add(np.full(gi.shape[0], k), g_ids[gi], r_ids[ri], ious, carried)
+        g_ids, r_ids = g.dense[g0:g1], r.dense[r0:r1]
+        want = np.where(self.last_rank[g_ids] == k - 1, self.last_r[g_ids], -1)
+        first = np.zeros(r1 - r0, dtype=bool)
+        first[np.unique(r_ids, return_index=True)[1]] = True
+        held = np.flatnonzero((want[pg] == r_ids[pr]) & first[pr])
+        held = held[np.sort(np.unique(pr[held], return_index=True)[1])]
+        free_g = np.ones(g1 - g0, dtype=bool)
+        free_g[pg[held]] = False
+        free_r = np.ones(r1 - r0, dtype=bool)
+        free_r[pr[held]] = False
+        free = np.flatnonzero(free_g[pg] & free_r[pr])
+        res = assign_pairs(g1 - g0, r1 - r0, pg[free], pr[free], 1.0 - piou[free])
+        took = np.concatenate([held, free[res.pairs]])
+        carried = np.arange(took.shape[0]) < held.shape[0]
+        self._add(np.full(took.shape[0], k), g_ids[pg[took]], r_ids[pr[took]], piou[took],
+                  carried)
 
     def _add(self, ranks, g, r, ious, carried: Optional[np.ndarray] = None) -> None:
         """Count matches of consecutive frames given in frame order: their
@@ -296,52 +264,51 @@ class _ClearSweep:
         }
 
 
-def _identity(g: _Side, r: _Side, codes: list) -> tuple[int, int, int]:
-    """(idtp, idfp, idfn) from the pairs' (gt id, result id) codes."""
+def _score(gt: MotTable, results: MotTable,
+           iou_threshold: float) -> tuple[dict, tuple[int, int, int]]:
+    """The CLEAR counts and (idtp, idfp, idfn) of one sequence, from one
+    listing of its pairs, chunk by chunk of consecutive frames."""
+    if not 0.0 < iou_threshold <= 1.0:
+        raise EvaluationError(f"iou_threshold must lie in (0, 1], got {iou_threshold!r}")
+    g, r = _sides(gt, results)
+    if g.dense.shape[0] == 0:
+        raise EvaluationError("ground truth contains no boxes")
+    # a chunk ends where a frame starts past a multiple of PAIR_CHUNK_ROWS
+    bucket = (g.spans + r.spans)[:-1] // PAIR_CHUNK_ROWS
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(bucket)) + 1, [bucket.shape[0]]])
     n_g, n_r = g.ids.shape[0], r.ids.shape[0]
+    sweep = _ClearSweep(g, r)
+    # each pair's (gt id, result id) as g * n_r + r
+    codes = [np.zeros(0, dtype=np.intp)]
+    for k0, k1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        g_rows, r_rows = _rows(g, k0, k1), _rows(r, k0, k1)
+        pairs = _pairs(g_rows, r_rows, iou_threshold)
+        sweep.add_chunk(g_rows, r_rows, pairs)
+        codes.append(g_rows.dense[pairs[0]] * n_r + r_rows.dense[pairs[1]])
     idtp = 0
     if n_r:
-        gain = np.bincount(np.concatenate([np.zeros(0, dtype=np.intp)] + codes),
-                           minlength=n_g * n_r)
+        gain = np.bincount(np.concatenate(codes), minlength=n_g * n_r)
         gain = gain.reshape(n_g, n_r).astype(np.float64)
         rows, cols = linear_assignment(-gain).matches.T
         idtp = int(gain[rows, cols].sum())
-    return idtp, r.dense.shape[0] - idtp, g.dense.shape[0] - idtp
-
-
-def _codes(g: _Rows, r: _Rows, pairs, n_r: int) -> np.ndarray:
-    """Each pair's (gt id, result id) as g * n_r + r."""
-    return g.dense[pairs[0]] * n_r + r.dense[pairs[1]]
+    return sweep.counts(), (idtp, r.dense.shape[0] - idtp, g.dense.shape[0] - idtp)
 
 
 def clear_mot(gt: MotTable, results: MotTable, iou_threshold: float = 0.5) -> dict:
     """CLEAR counts; returns the raw counts the reports are built from."""
-    g, r, chunks = _chunks(gt, results, iou_threshold)
-    sweep = _ClearSweep(g, r, iou_threshold)
-    for chunk in chunks:
-        sweep.add_chunk(*chunk)
-    return sweep.counts()
+    return _score(gt, results, iou_threshold)[0]
 
 
 def id_measures(
     gt: MotTable, results: MotTable, iou_threshold: float = 0.5
 ) -> tuple[int, int, int]:
     """(idtp, idfp, idfn) under the best global identity mapping."""
-    g, r, chunks = _chunks(gt, results, iou_threshold)
-    n_r = r.ids.shape[0]
-    return _identity(g, r, [_codes(*chunk, n_r) for chunk in chunks])
+    return _score(gt, results, iou_threshold)[1]
 
 
 def evaluate(gt: MotTable, results: MotTable, iou_threshold: float = 0.5) -> EvalReport:
     """Full report over one sequence, from one listing of its pairs."""
-    g, r, chunks = _chunks(gt, results, iou_threshold)
-    sweep = _ClearSweep(g, r, iou_threshold)
-    codes = []
-    for chunk in chunks:
-        sweep.add_chunk(*chunk)
-        codes.append(_codes(*chunk, r.ids.shape[0]))
-    clear = sweep.counts()
-    idtp, idfp, idfn = _identity(g, r, codes)
+    clear, (idtp, idfp, idfn) = _score(gt, results, iou_threshold)
     idp = idtp / (idtp + idfp) if idtp + idfp else 0.0
     idr = idtp / (idtp + idfn) if idtp + idfn else 0.0
     idf1_den = 2 * idtp + idfp + idfn

@@ -112,12 +112,16 @@ class TestLinearAssignment:
         res = linear_assignment(cost)
         assert res.matches.tolist() == [[0, 0], [1, 2], [2, 1]]
         assert res.unmatched_rows.tolist() == [] and res.unmatched_cols.tolist() == []
-        for arr in (res.matches, res.unmatched_rows, res.unmatched_cols):
+        # indices among the finite cells in row-major order:
+        # (0, 0) (0, 2) (1, 0) (1, 1) (1, 2) (2, 0) (2, 1)
+        assert res.pairs.tolist() == [0, 4, 6]
+        for arr in (res.matches, res.unmatched_rows, res.unmatched_cols, res.pairs):
             assert arr.dtype == np.intp
 
     def test_all_infeasible(self):
         res = linear_assignment(np.full((3, 3), np.inf))
         assert res.matches.shape == (0, 2) and res.matches.dtype == np.intp
+        assert res.pairs.shape == (0,) and res.pairs.dtype == np.intp
         assert res.unmatched_rows.tolist() == [0, 1, 2]
         assert res.unmatched_cols.tolist() == [0, 1, 2]
 
@@ -411,11 +415,17 @@ class TestAssignPairs:
             assert a.dtype == b.dtype == np.intp
             assert a.tolist() == b.tolist()
         assert not set(got.matches[:, 0].tolist()) & set(np.flatnonzero(dead).tolist())
+        # the matches are the given pairs at got.pairs, each feasible
+        assert got.pairs.dtype == np.intp
+        assert rows[got.pairs].tolist() == got.matches[:, 0].tolist()
+        assert cols[got.pairs].tolist() == got.matches[:, 1].tolist()
+        assert np.isfinite(costs[got.pairs]).all()
 
     def test_no_pairs(self):
         empty = np.zeros(0, dtype=np.intp)
         res = assign_pairs(3, 2, empty, empty, np.zeros(0))
         assert res.matches.shape == (0, 2)
+        assert res.pairs.shape == (0,) and res.pairs.dtype == np.intp
         assert res.unmatched_rows.tolist() == [0, 1, 2]
         assert res.unmatched_cols.tolist() == [0, 1]
 
